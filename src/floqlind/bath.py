@@ -34,7 +34,8 @@ from .errors import ExtrapolationError, UndefinedRatioError
 class SpectralDensity:
     """Shared behavior of all spectral-density variants."""
 
-    def evaluate(self, omega: float) -> float:
+    def evaluate(self, omega):
+        """gamma(omega): a float for a scalar, elementwise for an ndarray."""
         raise NotImplementedError
 
     def tail_supremum(self, threshold: float) -> float:
@@ -72,7 +73,7 @@ class Lorentzian(SpectralDensity):
         if not (self.t2 > 0.0 and self.tau_c > 0.0):
             raise ValueError("t2 and tau_c must be positive")
 
-    def evaluate(self, omega: float) -> float:
+    def evaluate(self, omega):
         return (2.0 / self.t2) / (1.0 + (self.tau_c * omega) ** 2)
 
     def tail_supremum(self, threshold: float) -> float:
@@ -104,7 +105,15 @@ class PhononCutoff(SpectralDensity):
                 "the beta = 0 density is infinite at every frequency"
             )
 
-    def evaluate(self, omega: float) -> float:
+    def evaluate(self, omega):
+        if np.ndim(omega) > 0:  # the scalar branches below, elementwise
+            w = np.asarray(omega, dtype=float)
+            u = np.abs(w)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                gamma = self.coupling * u**3 * np.exp(-u / self.cutoff)
+                gamma = gamma / -np.expm1(-self.beta * u)  # 1 at beta = inf
+                gamma = np.where(w < 0.0, np.exp(-self.beta * u) * gamma, gamma)
+            return np.where(w == 0.0, 0.0, gamma)
         if omega == 0.0:
             return 0.0
         if math.isinf(self.beta):
@@ -191,13 +200,16 @@ class Tabulated(SpectralDensity):
             )
         return cls(grid=data[:, 0], values=data[:, 1])
 
-    def evaluate(self, omega: float) -> float:
-        if omega < self.grid[0] or omega > self.grid[-1]:
+    def evaluate(self, omega):
+        w = np.asarray(omega, dtype=float)
+        outside = (w < self.grid[0]) | (w > self.grid[-1])
+        if np.any(outside):
             raise ExtrapolationError(
-                f"frequency {omega} outside tabulated range "
+                f"frequency {w[outside].flat[0]} outside tabulated range "
                 f"[{self.grid[0]}, {self.grid[-1]}]"
             )
-        return float(np.interp(omega, self.grid, self.values))
+        values = np.interp(w, self.grid, self.values)
+        return values if w.ndim else float(values)
 
     def tail_supremum(self, threshold: float) -> float:
         # The density is unknown outside the grid, and every tail reaches

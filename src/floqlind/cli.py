@@ -25,7 +25,8 @@ Scenarios and their columns:
   extract-tauc     t2 tau_c residual degenerate
 
 Exit codes: 0 success, 2 malformed or incomplete config, 3 numeric
-failure (truncation, stability, inconsistent or out-of-range data).
+failure (truncation, stability, an invalid computed state, inconsistent
+or out-of-range data).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .echo import (
 from .errors import (
     ConfigError,
     InconsistentDataError,
+    InvalidStateError,
     OutOfRangeError,
     StabilityError,
     TruncationError,
@@ -258,11 +260,15 @@ def _scenario_trajectory(cfg, resolved):
     resolved["model.x2_0"] = repr(x0[1])
     resolved["model.x3_0"] = repr(x0[2])
     resolved["model.frame"] = frame
+    try:
+        rho0 = density_from_bloch(x0)
+    except InvalidStateError as exc:
+        raise ConfigError(f"[model] initial Bloch vector: {exc}") from None
     times = _sweep_grid(cfg, "time", resolved)
     trajectory = evolve(
         model,
         generator,
-        density_from_bloch(x0),
+        rho0,
         times,
         frame=frame,
         omega_ext=omega_ext if frame == "lab" else None,
@@ -469,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TruncationError, StabilityError, ArithmeticError) as exc:
         print(f"floqlind: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (InconsistentDataError, OutOfRangeError) as exc:
+    except (InconsistentDataError, InvalidStateError, OutOfRangeError) as exc:
         print(f"floqlind: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, configparser.Error, ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +30,7 @@ from .operators import expm_hermitian, require_hermitian
 # Relative fuzz used when snapping t/T to an integer; keeps kick-time
 # sampling on the right-continuous branch despite float division.
 _PERIOD_SNAP = 1e-9
+_CHUNK_ELEMENTS = 1 << 12  # Fourier integrals per chunk of harmonics
 
 
 def floor_frac(t: float, period: float) -> tuple[int, float]:
@@ -287,28 +288,23 @@ class HarmonicDecomposition:
             return v @ mat @ v.conj().T
         raise ValueError(f"unknown basis {basis!r}")
 
-    def iter_components(self, alpha: int):
-        """Yield (omega, q, floquet_matrix) over all stored components."""
-        for idx, omega in enumerate(self.frequencies):
-            mask = self.cluster_index == idx
-            for q in range(-self.q_max, self.q_max + 1):
-                yield float(omega), q, np.where(
-                    mask, self.coefficients[alpha, q + self.q_max], 0.0
-                )
-
     def coupling_weight(self, alpha: int) -> float:
         """Squared Frobenius norm of the coupling (basis independent)."""
         return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
 
-    def accumulated_weight(self, alpha: int) -> float:
-        """Parseval weight held by the stored harmonics."""
-        return float(np.sum(np.abs(self.coefficients[alpha]) ** 2))
+    def harmonics(self, q_values: np.ndarray) -> np.ndarray:
+        """Coefficients like ``coefficients``, at the harmonics ``q_values``."""
+        return _fourier_tensor(self.decomposition, list(self.couplings), q_values)
 
     def extended(self, q_max: int) -> "HarmonicDecomposition":
-        """Same decomposition recomputed with a larger q_max."""
+        """Same decomposition with a larger q_max; computes only new harmonics."""
         if q_max <= self.q_max:
             return self
-        return harmonic_decomposition(self.model, list(self.couplings), q_max)
+        new = np.arange(self.q_max + 1, q_max + 1)
+        low, high = self.harmonics(-new[::-1]), self.harmonics(new)
+        coefficients = np.concatenate([low, self.coefficients, high], axis=1)
+        coefficients.flags.writeable = False
+        return replace(self, q_max=q_max, coefficients=coefficients)
 
 
 def _fourier_tensor(
@@ -330,22 +326,27 @@ def _fourier_tensor(
     overlap = dec.basis.conj().T @ h0_basis  # overlap[k, a] = <phi_k | a>
     quasi = dec.quasienergies
 
-    # mu[a, b, k, l] = (E_a - E_b) + (eps_l - eps_k)
+    # mu[(a, b), (k, l)] = (E_a - E_b) + (eps_l - eps_k)
+    dim = len(energies)
     mu = (
         energies[:, None, None, None]
         - energies[None, :, None, None]
         + quasi[None, None, None, :]
         - quasi[None, None, :, None]
-    )
-    out = np.empty((len(couplings), len(q_values)) + dec.basis.shape, dtype=complex)
-    for alpha, coupling in enumerate(couplings):
-        s_h0 = h0_basis.conj().T @ np.asarray(coupling, dtype=complex) @ h0_basis
-        weight = np.einsum("ka,ab,lb->abkl", overlap, s_h0, overlap.conj())
-        for j, q in enumerate(q_values):
-            c = mu * period - 2.0 * math.pi * q
-            integral = np.exp(0.5j * c) * np.sinc(c / (2.0 * math.pi))
-            out[alpha, j] = np.einsum("abkl,abkl->kl", weight, integral)
-    return out
+    ).reshape(dim * dim, dim * dim)
+    stacked = np.reshape(couplings, (len(couplings), dim, dim))
+    s_h0 = h0_basis.conj().T @ stacked @ h0_basis
+    weights = np.einsum("ka,xab,lb->xabkl", overlap, s_h0, overlap.conj())
+    weights = weights.reshape((len(couplings),) + mu.shape)
+    # All harmonics at once, in chunks that bound the temporaries.
+    out = np.empty((len(couplings), len(q_values), dim * dim), dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // max(mu.size, 1))
+    for start in range(0, len(q_values), step):
+        q = q_values[start : start + step, None, None]
+        c = mu * period - 2.0 * math.pi * q
+        integral = np.exp(0.5j * c) * np.sinc(c / (2.0 * math.pi))
+        out[:, start : start + step] = np.einsum("xpk,qpk->xqk", weights, integral)
+    return out.reshape(out.shape[:2] + dec.basis.shape)
 
 
 def harmonic_decomposition(
@@ -369,8 +370,7 @@ def harmonic_decomposition(
                 f"coupling shape {s.shape} does not match model dimension {m.dim}"
             )
     dec = decompose(m)
-    q_values = np.arange(-q_max, q_max + 1)
-    coefficients = _fourier_tensor(dec, validated, q_values)
+    coefficients = _fourier_tensor(dec, validated, np.arange(-q_max, q_max + 1))
     frequencies, cluster_index = _cluster_frequencies(
         dec.quasienergies, 1e-9 * m.omega
     )

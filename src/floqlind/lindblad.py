@@ -13,6 +13,9 @@ Parseval, sum_{omega,q} ||S(omega,q)||_F^2 = ||S||_F^2 exactly, so the
 weight beyond |q| <= q_max is known in closed form, and multiplying it by
 a bound on gamma over the frequencies remaining in the tail gives a
 rigorous cap on the discarded rates.
+
+All components enter one running contraction (see ``_dissipator``), so
+each doubling of q_max computes and adds only the new harmonics.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import scipy.linalg
 from .bath import SpectralDensity
 from .errors import DimensionError, DomainError, TruncationError
 from .floquet import HarmonicDecomposition
-from .operators import dissipator_superop, expm_general, vec
+from .operators import expm_general, vec
 
 # Adaptive truncation gives up past this many harmonics.
 _Q_CAP = 1_048_576
@@ -35,15 +38,6 @@ _Q_CAP = 1_048_576
 # (rounding noise of a decomposition whose tail genuinely vanishes, as in
 # the kick-free case where folding makes the harmonic content finite).
 _PARSEVAL_FLOOR = 1e-13
-
-
-class Contribution(NamedTuple):
-    """One dissipator term: coupling index, frequencies, and its rate."""
-
-    alpha: int
-    omega: float
-    q: int
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,6 @@ class LindbladGenerator:
 
     dim: int
     superop: np.ndarray
-    contributions: tuple[Contribution, ...]
     truncation: TruncationInfo
     basis: np.ndarray
 
@@ -81,32 +74,15 @@ class RateResult:
             raise ValueError(f"decay rate must be nonnegative, got {self.eta}")
 
 
-def _tail_start(h: HarmonicDecomposition) -> float:
-    """Smallest |omega + q Omega| over the discarded harmonics |q| > q_max."""
-    quasi = h.decomposition.quasienergies
-    spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
-    return (h.q_max + 1) * h.model.omega - spread
-
-
-def _assemble(
-    h: HarmonicDecomposition, densities: Sequence[SpectralDensity]
-) -> tuple[np.ndarray, list[Contribution], float]:
-    dim = h.dim
-    superop_f = np.zeros((dim * dim, dim * dim), dtype=complex)
-    contributions: list[Contribution] = []
-    scale = 0.0
-    for alpha, density in enumerate(densities):
-        for omega, q, component in h.iter_components(alpha):
-            weight = float(np.sum(np.abs(component) ** 2))
-            if weight == 0.0:
-                continue
-            rate = density.evaluate(omega + q * h.model.omega)
-            contributions.append(Contribution(alpha, omega, q, rate))
-            if rate == 0.0:
-                continue
-            superop_f += rate * dissipator_superop(component)
-            scale += rate * weight
-    return superop_f, contributions, scale
+def _dissipator(pairs: np.ndarray, dim: int) -> np.ndarray:
+    """Sum of r [conj(S) ⊗ S - (I ⊗ S†S + (S†S)^T ⊗ I)/2] over components,
+    from T[(i,j), (k,l)] = sum r conj(S[i,j]) S[k,l]: the jump part is T with
+    its middle indices swapped, the Gram part sum r S†S its trace over i = k."""
+    pairs = pairs.reshape(dim, dim, dim, dim)
+    jump = pairs.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    gram = np.einsum("ijil->jl", pairs)
+    eye = np.eye(dim)
+    return jump - 0.5 * np.kron(eye, gram) - 0.5 * np.kron(gram.T, eye)
 
 
 def build_generator(
@@ -137,14 +113,34 @@ def build_generator(
         raise DimensionError(
             f"{h.n_couplings} couplings but {len(densities)} spectral densities"
         )
-    current = h
+    dim = h.dim
+    cluster = h.cluster_index.reshape(-1)
+    members = (cluster[:, None] == np.arange(len(h.frequencies))).astype(float)
+    pairs = np.zeros((dim * dim, dim * dim), dtype=complex)
+    held, scale = [0.0] * len(densities), 0.0  # Parseval, retained rate weight
+    quasi = h.decomposition.quasienergies
+    spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
+    q_max, coefficients = h.q_max, h.coefficients
+    q_values = np.arange(-q_max, q_max + 1)
     while True:
-        superop_f, contributions, scale = _assemble(current, densities)
-        tail_bound = 0.0
-        tail_start = _tail_start(current)
+        frequencies = h.frequencies[None, :] + q_values[:, None] * h.model.omega
         for alpha, density in enumerate(densities):
-            total = current.coupling_weight(alpha)
-            leftover = max(total - current.accumulated_weight(alpha), 0.0)
+            flat = coefficients[alpha].reshape(len(q_values), dim * dim)
+            power = np.abs(flat) ** 2
+            held[alpha] += float(np.sum(power))
+            weight = power @ members
+            live = weight != 0.0
+            rate = np.zeros_like(weight)
+            rate[live] = density.evaluate(frequencies[live])
+            scale += float(np.sum(rate * weight))
+            # T += C† (r ∘ C); r[q, (k,l)] is the rate of (k,l)'s cluster.
+            pairs += (flat.conj() * rate[:, cluster]).T @ flat
+        tail_bound = 0.0
+        # Smallest |omega + q Omega| over the discarded harmonics |q| > q_max.
+        tail_start = (q_max + 1) * h.model.omega - spread
+        for alpha, density in enumerate(densities):
+            total = h.coupling_weight(alpha)
+            leftover = max(total - held[alpha], 0.0)
             if leftover <= _PARSEVAL_FLOOR * total:
                 continue
             tail_bound += leftover * density.tail_supremum(tail_start)
@@ -154,24 +150,25 @@ def build_generator(
                 "tail; the generator series cannot be certified to converge"
             )
         if tail_bound <= rel_tol * scale + 1e-300:
-            basis = current.decomposition.basis
+            basis = h.decomposition.basis
             change = np.kron(basis.conj(), basis)
-            superop = change @ superop_f @ change.conj().T
+            same_cluster = cluster[:, None] == cluster[None, :]
+            superop_f = _dissipator(np.where(same_cluster, pairs, 0.0), dim)
             return LindbladGenerator(
-                dim=current.dim,
-                superop=superop,
-                contributions=tuple(contributions),
-                truncation=TruncationInfo(
-                    q_max_used=current.q_max, tail_bound=tail_bound
-                ),
+                dim=dim,
+                superop=change @ superop_f @ change.conj().T,
+                truncation=TruncationInfo(q_max_used=q_max, tail_bound=tail_bound),
                 basis=basis,
             )
-        if current.q_max >= _Q_CAP:
+        if q_max >= _Q_CAP:
             raise TruncationError(
                 f"tail bound {tail_bound:.3e} still above target at "
-                f"q_max = {current.q_max}"
+                f"q_max = {q_max}"
             )
-        current = current.extended(min(2 * current.q_max, _Q_CAP))
+        new = np.arange(q_max + 1, min(2 * q_max, _Q_CAP) + 1)
+        q_values = np.concatenate([-new[::-1], new])
+        coefficients = h.harmonics(q_values)
+        q_max = int(new[-1])
 
 
 def _suppression_factor(x: float) -> float:

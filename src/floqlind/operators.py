@@ -70,8 +70,9 @@ def as_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
     mat = _as_square_matrix(rho)
     if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=atol):
         raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > TRACE_ATOL or abs(np.trace(mat).imag) > TRACE_ATOL:
-        raise InvalidStateError(f"density matrix has trace {np.trace(mat):.6g}, expected 1")
+    trace = np.trace(mat)
+    if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+        raise InvalidStateError(f"density matrix has |tr - 1| = {abs(trace - 1.0):.3e}")
     sym = 0.5 * (mat + mat.conj().T)
     lowest = scipy.linalg.eigvalsh(sym)[0]
     if lowest < -atol:

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.floquet import KickedModel, harmonic_decomposition
 from floqlind.lindblad import (
@@ -20,7 +21,7 @@ from floqlind.lindblad import (
     rate_parallel_closed,
     rate_perp_closed,
 )
-from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z
+from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z, dissipator_superop
 
 
 def rand_herm(rng, dim):
@@ -66,6 +67,55 @@ def eta_from_generator(generator):
     change = np.kron(basis.conj(), basis)
     in_basis = change.conj().T @ generator.superop @ change
     return -float(in_basis[1, 1].real)
+
+
+def parseval_weight(h, alpha):
+    """Squared Frobenius weight held by the stored harmonics of a coupling."""
+    return float(np.sum(np.abs(h.coefficients[alpha]) ** 2))
+
+
+def reference_generator(h, densities, rel_tol):
+    """Per-component reference for ``build_generator``.
+
+    Every doubling round recomputes the decomposition from scratch,
+    evaluates each rate as a scalar and adds one kron-built dissipator per
+    (coupling, frequency cluster, harmonic) component.  Returns the
+    superoperator in the original basis, q_max and the tail bound.
+    """
+    model, couplings, q_max = h.model, list(h.couplings), h.q_max
+    while True:
+        current = harmonic_decomposition(model, couplings, q_max)
+        terms = []  # (rate, component) of every nonzero component
+        scale = tail_bound = 0.0
+        quasi = current.decomposition.quasienergies
+        tail_start = (q_max + 1) * model.omega - float(np.ptp(quasi))
+        for alpha, density in enumerate(densities):
+            for idx, omega in enumerate(current.frequencies):
+                mask = current.cluster_index == idx
+                for q in range(-q_max, q_max + 1):
+                    component = np.where(
+                        mask, current.coefficients[alpha, q + q_max], 0.0
+                    )
+                    weight = float(np.sum(np.abs(component) ** 2))
+                    if weight == 0.0:
+                        continue
+                    rate = density.evaluate(float(omega) + q * model.omega)
+                    assert rate >= 0.0
+                    terms.append((rate, component))
+                    scale += rate * weight
+            total = current.coupling_weight(alpha)
+            leftover = max(total - parseval_weight(current, alpha), 0.0)
+            if leftover > lindblad._PARSEVAL_FLOOR * total:
+                tail_bound += leftover * density.tail_supremum(tail_start)
+        if tail_bound <= rel_tol * scale + 1e-300:
+            break
+        q_max *= 2
+    superop_f = np.zeros((h.dim**2, h.dim**2), dtype=complex)
+    for rate, component in terms:
+        superop_f += rate * dissipator_superop(component)
+    basis = current.decomposition.basis
+    change = np.kron(basis.conj(), basis)
+    return change @ superop_f @ change.conj().T, q_max, tail_bound
 
 
 LONGITUDINAL = SimpleNamespace(delta=0.6, period=1.3, t2=2.0, tau_c=3.0)

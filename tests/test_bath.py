@@ -179,3 +179,33 @@ def test_module_level_wrappers():
     density = Lorentzian(t2=2.0, tau_c=1.0)
     assert bath.evaluate(density, 0.0) == pytest.approx(1.0)
     assert bath.kms_ratio(density, 3.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        Lorentzian(t2=2.0, tau_c=3.0),
+        PhononCutoff(coupling=0.8, cutoff=1.0),
+        PhononCutoff(coupling=0.05, cutoff=1.5, beta=2.0),
+        Tabulated(grid=np.linspace(-30.0, 30.0, 61), values=np.linspace(0.0, 3.0, 61)),
+    ],
+    ids=["lorentzian", "phonon-cold", "phonon-warm", "tabulated"],
+)
+def test_array_evaluation_matches_scalar_evaluation(density):
+    omegas = np.concatenate(
+        [[0.0, -0.0, 1e-300, -1e-300], np.linspace(-30.0, 30.0, 601)]
+    ).reshape(5, -1)
+    values = density.evaluate(omegas)
+    assert isinstance(values, np.ndarray) and values.shape == omegas.shape
+    expected = np.array([density.evaluate(float(w)) for w in omegas.flat])
+    assert all(type(density.evaluate(float(w))) is float for w in omegas.flat[:8])
+    # numpy's vectorised exp, expm1 and powers may differ from the math
+    # module's in the last bit, a few rounding steps at most.
+    np.testing.assert_array_max_ulp(values.reshape(-1), expected, maxulp=4)
+
+
+def test_array_evaluation_keeps_the_tabulated_range():
+    density = Tabulated(grid=np.linspace(-5.0, 5.0, 11), values=np.ones(11))
+    assert density.evaluate(np.array([])).shape == (0,)
+    with pytest.raises(ExtrapolationError, match="5.5"):
+        density.evaluate(np.array([-5.0, 0.0, 5.5, 4.0]))

@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from floqlind import cli
+from floqlind import cli, operators
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import TLSParams, closed_form_parallel
 from floqlind.errors import ConfigError
@@ -347,6 +347,52 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     config = _extract_config(tmp_path, [(5000.0, 0.5), (0.37, 5e-10)])
     assert cli.main([str(config)]) == 3
     assert "floqlind: numeric failure:" in capsys.readouterr().err
+
+
+TRAJECTORY_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = trajectory
+    output = traj.tsv
+
+    [model]
+    t2 = 2.0
+    tau_c = 3.0
+    period = 1.3
+    omega0 = 5.0
+    x1_0 = 0.0
+    x3_0 = 1.0
+
+    [sweep]
+    parameter = time
+    start = 0.0
+    stop = 10.0
+    points = 5
+"""
+
+
+def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):
+    outside = TRAJECTORY_CONFIG.replace("x1_0 = 0.0", "x1_0 = 0.8")
+    config = write_config(tmp_path, outside)
+    assert cli.main([str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "floqlind: config error:" in err
+    assert "Bloch vector" in err
+
+
+def test_main_reports_invalid_computed_states_as_numeric(
+    tmp_path, capsys, monkeypatch
+):
+    config = write_config(tmp_path, TRAJECTORY_CONFIG)
+    assert cli.main([str(config)]) == 0
+    capsys.readouterr()
+    # With no trace slack, the rounding of the evolved states trips the
+    # guard inside evolve.
+    monkeypatch.setattr(operators, "TRACE_ATOL", 0.0)
+    assert cli.main([str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "floqlind: numeric failure:" in err
+    assert "|tr - 1|" in err
 
 
 def test_run_raises_config_error_directly(tmp_path):

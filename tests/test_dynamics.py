@@ -86,7 +86,6 @@ def test_lab_frame_needs_a_two_level_system():
     g = LindbladGenerator(
         dim=3,
         superop=np.zeros((9, 9), dtype=complex),
-        contributions=(),
         truncation=TruncationInfo(q_max_used=1, tail_bound=0.0),
         basis=np.eye(3, dtype=complex),
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import analytic_floquet_pair, magic_model, rand_herm
+from conftest import analytic_floquet_pair, magic_model, parseval_weight, rand_herm
 
 from floqlind import oracle
 from floqlind.errors import DimensionError, DomainError, HermiticityError
@@ -291,11 +291,13 @@ def test_kick_free_decomposition_is_static():
     h = harmonic_decomposition(m, [coupling], q_max=3)
     v = h.decomposition.basis
     static = np.zeros((3, 3), dtype=complex)
-    for omega, q, mat in h.iter_components(0):
-        if q == 0:
-            static += mat
-        else:
-            assert np.max(np.abs(mat)) < 1e-12
+    for omega in h.frequencies:
+        for q in range(-3, 4):
+            mat = h.component(0, float(omega), q)
+            if q == 0:
+                static += mat
+            else:
+                assert np.max(np.abs(mat)) < 1e-12
     np.testing.assert_allclose(static, v.conj().T @ coupling @ v, atol=1e-12)
 
 
@@ -315,11 +317,12 @@ def test_components_are_ladder_operators_of_the_averaged_hamiltonian():
     m = random_model(rng, dim=3)
     h = harmonic_decomposition(m, [rand_herm(rng, 3)], q_max=2)
     hbar = h.decomposition.averaged_hamiltonian
-    for omega, q, _ in h.iter_components(0):
-        mat = h.component(0, omega, q, basis="original")
-        np.testing.assert_allclose(
-            hbar @ mat - mat @ hbar, omega * mat, atol=1e-10
-        )
+    for omega in h.frequencies:
+        for q in range(-2, 3):
+            mat = h.component(0, float(omega), q, basis="original")
+            np.testing.assert_allclose(
+                hbar @ mat - mat @ hbar, omega * mat, atol=1e-10
+            )
 
 
 def test_partial_sums_reconstruct_the_heisenberg_coupling():
@@ -339,10 +342,10 @@ def test_parseval_weight_accumulates_toward_the_coupling_norm():
     h = harmonic_decomposition(magic_model(), [PAULI_Z], q_max=4)
     total = h.coupling_weight(0)
     assert total == pytest.approx(2.0)
-    held = h.accumulated_weight(0)
+    held = parseval_weight(h, 0)
     assert held < total
     wider = h.extended(64)
-    assert held < wider.accumulated_weight(0) < total + 1e-14
+    assert held < parseval_weight(wider, 0) < total + 1e-14
 
 
 def test_extended_returns_self_when_not_larger():
@@ -355,6 +358,22 @@ def test_extended_returns_self_when_not_larger():
         np.testing.assert_allclose(
             wider.component(0, omega, q), h.component(0, omega, q), atol=1e-14
         )
+
+
+@pytest.mark.parametrize("dim", [3, 9])
+def test_extended_matches_a_fresh_decomposition(dim):
+    rng = np.random.default_rng(43)
+    m = random_model(rng, dim=dim)
+    couplings = [rand_herm(rng, dim), rand_herm(rng, dim)]
+    wider = harmonic_decomposition(m, couplings, q_max=3).extended(11)
+    fresh = harmonic_decomposition(m, couplings, q_max=11)
+    assert wider.q_max == 11
+    assert wider.coefficients.shape == fresh.coefficients.shape
+    np.testing.assert_allclose(
+        wider.coefficients, fresh.coefficients, rtol=0.0, atol=1e-15
+    )
+    with pytest.raises(ValueError):
+        wider.coefficients[0, 0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 7), (3, 7)])

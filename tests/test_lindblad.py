@@ -4,14 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eta_from_generator, magic_model, rand_density
+from conftest import (
+    eta_from_generator,
+    magic_model,
+    rand_density,
+    rand_herm,
+    reference_generator,
+)
 
 from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, Tabulated
 from floqlind.errors import DimensionError, DomainError, TruncationError
-from floqlind.floquet import harmonic_decomposition
+from floqlind.floquet import KickedModel, harmonic_decomposition
 from floqlind.lindblad import (
     RateResult,
+    TruncationInfo,
     build_generator,
     choi_matrix,
     combine_rates,
@@ -161,15 +168,53 @@ def test_generator_spectral_norm_is_twice_the_rate(longitudinal):
 
 
 def test_generator_contributions_are_consistent(longitudinal):
+    """The generator is the rate-weighted sum of its components' dissipators,
+    each rate read off the density at omega + q Omega."""
     g = longitudinal.generator
-    omega_kick = longitudinal.model.omega
-    assert len(g.contributions) > 0
-    for c in g.contributions:
-        assert c.alpha == 0
-        assert c.rate >= 0.0
-        assert c.rate == pytest.approx(
-            longitudinal.density.evaluate(c.omega + c.q * omega_kick), rel=1e-13
-        )
+    superop, q_max, _ = reference_generator(
+        longitudinal.harmonics, (longitudinal.density,), rel_tol=1e-10
+    )
+    assert q_max == g.truncation.q_max_used
+    scale = np.max(np.abs(superop))
+    assert scale > 0.0
+    np.testing.assert_allclose(g.superop, superop, rtol=0.0, atol=1e-13 * scale)
+
+
+def _random_model(seed, dim):
+    rng = np.random.default_rng(seed)
+    h0, kick = rand_herm(rng, dim), rand_herm(rng, dim)
+    model = KickedModel(
+        h0=h0 / np.linalg.norm(h0, 2), kick=kick / np.linalg.norm(kick, 2),
+        strength=1.0, period=1.0,
+    )
+    couplings = [rand_herm(rng, dim) for _ in range(2)]
+    return model, [s / np.linalg.norm(s) for s in couplings]
+
+
+def _equivalence_cases():
+    tls = magic_model(0.6, 1.3), [PAULI_Z / math.sqrt(2.0)]
+    lorentz = Lorentzian(t2=2.0, tau_c=3.0)
+    qutrit, qutrit_couplings = _random_model(5, 3)
+    qudit, qudit_couplings = _random_model(8, 8)
+    baths = (Lorentzian(t2=2.0, tau_c=0.3), PhononCutoff(0.05, 1.0, beta=2.0))
+    return {
+        "tls-1e-8": (*tls, [lorentz], 64, 1e-8),
+        "tls-1e-12": (*tls, [lorentz], 64, 1e-12),
+        "random-d3": (qutrit, qutrit_couplings, baths, 8, 1e-8),
+        "random-d8": (qudit, qudit_couplings, baths, 16, 1e-6),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+def test_generator_matches_the_per_component_reference(case):
+    model, couplings, densities, q_max, rel_tol = _equivalence_cases()[case]
+    h = harmonic_decomposition(model, couplings, q_max=q_max)
+    g = build_generator(h, densities, rel_tol=rel_tol)
+    superop, q_max_used, tail_bound = reference_generator(h, densities, rel_tol)
+    assert g.truncation.q_max_used == q_max_used
+    scale = np.max(np.abs(superop))
+    np.testing.assert_allclose(g.superop, superop, rtol=0.0, atol=1e-13 * scale)
+    assert g.truncation.tail_bound == pytest.approx(tail_bound, rel=1e-9, abs=0.0)
 
 
 def test_generator_truncation_tightens_with_tolerance(longitudinal):
@@ -190,7 +235,7 @@ def test_generator_zero_coupling_yields_the_zero_map():
     )
     g = build_generator(h, [Lorentzian(t2=1.0, tau_c=1.0)])
     assert np.max(np.abs(g.superop)) == 0.0
-    assert g.contributions == ()
+    assert g.truncation == TruncationInfo(q_max_used=4, tail_bound=0.0)
 
 
 def test_generator_no_couplings_yields_the_zero_map():

@@ -182,7 +182,7 @@ def test_as_density_accepts_and_symmetrizes():
 
 
 def test_as_density_rejects_bad_trace_and_negativity():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidStateError, match=r"\|tr - 1\| = 1\.000e-01"):
         as_density(np.diag([0.5, 0.6]))
     with pytest.raises(InvalidStateError):
         as_density(np.diag([1.5, -0.5]))

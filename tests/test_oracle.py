@@ -140,7 +140,6 @@ def _zero_generator(dim: int = 2) -> LindbladGenerator:
     return LindbladGenerator(
         dim=dim,
         superop=np.zeros((dim * dim, dim * dim), dtype=complex),
-        contributions=(),
         truncation=TruncationInfo(q_max_used=1, tail_bound=0.0),
         basis=np.eye(dim, dtype=complex),
     )
