@@ -120,16 +120,16 @@ class PhononCutoff(SpectralDensity):
             if omega <= 0.0:
                 return 0.0
             return self.coupling * omega**3 * math.exp(-omega / self.cutoff)
-        if omega > 0.0:
-            return (
-                self.coupling
-                * omega**3
-                * math.exp(-omega / self.cutoff)
-                / -math.expm1(-self.beta * omega)
-            )
-        # omega < 0: absorption branch fixed by detailed balance.
-        u = -omega
-        return math.exp(-self.beta * u) * self.evaluate(u)
+        if omega < 0.0:  # absorption branch fixed by detailed balance
+            u = -omega
+            return math.exp(-self.beta * u) * self.evaluate(u)
+        # omega > 0, or NaN, which the formula propagates.
+        return (
+            self.coupling
+            * omega**3
+            * math.exp(-omega / self.cutoff)
+            / -math.expm1(-self.beta * omega)
+        )
 
     def _positive_peak(self) -> float:
         """Location of the maximum on the positive axis."""
@@ -216,12 +216,3 @@ class Tabulated(SpectralDensity):
         # there; no finite certificate exists.
         return math.inf
 
-
-def evaluate(sd: SpectralDensity, omega: float) -> float:
-    """Functional form of ``sd.evaluate(omega)``."""
-    return sd.evaluate(omega)
-
-
-def kms_ratio(sd: SpectralDensity, omega: float) -> float:
-    """Functional form of ``sd.kms_ratio(omega)``."""
-    return sd.kms_ratio(omega)

@@ -35,7 +35,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +57,7 @@ from .errors import (
     StabilityError,
     TruncationError,
 )
-from .floquet import KickedModel, decompose, harmonic_decomposition
+from .floquet import KickedModel, harmonic_decomposition
 from .lindblad import (
     build_generator,
     rate_parallel_closed,
@@ -70,15 +69,6 @@ from .operators import PAULI_X, PAULI_Z, density_from_bloch
 
 SCHEMA_VERSION = 1
 
-_SCENARIOS = (
-    "rates-parallel",
-    "rates-perp",
-    "trajectory",
-    "echo",
-    "generator-audit",
-    "extract-tauc",
-)
-
 _COLUMNS = {
     "rates-parallel": ("omega", "period", "eta_parallel", "gamma"),
     "rates-perp": ("omega", "eta_perp", "gamma"),
@@ -87,6 +77,7 @@ _COLUMNS = {
     "generator-audit": ("quantity", "value"),
     "extract-tauc": ("t2", "tau_c", "residual", "degenerate"),
 }
+_SCENARIOS = tuple(_COLUMNS)
 
 
 def _require(cfg: configparser.ConfigParser, section: str, key: str) -> str:
@@ -130,9 +121,12 @@ def _int(cfg: configparser.ConfigParser, section: str, key: str, default: int) -
 
 def _float_list(raw: str, context: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        values = [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"{context} must be a list of numbers, got {raw!r}") from None
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"{context} must be finite, got {raw!r}")
+    return values
 
 
 def _sweep_grid(
@@ -170,14 +164,6 @@ def _sweep_grid(
     return grid
 
 
-def _map_ordered(fn, values):
-    """Evaluate independent points concurrently, keep input order."""
-    if len(values) == 1:
-        return [fn(values[0])]
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        return list(pool.map(fn, values))
-
-
 def _scenario_rates_parallel(cfg, resolved):
     t2 = _float(cfg, "model", "t2")
     tau_c = _float(cfg, "model", "tau_c")
@@ -186,12 +172,12 @@ def _scenario_rates_parallel(cfg, resolved):
     density = Lorentzian(t2=t2, tau_c=tau_c)
     omegas = _sweep_grid(cfg, "omega", resolved)
 
-    def one(omega: float):
+    rows = []
+    for omega in omegas:
         period = 2.0 * math.pi / omega
         eta = rate_parallel_closed(period, t2, tau_c).eta
-        return (omega, period, eta, density.evaluate(omega))
-
-    return _map_ordered(one, omegas)
+        rows.append((omega, period, eta, density.evaluate(omega)))
+    return rows
 
 
 def _scenario_rates_perp(cfg, resolved):
@@ -202,11 +188,10 @@ def _scenario_rates_perp(cfg, resolved):
     density = PhononCutoff(coupling=coupling, cutoff=cutoff)
     omegas = _sweep_grid(cfg, "omega", resolved)
 
-    def one(omega: float):
-        eta = rate_perp_closed(omega, coupling, cutoff).eta
-        return (omega, eta, density.evaluate(omega))
-
-    return _map_ordered(one, omegas)
+    return [
+        (omega, rate_perp_closed(omega, coupling, cutoff).eta, density.evaluate(omega))
+        for omega in omegas
+    ]
 
 
 def _longitudinal_model(cfg, resolved):
@@ -349,11 +334,8 @@ def _scenario_echo(cfg, seed: int, resolved):
 
 
 def _scenario_generator_audit(cfg, seed: int, resolved):
-    model, generator, eta_closed, _ = _longitudinal_model(cfg, resolved)
-    basis = decompose(model).basis
-    frame_change = np.kron(basis.conj(), basis)
-    in_floquet_basis = frame_change.conj().T @ generator.superop @ frame_change
-    eta_generator = -in_floquet_basis[1, 1].real
+    _, generator, eta_closed, _ = _longitudinal_model(cfg, resolved)
+    eta_generator = -generator.floquet_superop()[1, 1].real
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, 5.0 / eta_closed, size=20)
@@ -472,10 +454,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out_path = run(args.config)
-    except (TruncationError, StabilityError, ArithmeticError) as exc:
-        print(f"floqlind: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except (InconsistentDataError, InvalidStateError, OutOfRangeError) as exc:
+    except (
+        TruncationError,
+        StabilityError,
+        ArithmeticError,
+        InconsistentDataError,
+        InvalidStateError,
+        OutOfRangeError,
+    ) as exc:
         print(f"floqlind: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, configparser.Error, ValueError, OSError) as exc:

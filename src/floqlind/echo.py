@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .dynamics import TLSParams
+from .dynamics import TLSParams, _decay_split
 from .errors import InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
@@ -36,8 +36,8 @@ class GaussianDetuning:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
     def characteristic_function(self, u: float) -> complex:
         return complex(math.exp(-0.5 * (self.sigma * u) ** 2))
@@ -55,8 +55,10 @@ class UniformDetuning:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.halfwidth >= 0.0:
-            raise ValueError("halfwidth must be nonnegative")
+        if not 0.0 <= self.halfwidth < math.inf:
+            raise ValueError(
+                f"halfwidth must be nonnegative and finite, got {self.halfwidth}"
+            )
 
     def characteristic_function(self, u: float) -> complex:
         return complex(np.sinc(self.halfwidth * u / math.pi))
@@ -79,6 +81,8 @@ class DiscreteDetuning:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if deltas.shape != weights.shape or deltas.ndim != 1:
             raise ValueError("deltas and weights must be equal-length 1-D")
+        if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(weights))):
+            raise ValueError("deltas and weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
@@ -143,8 +147,7 @@ def echo_signal(
     for i, t in enumerate(times):
         cos_phi, sin_phi = averaged_phase(e, p, float(t))
         n, _ = floor_frac(float(t), p.period)
-        slow = (-1.0) ** n * math.exp(-p.eta * t)
-        fast = math.exp(-2.0 * p.eta * t)
+        slow, fast = _decay_split(p.eta, t, n)
         avg_cos[i] = cos_phi
         avg_sin[i] = sin_phi
         transverse[i, 0] = fast * cos_phi * x0[0] - slow * sin_phi * x0[1]

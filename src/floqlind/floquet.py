@@ -19,7 +19,7 @@ counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -295,16 +295,6 @@ class HarmonicDecomposition:
     def harmonics(self, q_values: np.ndarray) -> np.ndarray:
         """Coefficients like ``coefficients``, at the harmonics ``q_values``."""
         return _fourier_tensor(self.decomposition, list(self.couplings), q_values)
-
-    def extended(self, q_max: int) -> "HarmonicDecomposition":
-        """Same decomposition with a larger q_max; computes only new harmonics."""
-        if q_max <= self.q_max:
-            return self
-        new = np.arange(self.q_max + 1, q_max + 1)
-        low, high = self.harmonics(-new[::-1]), self.harmonics(new)
-        coefficients = np.concatenate([low, self.coefficients, high], axis=1)
-        coefficients.flags.writeable = False
-        return replace(self, q_max=q_max, coefficients=coefficients)
 
 
 def _fourier_tensor(

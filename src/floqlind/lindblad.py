@@ -51,15 +51,20 @@ class LindbladGenerator:
     """Assembled generator acting on column-vectorized density matrices.
 
     ``superop`` is expressed in the original (computational) basis;
-    ``basis`` records the Floquet basis used during assembly so audits can
-    transform to the frame where the population/coherence block structure
-    is visible.
+    ``basis`` records the Floquet basis used during assembly;
+    ``floquet_superop()`` transforms to that frame, where the
+    population/coherence block structure is visible.
     """
 
     dim: int
     superop: np.ndarray
     truncation: TruncationInfo
     basis: np.ndarray
+
+    def floquet_superop(self) -> np.ndarray:
+        """``superop`` in the Floquet basis."""
+        change = _floquet_change(self.basis)
+        return change.conj().T @ self.superop @ change
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,11 @@ class RateResult:
     def __post_init__(self) -> None:
         if not self.eta >= 0.0:
             raise ValueError(f"decay rate must be nonnegative, got {self.eta}")
+
+
+def _floquet_change(basis: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> V rho V† for the Floquet basis V."""
+    return np.kron(basis.conj(), basis)
 
 
 def _dissipator(pairs: np.ndarray, dim: int) -> np.ndarray:
@@ -151,7 +161,7 @@ def build_generator(
             )
         if tail_bound <= rel_tol * scale + 1e-300:
             basis = h.decomposition.basis
-            change = np.kron(basis.conj(), basis)
+            change = _floquet_change(basis)
             same_cluster = cluster[:, None] == cluster[None, :]
             superop_f = _dissipator(np.where(same_cluster, pairs, 0.0), dim)
             return LindbladGenerator(
@@ -243,19 +253,19 @@ def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_ij M(E_ij) kron E_ij of a superoperator M."""
-    side = superop.shape[0]
-    dim = round(math.isqrt(side))
-    if dim * dim != side:
-        raise DimensionError(f"superoperator side {side} is not a perfect square")
-    choi = np.zeros((side, side), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            image = (superop @ vec(unit)).reshape((dim, dim), order="F")
-            choi += np.kron(image, unit)
-    return choi
+    """Choi matrix sum_ij M(E_ij) kron E_ij of a superoperator M.
+
+    With column stacking, M[(a,b), (i,j)] is the (a,b) entry of M(E_ij),
+    so the Choi matrix is M realigned: C[(a,i), (b,j)] = M[(a,b), (i,j)].
+    """
+    superop = np.asarray(superop, dtype=complex)
+    dim = math.isqrt(len(superop))
+    if superop.shape != (dim * dim, dim * dim):
+        raise DimensionError(
+            f"superoperator of shape {superop.shape} is not d^2 x d^2"
+        )
+    blocks = superop.reshape(dim, dim, dim, dim).transpose(1, 3, 0, 2)
+    return blocks.reshape(superop.shape)
 
 
 class CPTPReport(NamedTuple):
@@ -276,11 +286,9 @@ def verify_cptp(
     (Hermitized) Choi matrix.  The report passes iff defect <= trace_tol
     and min eigenvalue >= -positivity_tol.
     """
-    side = superop.shape[0]
-    dim = round(math.isqrt(side))
-    identity_dual = vec(np.eye(dim, dtype=complex)).conj()
-    defect = float(np.max(np.abs(identity_dual @ superop - identity_dual)))
     choi = choi_matrix(superop)
+    identity_dual = vec(np.eye(math.isqrt(len(choi)), dtype=complex)).conj()
+    defect = float(np.max(np.abs(identity_dual @ superop - identity_dual)))
     lowest = float(scipy.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0])
     return CPTPReport(
         trace_defect=defect,

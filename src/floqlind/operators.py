@@ -10,8 +10,6 @@ all code converting between matrices and vectors must go through
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.linalg
 
@@ -147,32 +145,6 @@ def expm_general(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def vectorize(map_action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Matrix of a linear map on dim x dim matrices, column-stacking convention.
-
-    The map is sampled on all matrix units, so the result reproduces
-    ``map_action`` exactly (up to the map's own arithmetic) on any input.
-    """
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for j in range(dim):
-        for i in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            out[:, i + j * dim] = vec(map_action(unit))
-    return out
-
-
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> A rho B."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> U rho U†."""
-    u = np.asarray(u, dtype=complex)
-    return np.kron(u.conj(), u)
-
-
 def dissipator_superop(jump: np.ndarray) -> np.ndarray:
     """Superoperator of the GKSL dissipator with jump operator S.
 
@@ -188,11 +160,3 @@ def dissipator_superop(jump: np.ndarray) -> np.ndarray:
         - 0.5 * np.kron(eye, gram)
         - 0.5 * np.kron(gram.T, eye)
     )
-
-
-def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> -i [H, rho]."""
-    mat = np.asarray(h, dtype=complex)
-    dim = mat.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return -1j * (np.kron(eye, mat) - np.kron(mat.T, eye))

@@ -21,7 +21,7 @@ from floqlind.lindblad import (
     rate_parallel_closed,
     rate_perp_closed,
 )
-from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z, dissipator_superop
+from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z, dissipator_superop, vec
 
 
 def rand_herm(rng, dim):
@@ -63,10 +63,28 @@ def eta_from_generator(generator):
     In the Floquet basis the generator block-diagonalizes; the diagonal
     entry on the first off-diagonal matrix unit is -eta.
     """
-    basis = generator.basis
-    change = np.kron(basis.conj(), basis)
-    in_basis = change.conj().T @ generator.superop @ change
-    return -float(in_basis[1, 1].real)
+    return -float(generator.floquet_superop()[1, 1].real)
+
+
+def vectorize(map_action, dim):
+    """Matrix of a linear map on dim x dim matrices, column-stacking convention.
+
+    The map is sampled on all matrix units, so the result reproduces
+    ``map_action`` exactly (up to the map's own arithmetic) on any input.
+    """
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for j in range(dim):
+        for i in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            out[:, i + j * dim] = vec(map_action(unit))
+    return out
+
+
+def conjugation_superop(u):
+    """Superoperator of rho -> U rho U†."""
+    u = np.asarray(u, dtype=complex)
+    return np.kron(u.conj(), u)
 
 
 def parseval_weight(h, alpha):
@@ -79,8 +97,9 @@ def reference_generator(h, densities, rel_tol):
 
     Every doubling round recomputes the decomposition from scratch,
     evaluates each rate as a scalar and adds one kron-built dissipator per
-    (coupling, frequency cluster, harmonic) component.  Returns the
-    superoperator in the original basis, q_max and the tail bound.
+    (coupling, frequency cluster, harmonic) component, each component
+    taken to the original basis first.  Returns the superoperator in the
+    original basis, q_max and the tail bound.
     """
     model, couplings, q_max = h.model, list(h.couplings), h.q_max
     while True:
@@ -110,12 +129,11 @@ def reference_generator(h, densities, rel_tol):
         if tail_bound <= rel_tol * scale + 1e-300:
             break
         q_max *= 2
-    superop_f = np.zeros((h.dim**2, h.dim**2), dtype=complex)
-    for rate, component in terms:
-        superop_f += rate * dissipator_superop(component)
     basis = current.decomposition.basis
-    change = np.kron(basis.conj(), basis)
-    return change @ superop_f @ change.conj().T, q_max, tail_bound
+    superop = np.zeros((h.dim**2, h.dim**2), dtype=complex)
+    for rate, component in terms:
+        superop += rate * dissipator_superop(basis @ component @ basis.conj().T)
+    return superop, q_max, tail_bound
 
 
 LONGITUDINAL = SimpleNamespace(delta=0.6, period=1.3, t2=2.0, tau_c=3.0)

@@ -157,8 +157,7 @@ def test_criterion_06_cptp_property_suite(longitudinal, transverse):
             assert report.passed
             assert report.trace_defect <= 1e-10
             assert report.choi_min_eig >= -1e-10
-        change = np.kron(g.basis.conj(), g.basis)
-        in_basis = change.conj().T @ g.superop @ change
+        in_basis = g.floquet_superop()
         for population in (0, 3):
             for coherence in (1, 2):
                 assert abs(in_basis[population, coherence]) < 1e-12

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from floqlind import bath
 from floqlind.bath import Lorentzian, PhononCutoff, Tabulated
 from floqlind.errors import ExtrapolationError, UndefinedRatioError
 
@@ -175,12 +174,6 @@ def test_tabulated_from_file(tmp_path):
         Tabulated.from_file(bad)
 
 
-def test_module_level_wrappers():
-    density = Lorentzian(t2=2.0, tau_c=1.0)
-    assert bath.evaluate(density, 0.0) == pytest.approx(1.0)
-    assert bath.kms_ratio(density, 3.0) == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize(
     "density",
     [
@@ -193,8 +186,8 @@ def test_module_level_wrappers():
 )
 def test_array_evaluation_matches_scalar_evaluation(density):
     omegas = np.concatenate(
-        [[0.0, -0.0, 1e-300, -1e-300], np.linspace(-30.0, 30.0, 601)]
-    ).reshape(5, -1)
+        [[0.0, -0.0, 1e-300, -1e-300, math.nan], np.linspace(-30.0, 30.0, 601)]
+    ).reshape(6, -1)
     values = density.evaluate(omegas)
     assert isinstance(values, np.ndarray) and values.shape == omegas.shape
     expected = np.array([density.evaluate(float(w)) for w in omegas.flat])

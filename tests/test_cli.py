@@ -9,7 +9,9 @@ import pytest
 from floqlind import cli, operators
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import TLSParams, closed_form_parallel
+from floqlind.echo import GaussianDetuning, averaged_phase
 from floqlind.errors import ConfigError
+from floqlind.floquet import floor_frac
 from floqlind.lindblad import rate_parallel_closed, rate_perp_closed
 from floqlind.operators import bloch_from_density
 
@@ -63,12 +65,10 @@ def test_rates_parallel_table(tmp_path):
     density = Lorentzian(t2=2.0, tau_c=3.0)
     expected_omegas = np.geomspace(0.5, 50.0, 12)
     for row, omega in zip(rows, expected_omegas):
-        values = [float(cell) for cell in row]
-        assert values[0] == pytest.approx(float(omega), rel=1e-12)
-        assert values[1] == pytest.approx(2 * math.pi / values[0], rel=1e-12)
-        closed = rate_parallel_closed(values[1], 2.0, 3.0).eta
-        assert values[2] == pytest.approx(closed, rel=1e-12)
-        assert values[3] == pytest.approx(density.evaluate(values[0]), rel=1e-12)
+        period = 2.0 * math.pi / omega
+        closed = rate_parallel_closed(period, 2.0, 3.0).eta
+        cells = (omega, period, closed, density.evaluate(omega))
+        assert row == ["%.12e" % value for value in cells]
 
 
 def test_runs_are_byte_deterministic(tmp_path):
@@ -103,13 +103,11 @@ def test_rates_perp_table(tmp_path):
     header, rows = read_table(out)
     assert "# columns: omega eta_perp gamma" in header
     density = PhononCutoff(coupling=1.0, cutoff=1.0)
+    assert len(rows) == 9
     for row, omega in zip(rows, np.linspace(0.2, 12.0, 9)):
-        values = [float(cell) for cell in row]
-        assert values[0] == pytest.approx(float(omega), rel=1e-12)
-        assert values[1] == pytest.approx(
-            rate_perp_closed(values[0], 1.0, 1.0).eta, rel=1e-12
-        )
-        assert values[2] == pytest.approx(density.evaluate(values[0]), rel=1e-12)
+        closed = rate_perp_closed(omega, 1.0, 1.0).eta
+        cells = (omega, closed, density.evaluate(omega))
+        assert row == ["%.12e" % value for value in cells]
 
 
 def test_trajectory_matches_the_closed_form(tmp_path):
@@ -193,6 +191,23 @@ def test_echo_table_shows_the_revivals(tmp_path):
         assert math.hypot(x1, x2) == pytest.approx(
             math.hypot(0.6 * fast, 0.3 * slow), abs=1e-9
         )
+    # Each cell is the library's scalar value, printed with %.12e.
+    ensemble = GaussianDetuning(sigma=2.3)
+    params = TLSParams(omega0=5.0, omega_ext=5.0, period=1.3, eta=eta)
+    assert len(rows) == 11
+    for row, t in zip(rows, np.linspace(0.65, 13.65, 11)):
+        cos_phi, sin_phi = averaged_phase(ensemble, params, float(t))
+        n, _ = floor_frac(float(t), 1.3)
+        slow = (-1.0) ** n * math.exp(-eta * t)
+        fast = math.exp(-2.0 * eta * t)
+        cells = (
+            t,
+            cos_phi,
+            sin_phi,
+            fast * cos_phi * 0.6 - slow * sin_phi * -0.3,
+            fast * sin_phi * 0.6 + slow * cos_phi * -0.3,
+        )
+        assert row == ["%.12e" % value for value in cells]
 
 
 def test_generator_audit_certifies_the_build(tmp_path):
@@ -272,21 +287,49 @@ def test_main_success_prints_the_output_path(tmp_path, capsys):
     assert captured.err == ""
 
 
+ECHO_DISCRETE_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = echo
+    output = echo.tsv
+
+    [model]
+    t2 = 2.0
+    tau_c = 3.0
+    period = 1.3
+    omega0 = 5.0
+
+    [ensemble]
+    kind = discrete
+    deltas = 0.0 0.5
+    weights = 0.5 0.5
+
+    [sweep]
+    parameter = time
+    start = 0.0
+    stop = 13.0
+    points = 5
+"""
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
-        ("schema_version = 1", "schema_version = 2"),
-        ("scenario = rates-parallel", "scenario = rates-diagonal"),
-        ("t2 = 2.0", "t2 = warm"),
-        ("points = 12", "points = 0"),
-        ("spacing = log", "spacing = cubic"),
-        ("start = 0.5", "start = -0.5"),
-        ("parameter = omega", "parameter = period"),
+        (PARALLEL_CONFIG, "schema_version = 1", "schema_version = 2"),
+        (PARALLEL_CONFIG, "scenario = rates-parallel", "scenario = rates-diagonal"),
+        (PARALLEL_CONFIG, "t2 = 2.0", "t2 = warm"),
+        (PARALLEL_CONFIG, "points = 12", "points = 0"),
+        (PARALLEL_CONFIG, "spacing = log", "spacing = cubic"),
+        (PARALLEL_CONFIG, "start = 0.5", "start = -0.5"),
+        (PARALLEL_CONFIG, "parameter = omega", "parameter = period"),
+        (ECHO_DISCRETE_CONFIG, "deltas = 0.0 0.5", "deltas = 0.0 inf"),
+        (ECHO_DISCRETE_CONFIG, "weights = 0.5 0.5", "weights = nan nan"),
     ],
 )
 def test_main_rejects_bad_configs(tmp_path, capsys, mutation):
-    old, new = mutation
-    config = write_config(tmp_path, PARALLEL_CONFIG.replace(old, new))
+    base, old, new = mutation
+    assert old in base
+    config = write_config(tmp_path, base.replace(old, new))
     assert cli.main([str(config)]) == 2
     assert "floqlind: config error:" in capsys.readouterr().err
 

@@ -79,6 +79,18 @@ def test_ensemble_validation():
         DiscreteDetuning(
             deltas=np.array([1.0, 2.0]), weights=np.array([-0.5, 1.5])
         )
+    with pytest.raises(ValueError):
+        GaussianDetuning(sigma=math.inf)
+    with pytest.raises(ValueError):
+        UniformDetuning(halfwidth=math.inf)
+    with pytest.raises(ValueError):
+        DiscreteDetuning(
+            deltas=np.array([0.0, math.inf]), weights=np.array([0.5, 0.5])
+        )
+    with pytest.raises(ValueError):
+        DiscreteDetuning(
+            deltas=np.array([0.0, 1.0]), weights=np.array([math.nan, math.nan])
+        )
 
 
 def test_sampling_is_deterministic_per_seed():

@@ -328,7 +328,7 @@ def test_components_are_ladder_operators_of_the_averaged_hamiltonian():
 def test_partial_sums_reconstruct_the_heisenberg_coupling():
     m = magic_model(delta=0.3, period=1.1)
     h_small = harmonic_decomposition(m, [PAULI_Z], q_max=50)
-    h_large = h_small.extended(200)
+    h_large = harmonic_decomposition(m, [PAULI_Z], q_max=200)
     t = 0.37 * m.period
     u = propagator(m, t)
     exact = u.conj().T @ PAULI_Z @ u
@@ -344,36 +344,35 @@ def test_parseval_weight_accumulates_toward_the_coupling_norm():
     assert total == pytest.approx(2.0)
     held = parseval_weight(h, 0)
     assert held < total
-    wider = h.extended(64)
+    wider = harmonic_decomposition(h.model, [PAULI_Z], q_max=64)
     assert held < parseval_weight(wider, 0) < total + 1e-14
 
 
-def test_extended_returns_self_when_not_larger():
+def test_harmonics_reproduce_the_stored_coefficients():
     h = harmonic_decomposition(magic_model(), [PAULI_Z], q_max=4)
-    assert h.extended(3) is h
-    assert h.extended(4) is h
-    wider = h.extended(6)
-    omega = math.pi / h.model.period
-    for q in range(-4, 5):
-        np.testing.assert_allclose(
-            wider.component(0, omega, q), h.component(0, omega, q), atol=1e-14
-        )
+    np.testing.assert_array_equal(h.harmonics(np.arange(-4, 5)), h.coefficients)
+    np.testing.assert_array_equal(h.harmonics(np.array([2])), h.coefficients[:, 6:7])
+    assert h.harmonics(np.arange(0)).shape == (1, 0, 2, 2)
 
 
 @pytest.mark.parametrize("dim", [3, 9])
 def test_extended_matches_a_fresh_decomposition(dim):
+    """The harmonics beyond q_max, as build_generator's doubling rounds
+    compute them, agree with a decomposition stored up to the larger q."""
     rng = np.random.default_rng(43)
     m = random_model(rng, dim=dim)
     couplings = [rand_herm(rng, dim), rand_herm(rng, dim)]
-    wider = harmonic_decomposition(m, couplings, q_max=3).extended(11)
+    h = harmonic_decomposition(m, couplings, q_max=3)
+    new = np.arange(4, 12)
+    wider = h.harmonics(np.concatenate([-new[::-1], new]))
     fresh = harmonic_decomposition(m, couplings, q_max=11)
-    assert wider.q_max == 11
-    assert wider.coefficients.shape == fresh.coefficients.shape
+    assert wider.shape == (2, 16, dim, dim)
+    outer = np.r_[0:8, 15:23]  # |q| > 3 in the fresh q = -11..11 layout
     np.testing.assert_allclose(
-        wider.coefficients, fresh.coefficients, rtol=0.0, atol=1e-15
+        wider, fresh.coefficients[:, outer], rtol=0.0, atol=1e-15
     )
     with pytest.raises(ValueError):
-        wider.coefficients[0, 0, 0, 0] = 1.0
+        fresh.coefficients[0, 0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 7), (3, 7)])

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    conjugation_superop,
     eta_from_generator,
     magic_model,
     rand_density,
     rand_herm,
     reference_generator,
+    vectorize,
 )
 
 from floqlind import lindblad
@@ -27,13 +29,7 @@ from floqlind.lindblad import (
     semigroup,
     verify_cptp,
 )
-from floqlind.operators import (
-    PAULI_Z,
-    conjugation_superop,
-    unvec,
-    vec,
-    vectorize,
-)
+from floqlind.operators import PAULI_Z, unvec, vec
 
 # ------------------------------------------------------------- closed forms
 
@@ -136,8 +132,7 @@ def test_generator_matches_closed_form_rate_transverse(transverse):
 
 def test_generator_floquet_basis_matrix_structure(longitudinal):
     g = longitudinal.generator
-    change = np.kron(g.basis.conj(), g.basis)
-    in_basis = (change.conj().T @ g.superop @ change) / longitudinal.eta
+    in_basis = g.floquet_superop() / longitudinal.eta
     expected = np.array(
         [
             [-1.0, 0.0, 0.0, 1.0],
@@ -152,8 +147,7 @@ def test_generator_floquet_basis_matrix_structure(longitudinal):
 @pytest.mark.parametrize("which", ["longitudinal", "transverse"])
 def test_generator_population_coherence_decoupling(which, request):
     g = request.getfixturevalue(which).generator
-    change = np.kron(g.basis.conj(), g.basis)
-    in_basis = change.conj().T @ g.superop @ change
+    in_basis = g.floquet_superop()
     for row in (0, 3):
         for col in (1, 2):
             assert abs(in_basis[row, col]) < 1e-12
@@ -335,6 +329,10 @@ def test_choi_of_a_unitary_conjugation_is_a_rank_one_projector():
 def test_choi_matrix_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         choi_matrix(np.eye(5))
+    with pytest.raises(DimensionError):
+        choi_matrix(np.ones((4, 9)))
+    with pytest.raises(DimensionError):
+        verify_cptp(np.eye(5))
 
 
 @pytest.mark.parametrize("which", ["longitudinal", "transverse"])
