@@ -89,13 +89,6 @@ class Trajectory:
 _FRAMES = ("interaction", "rotating", "lab")
 
 
-def _carrier_rotation(omega_ext: float, t: float) -> np.ndarray:
-    half = 0.5 * omega_ext * t
-    return np.array(
-        [[cmath.exp(-1j * half), 0.0], [0.0, cmath.exp(1j * half)]], dtype=complex
-    )
-
-
 def evolve(
     m: KickedModel,
     g: LindbladGenerator,
@@ -129,36 +122,32 @@ def evolve(
             raise ValueError("lab frame requires omega_ext")
     rho0 = as_density(rho0)
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise DomainError("evolution times must be nonnegative")
+    if not np.all((times >= 0.0) & np.isfinite(times)):
+        raise DomainError("evolution times must be finite and nonnegative")
 
     dec = decompose(m)
     rho_vec = vec(rho0)
     states = np.empty((len(times), m.dim, m.dim), dtype=complex)
     left_states = np.empty_like(states) if emit_left_limits else None
     for i, t in enumerate(times):
-        interaction = unvec(expm_general(g.superop, float(t)) @ rho_vec)
+        t = float(t)
+        interaction = unvec(expm_general(g.superop, t) @ rho_vec)
         if frame == "interaction":
             states[i] = as_density(interaction)
             if left_states is not None:
                 left_states[i] = states[i]
             continue
-        u = _total_unitary(dec, float(t), frame, omega_ext)
+        # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
+        carrier = 1.0 if frame == "rotating" else np.exp(
+            -0.5j * omega_ext * t * np.array([[1.0], [-1.0]])
+        )
+        u = carrier * propagator(dec, t)
         states[i] = as_density(u @ interaction @ u.conj().T)
         if left_states is not None:
-            u_left = _total_unitary(
-                dec, float(t), frame, omega_ext, left_limit=True
-            )
-            left_states[i] = as_density(u_left @ interaction @ u_left.conj().T)
+            u = carrier * propagator_left_limit(dec, t)
+            left_states[i] = as_density(u @ interaction @ u.conj().T)
     return Trajectory(times=times, states=states, frame=frame,
                       left_states=left_states)
-
-
-def _total_unitary(dec, t, frame, omega_ext, left_limit=False):
-    u = propagator_left_limit(dec, t) if left_limit else propagator(dec, t)
-    if frame == "lab":
-        u = _carrier_rotation(omega_ext, t) @ u
-    return u
 
 
 def _decay_split(eta: float, t: float, n: int) -> tuple[float, float]:

@@ -6,14 +6,14 @@ propagator ("just after" the kick at T) is therefore
 
     U(T) = e^{-i lam W} e^{-i H0 T},
 
-and the evolution at arbitrary time factorizes through the averaged
+and the evolution at t = (n + frac) T factorizes through the averaged
 Hamiltonian Hbar = -log(U(T))/(iT) as
 
-    U(t) = e^{-i H0 T frac} e^{+i Hbar T frac} e^{-i Hbar t},
+    U(t) = e^{-i H0 T frac} e^{-i Hbar n T},
 
-with frac = {t/T} the fractional part.  U is right-continuous at kick
-times: U(nT) includes the first n kicks, and the kick at t=0 is not
-counted.
+both factors taken through their eigenbases, so U is unitary to rounding
+for any n.  U is right-continuous at kick times: U(nT) includes the
+first n kicks, and the kick at t=0 is not counted.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ def floor_frac(t: float, period: float) -> tuple[int, float]:
 
     Values of t/period within 1e-9 below an integer snap up to it, so
     times meant to be exact multiples of the period land on the
-    "just after the kick" branch.
+    "just after the kick" branch.  Raises DomainError when t/period is
+    not finite.
     """
     raw = t / period
+    if not math.isfinite(raw):
+        raise DomainError(f"time must be finite, got t/period = {raw}")
     n = math.floor(raw)
     frac = raw - n
     if frac > 1.0 - _PERIOD_SNAP:
@@ -107,7 +110,8 @@ class FloquetDecomposition:
     ``basis`` holds the Floquet eigenvectors as columns, orthonormal, in a
     deterministic gauge (largest-magnitude entry real positive), ordered
     by decreasing quasienergy.  ``quasienergies`` lie in the principal
-    zone (-Omega/2, Omega/2].
+    zone (-Omega/2, Omega/2].  ``free_energies`` and ``free_basis`` are
+    the eigendecomposition of H0, the free evolution between kicks.
     """
 
     model: KickedModel
@@ -115,6 +119,8 @@ class FloquetDecomposition:
     averaged_hamiltonian: np.ndarray
     quasienergies: np.ndarray
     basis: np.ndarray
+    free_energies: np.ndarray
+    free_basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -149,8 +155,9 @@ def decompose(m: KickedModel) -> FloquetDecomposition:
 
     hbar = (basis * quasi) @ basis.conj().T
     hbar = 0.5 * (hbar + hbar.conj().T)
+    energies, free_basis = scipy.linalg.eigh(m.h0)
 
-    for arr in (u_t, hbar, quasi, basis):
+    for arr in (u_t, hbar, quasi, basis, energies, free_basis):
         arr.flags.writeable = False
     return FloquetDecomposition(
         model=m,
@@ -158,6 +165,8 @@ def decompose(m: KickedModel) -> FloquetDecomposition:
         averaged_hamiltonian=hbar,
         quasienergies=quasi,
         basis=basis,
+        free_energies=energies,
+        free_basis=free_basis,
     )
 
 
@@ -165,6 +174,14 @@ def _as_decomposition(m: KickedModel | FloquetDecomposition) -> FloquetDecomposi
     if isinstance(m, FloquetDecomposition):
         return m
     return decompose(m)
+
+
+def _unitary(dec: FloquetDecomposition, n: int, frac: float) -> np.ndarray:
+    """(W e^{-i E T frac} W†)(V e^{-i eps T n} V†): n kicks, then frac of a period."""
+    period = dec.model.period
+    w, v = dec.free_basis, dec.basis
+    free = (w * np.exp(-1j * period * frac * dec.free_energies)) @ w.conj().T
+    return free @ ((v * np.exp(-1j * period * n * dec.quasienergies)) @ v.conj().T)
 
 
 def propagator(m: KickedModel | FloquetDecomposition, t: float) -> np.ndarray:
@@ -176,11 +193,7 @@ def propagator(m: KickedModel | FloquetDecomposition, t: float) -> np.ndarray:
     if t < 0.0:
         raise DomainError(f"propagator defined for t >= 0, got {t}")
     dec = _as_decomposition(m)
-    n, frac = floor_frac(t, dec.model.period)
-    u = np.linalg.matrix_power(dec.floquet_op, n)
-    if frac > 0.0:
-        u = expm_hermitian(dec.model.h0, -dec.model.period * frac) @ u
-    return u
+    return _unitary(dec, *floor_frac(t, dec.model.period))
 
 
 def propagator_left_limit(
@@ -191,12 +204,10 @@ def propagator_left_limit(
         raise DomainError(f"propagator defined for t >= 0, got {t}")
     dec = _as_decomposition(m)
     n, frac = floor_frac(t, dec.model.period)
-    if frac > 0.0 or n == 0:
-        return propagator(dec, t)
-    # Just before the kick at t = nT: a full free segment after n-1 kicks.
-    return expm_hermitian(dec.model.h0, -dec.model.period) @ np.linalg.matrix_power(
-        dec.floquet_op, n - 1
-    )
+    if frac == 0.0 and n > 0:
+        # Just before the kick at t = nT: a full free segment after n-1 kicks.
+        n, frac = n - 1, 1.0
+    return _unitary(dec, n, frac)
 
 
 def _cluster_frequencies(
@@ -262,32 +273,6 @@ class HarmonicDecomposition:
     def n_couplings(self) -> int:
         return len(self.couplings)
 
-    def frequency_label(self, omega: float) -> int:
-        """Index of the stored frequency cluster matching ``omega``."""
-        if len(self.frequencies) == 0:
-            raise KeyError("decomposition has no frequency clusters")
-        idx = int(np.argmin(np.abs(self.frequencies - omega)))
-        tol = 1e-6 * max(self.model.omega, 1.0)
-        if abs(self.frequencies[idx] - omega) > tol:
-            raise KeyError(f"no frequency cluster near {omega}")
-        return idx
-
-    def component(
-        self, alpha: int, omega: float, q: int, basis: str = "floquet"
-    ) -> np.ndarray:
-        """Matrix S_alpha(omega, q), in the Floquet or original basis."""
-        if abs(q) > self.q_max:
-            raise KeyError(f"|q| = {abs(q)} exceeds stored q_max = {self.q_max}")
-        idx = self.frequency_label(omega)
-        mask = self.cluster_index == idx
-        mat = np.where(mask, self.coefficients[alpha, q + self.q_max], 0.0)
-        if basis == "floquet":
-            return mat
-        if basis == "original":
-            v = self.decomposition.basis
-            return v @ mat @ v.conj().T
-        raise ValueError(f"unknown basis {basis!r}")
-
     def coupling_weight(self, alpha: int) -> float:
         """Squared Frobenius norm of the coupling (basis independent)."""
         return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
@@ -312,7 +297,7 @@ def _fourier_tensor(
     which struggles with the sawtooth discontinuity.
     """
     period = dec.model.period
-    energies, h0_basis = scipy.linalg.eigh(np.asarray(dec.model.h0))
+    energies, h0_basis = dec.free_energies, dec.free_basis
     overlap = dec.basis.conj().T @ h0_basis  # overlap[k, a] = <phi_k | a>
     quasi = dec.quasienergies
 

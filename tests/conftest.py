@@ -87,6 +87,31 @@ def conjugation_superop(u):
     return np.kron(u.conj(), u)
 
 
+def frequency_label(h, omega):
+    """Index of the frequency cluster of ``h`` matching ``omega``."""
+    if len(h.frequencies) == 0:
+        raise KeyError("decomposition has no frequency clusters")
+    idx = int(np.argmin(np.abs(h.frequencies - omega)))
+    tol = 1e-6 * max(h.model.omega, 1.0)
+    if abs(h.frequencies[idx] - omega) > tol:
+        raise KeyError(f"no frequency cluster near {omega}")
+    return idx
+
+
+def component(h, alpha, omega, q, basis="floquet"):
+    """Matrix S_alpha(omega, q) of ``h``, in the Floquet or original basis."""
+    if abs(q) > h.q_max:
+        raise KeyError(f"|q| = {abs(q)} exceeds stored q_max = {h.q_max}")
+    mask = h.cluster_index == frequency_label(h, omega)
+    mat = np.where(mask, h.coefficients[alpha, q + h.q_max], 0.0)
+    if basis == "floquet":
+        return mat
+    if basis == "original":
+        v = h.decomposition.basis
+        return v @ mat @ v.conj().T
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def parseval_weight(h, alpha):
     """Squared Frobenius weight held by the stored harmonics of a coupling."""
     return float(np.sum(np.abs(h.coefficients[alpha]) ** 2))

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import analytic_floquet_pair, eta_from_generator, magic_model, rand_density, rand_herm
+from conftest import (
+    analytic_floquet_pair,
+    component,
+    eta_from_generator,
+    magic_model,
+    rand_density,
+    rand_herm,
+)
 
 from floqlind import cli, oracle
 from floqlind.bath import Lorentzian, PhononCutoff
@@ -132,7 +139,7 @@ def test_criterion_05_harmonics_match_quadrature():
         grid = oracle.quadrature_harmonics(m, coupling, q_max=20, n_samples=1 << 16)
         closed = np.stack(
             [
-                sum(h.component(0, float(w), q) for w in h.frequencies)
+                sum(component(h, 0, float(w), q) for w in h.frequencies)
                 for q in range(-20, 21)
             ]
         )
@@ -141,7 +148,7 @@ def test_criterion_05_harmonics_match_quadrature():
     h = harmonic_decomposition(magic_model(delta, period), [PAULI_Z], q_max=6)
     phi1, phi2 = analytic_floquet_pair(delta, period)
     for q in range(-5, 6):
-        up = h.component(0, math.pi / period, q, basis="original")
+        up = component(h, 0, math.pi / period, q, basis="original")
         value = phi1.conj() @ up @ phi2
         assert value == pytest.approx(2j / (math.pi * (2 * q + 1)), abs=1e-12)
     assert time.perf_counter() - start < 30.0

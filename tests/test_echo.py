@@ -15,7 +15,7 @@ from floqlind.echo import (
     extract_tau_c,
     read_rate_measurements,
 )
-from floqlind.errors import InconsistentDataError, OutOfRangeError
+from floqlind.errors import DomainError, InconsistentDataError, OutOfRangeError
 from floqlind.lindblad import rate_parallel_closed
 from floqlind.operators import bloch_from_density, density_from_bloch
 
@@ -199,6 +199,9 @@ def test_echo_signal_records_the_averaged_phases():
         cos_phi, sin_phi = averaged_phase(e, p, float(t))
         assert signal.avg_cos[i] == pytest.approx(cos_phi, abs=1e-14)
         assert signal.avg_sin[i] == pytest.approx(sin_phi, abs=1e-14)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            echo_signal(e, p, (1.0, 0.0), [0.0, bad])
 
 
 # ------------------------------------------------------------- extraction

@@ -4,7 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import analytic_floquet_pair, magic_model, parseval_weight, rand_herm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import (
+    analytic_floquet_pair,
+    component,
+    frequency_label,
+    magic_model,
+    parseval_weight,
+    rand_herm,
+)
 
 from floqlind import oracle
 from floqlind.errors import DimensionError, DomainError, HermiticityError
@@ -157,6 +166,11 @@ def test_propagator_pins():
         propagator(dec, -1e-9)
     with pytest.raises(DomainError):
         propagator_left_limit(dec, -1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            propagator(dec, t)
+        with pytest.raises(DomainError):
+            propagator_left_limit(dec, t)
 
 
 def test_propagator_is_unitary_at_random_times():
@@ -199,9 +213,29 @@ def test_propagator_is_right_continuous_at_kicks():
     np.testing.assert_allclose(before, expected_before, atol=1e-12)
     # Away from kicks the left limit is the propagator itself.
     t_mid = (n + 0.4) * m.period
-    np.testing.assert_allclose(
-        propagator_left_limit(dec, t_mid), propagator(dec, t_mid), atol=1e-14
+    np.testing.assert_array_equal(
+        propagator_left_limit(dec, t_mid), propagator(dec, t_mid)
     )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    period=st.integers(1, 64).map(lambda k: k / 16),  # dyadic: n * T is exact
+    n=st.integers(1, 10**9),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_propagator_stays_unitary_over_long_horizons(dim, seed, period, n, frac):
+    m = random_model(np.random.default_rng(seed), dim=dim, period=period)
+    dec = decompose(m)
+    eye = np.eye(dim)
+    u = propagator(dec, (n + frac) * period)
+    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-13
+    left = propagator_left_limit(dec, n * period)
+    assert np.max(np.abs(left.conj().T @ left - eye)) <= 1e-13
+    expected = expm_hermitian(m.h0, -period) @ propagator(dec, (n - 1) * period)
+    np.testing.assert_allclose(left, expected, rtol=0.0, atol=1e-13)
 
 
 def test_propagator_matches_smoothed_kick_oracle():
@@ -234,11 +268,11 @@ def test_component_lookup_errors():
     h = harmonic_decomposition(magic_model(), [PAULI_Z], q_max=3)
     omega = math.pi / h.model.period
     with pytest.raises(KeyError):
-        h.component(0, omega, 4)
+        component(h, 0, omega, 4)
     with pytest.raises(KeyError):
-        h.frequency_label(0.123 * omega)
+        frequency_label(h, 0.123 * omega)
     with pytest.raises(ValueError):
-        h.component(0, omega, 1, basis="spherical")
+        component(h, 0, omega, 1, basis="spherical")
 
 
 @pytest.mark.parametrize("q", [-5, -2, -1, 0, 1, 2, 4])
@@ -248,7 +282,7 @@ def test_magic_angle_dephasing_harmonic_dyads(q):
     h = harmonic_decomposition(magic_model(delta, period), [PAULI_Z], q_max=6)
     phi1, phi2 = analytic_floquet_pair(delta, period)
     omega = math.pi / period
-    up = h.component(0, omega, q, basis="original")
+    up = component(h, 0, omega, q, basis="original")
     value = phi1.conj() @ up @ phi2
     assert value == pytest.approx(2j / (math.pi * (2 * q + 1)), abs=1e-12)
 
@@ -260,8 +294,8 @@ def test_magic_angle_y_coupling_dyads(q):
     h = harmonic_decomposition(magic_model(0.0, period), [PAULI_Y], q_max=4)
     phi1, phi2 = analytic_floquet_pair(0.0, period)
     omega = math.pi / period
-    up = h.component(0, omega, q, basis="original")
-    down = h.component(0, -omega, q, basis="original")
+    up = component(h, 0, omega, q, basis="original")
+    down = component(h, 0, -omega, q, basis="original")
     assert phi1.conj() @ up @ phi2 == pytest.approx(
         -(2 / math.pi) / (1 + 2 * q), abs=1e-12
     )
@@ -274,7 +308,7 @@ def test_magic_angle_harmonic_magnitudes_are_gauge_free():
     h = harmonic_decomposition(magic_model(0.9, 0.7), [PAULI_Z], q_max=8)
     omega = math.pi / 0.7
     for q in range(-8, 9):
-        mat = h.component(0, omega, q, basis="floquet")
+        mat = component(h, 0, omega, q, basis="floquet")
         magnitudes = np.sort(np.abs(mat).ravel())
         assert magnitudes[-1] == pytest.approx(
             2 / (math.pi * abs(2 * q + 1)), abs=1e-12
@@ -293,7 +327,7 @@ def test_kick_free_decomposition_is_static():
     static = np.zeros((3, 3), dtype=complex)
     for omega in h.frequencies:
         for q in range(-3, 4):
-            mat = h.component(0, float(omega), q)
+            mat = component(h, 0, float(omega), q)
             if q == 0:
                 static += mat
             else:
@@ -307,8 +341,8 @@ def test_components_pair_up_under_adjoint():
     h = harmonic_decomposition(m, [rand_herm(rng, 3)], q_max=3)
     for omega in h.frequencies:
         for q in range(-3, 4):
-            left = h.component(0, float(omega), q).conj().T
-            right = h.component(0, float(-omega), -q)
+            left = component(h, 0, float(omega), q).conj().T
+            right = component(h, 0, float(-omega), -q)
             np.testing.assert_allclose(left, right, atol=1e-13)
 
 
@@ -319,7 +353,7 @@ def test_components_are_ladder_operators_of_the_averaged_hamiltonian():
     hbar = h.decomposition.averaged_hamiltonian
     for omega in h.frequencies:
         for q in range(-2, 3):
-            mat = h.component(0, float(omega), q, basis="original")
+            mat = component(h, 0, float(omega), q, basis="original")
             np.testing.assert_allclose(
                 hbar @ mat - mat @ hbar, omega * mat, atol=1e-10
             )
@@ -384,7 +418,7 @@ def test_closed_form_harmonics_match_quadrature(dim, seed):
     grid = oracle.quadrature_harmonics(m, coupling, q_max=20, n_samples=1 << 19)
     closed = np.stack(
         [
-            sum(h.component(0, float(w), q) for w in h.frequencies)
+            sum(component(h, 0, float(w), q) for w in h.frequencies)
             for q in range(-20, 21)
         ]
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import analytic_floquet_pair, magic_model, rand_herm
+from conftest import analytic_floquet_pair, component, magic_model, rand_herm
 
 from floqlind.errors import StabilityError
 from floqlind.floquet import KickedModel, decompose, floquet_operator, propagator
@@ -107,7 +107,7 @@ def test_quadrature_reproduces_the_known_dephasing_dyad():
     m = magic_model(delta, period)
     grid = quadrature_harmonics(m, PAULI_Z, q_max=3, n_samples=1 << 14)
     phi1, phi2 = analytic_floquet_pair(delta, period)
-    mat = grid.component(0, math.pi / period, 3, basis="original")
+    mat = component(grid, 0, math.pi / period, 3, basis="original")
     assert phi1.conj() @ mat @ phi2 == pytest.approx(2j / (7 * math.pi), abs=1e-6)
 
 
