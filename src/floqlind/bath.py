@@ -15,9 +15,9 @@ gamma(omega + q Omega).  Three families are provided:
   silently extended grid would corrupt truncation-error accounting.
 
 ``tail_supremum(w)`` bounds gamma over |omega| >= w.  Adaptive generator
-truncation relies on it; it returns +inf when no finite bound exists
-(PhononCutoff with beta <= 1/cutoff grows without bound on the negative
-axis, and a table cannot vouch for frequencies outside its grid).
+truncation relies on it.  Only ``Tabulated`` returns +inf, since a table
+cannot vouch for frequencies outside its grid; PhononCutoff's emission
+branch gamma(-u) = e^{-beta u} gamma(u) decays at every temperature.
 """
 
 from __future__ import annotations
@@ -131,39 +131,27 @@ class PhononCutoff(SpectralDensity):
             / -math.expm1(-self.beta * omega)
         )
 
-    def _positive_peak(self) -> float:
-        """Location of the maximum on the positive axis."""
-        if math.isinf(self.beta):
-            return 3.0 * self.cutoff
+    def _peak(self, rate: float) -> float:
+        """Location u > 0 of the maximum of u^3 e^{-rate u} / (1 - e^{-beta u}).
 
-        def slope(w: float) -> float:
-            x = self.beta * w
+        rate = 1/cutoff is the absorption branch gamma(u); rate = 1/cutoff
+        + beta the emission branch gamma(-u) = e^{-beta u} gamma(u).
+        """
+
+        def slope(u: float) -> float:  # d/du of the logarithm
+            x = self.beta * u
             thermal = 0.0 if x > 700.0 else self.beta / math.expm1(x)
-            return 3.0 / w - 1.0 / self.cutoff - thermal
+            return 3.0 / u - rate - thermal
 
-        lo = 1e-9 * self.cutoff
-        return scipy.optimize.brentq(slope, lo, 3.0 * self.cutoff)
-
-    def _negative_peak(self) -> float:
-        """Location |omega| of the maximum on the negative axis."""
-
-        def slope(u: float) -> float:
-            return 3.0 / u - 1.0 / self.cutoff - self.beta / -math.expm1(
-                -self.beta * u
-            )
-
-        lo = 1e-9 * self.cutoff
-        return scipy.optimize.brentq(slope, lo, 3.0 * self.cutoff)
+        return scipy.optimize.brentq(slope, 1e-9 * self.cutoff, 3.0 * self.cutoff)
 
     def tail_supremum(self, threshold: float) -> float:
+        # Each branch rises to its peak and then decays.
         w = max(threshold, 0.0)
-        if math.isinf(self.beta):
-            peak = 3.0 * self.cutoff
-            return self.evaluate(max(w, peak)) if w > peak else self.evaluate(peak)
-        pos_peak = self._positive_peak()
-        neg_peak = self._negative_peak()
-        pos = self.evaluate(pos_peak if w <= pos_peak else w)
-        neg = self.evaluate(-(neg_peak if w <= neg_peak else w))
+        if math.isinf(self.beta):  # no emission branch
+            return self.evaluate(max(w, 3.0 * self.cutoff))
+        pos = self.evaluate(max(w, self._peak(1.0 / self.cutoff)))
+        neg = self.evaluate(-max(w, self._peak(1.0 / self.cutoff + self.beta)))
         return max(pos, neg)
 
 

@@ -2,14 +2,18 @@
 
 Runs are described by a single INI file and produce one tab-separated
 table with a '#'-commented header that records the schema version, the
-scenario, and every resolved parameter, so a result file is sufficient
-to rerun the computation.  Nothing about a run depends on the
-environment; identical config and seed give byte-identical output.
+scenario, and every parameter as it was read, defaults included, so a
+result file is sufficient to rerun the computation.  Every key must be
+read: a key the scenario never reads (a misspelling, or a section it
+does not use) is a config error, and no table is written.  Nothing
+about a run depends on the environment; identical config and seed give
+byte-identical output.
 
 Sections:
 
   [run]     schema_version (must be 1), scenario, output, seed,
-            rel_tol, input (extract-tauc only)
+            rel_tol (trajectory and generator-audit only),
+            input (extract-tauc only)
   [model]   scenario-specific physical parameters
   [sweep]   parameter, start, stop, points, spacing (linear | log)
   [ensemble] echo only: kind = gaussian | uniform | discrete plus
@@ -68,151 +72,150 @@ from .lindblad import (
 from .operators import PAULI_X, PAULI_Z, density_from_bloch
 
 SCHEMA_VERSION = 1
-
-_COLUMNS = {
-    "rates-parallel": ("omega", "period", "eta_parallel", "gamma"),
-    "rates-perp": ("omega", "eta_perp", "gamma"),
-    "trajectory": ("time", "x1", "x2", "x3"),
-    "echo": ("time", "avg_cos", "avg_sin", "x1", "x2"),
-    "generator-audit": ("quantity", "value"),
-    "extract-tauc": ("t2", "tau_c", "residual", "degenerate"),
-}
-_SCENARIOS = tuple(_COLUMNS)
+# Read by run() for header lines of their own, so never listed as config.
+_HEADER_KEYS = ("run.schema_version", "run.scenario")
 
 
-def _require(cfg: configparser.ConfigParser, section: str, key: str) -> str:
-    if not cfg.has_option(section, key):
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    return cfg.get(section, key)
-
-
-def _float(cfg: configparser.ConfigParser, section: str, key: str) -> float:
-    raw = _require(cfg, section, key)
+def _parse_float(raw: str, where: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a number"
-        ) from None
+        raise ConfigError(f"{where} = {raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
     return value
 
 
-def _float_default(
-    cfg: configparser.ConfigParser, section: str, key: str, default: float
-) -> float:
-    if not cfg.has_option(section, key):
-        return default
-    return _float(cfg, section, key)
-
-
-def _int(cfg: configparser.ConfigParser, section: str, key: str, default: int) -> int:
-    if not cfg.has_option(section, key):
-        return default
-    raw = cfg.get(section, key)
+def _parse_int(raw: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not an integer"
-        ) from None
+        raise ConfigError(f"{where} = {raw!r} is not an integer") from None
 
 
-def _float_list(raw: str, context: str) -> list[float]:
+def _parse_floats(raw: str, where: str) -> list[float]:
     try:
         values = [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"{context} must be a list of numbers, got {raw!r}") from None
+        raise ConfigError(f"{where} must be a list of numbers, got {raw!r}") from None
     if not all(math.isfinite(value) for value in values):
-        raise ConfigError(f"{context} must be finite, got {raw!r}")
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
     return values
 
 
-def _sweep_grid(
-    cfg: configparser.ConfigParser, expected: str, resolved: dict[str, str]
-) -> np.ndarray:
-    if not cfg.has_section("sweep"):
-        raise ConfigError("missing [sweep] section")
-    parameter = _require(cfg, "sweep", "parameter")
+class _Reader:
+    """Typed reads from a parsed config.
+
+    Each read records ``section.key`` with the value as the table header
+    prints it, so the header lists exactly what the run used, and the
+    keys never read are known.  A ``default`` of None makes a key required.
+    """
+
+    def __init__(self, parser: configparser.ConfigParser) -> None:
+        self.parser = parser
+        self.resolved: dict[str, str] = {}
+
+    def raw(self, section: str, key: str) -> str:
+        """The text of a required key, not recorded."""
+        if not self.parser.has_option(section, key):
+            raise ConfigError(f"missing required key '{key}' in section [{section}]")
+        return self.parser.get(section, key)
+
+    def _read(self, section, key, default, parse, show):
+        if default is None or self.parser.has_option(section, key):
+            value = parse(self.raw(section, key), f"[{section}] {key}")
+        else:
+            value = default
+        self.resolved[f"{section}.{key}"] = show(value)
+        return value
+
+    def text(self, section: str, key: str, default: str | None = None) -> str:
+        return self._read(section, key, default, lambda raw, _: raw, str)
+
+    def float(self, section: str, key: str, default: float | None = None) -> float:
+        return self._read(section, key, default, _parse_float, repr)
+
+    def int(self, section: str, key: str, default: int) -> int:
+        return self._read(section, key, default, _parse_int, str)
+
+    def floats(self, section: str, key: str) -> list[float]:
+        return self._read(
+            section, key, None, _parse_floats, lambda vs: " ".join(map(repr, vs))
+        )
+
+    def reject_unread(self) -> None:
+        read = {*self.resolved, *_HEADER_KEYS}
+        # A [DEFAULT] key shows in every section; read in one, it is used.
+        defaults = self.parser.defaults()
+        used = {name.split(".", 1)[1] for name in read}
+        unread = [f"[DEFAULT] {key}" for key in defaults if key not in used]
+        unread += [
+            f"[{section}] {key}"
+            for section in self.parser.sections()
+            for key in self.parser[section]
+            if key not in defaults and f"{section}.{key}" not in read
+        ]
+        if unread:
+            raise ConfigError("keys this scenario does not read: " + ", ".join(unread))
+
+
+def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
+    parameter = config.text("sweep", "parameter")
     if parameter != expected:
         raise ConfigError(
             f"[sweep] parameter must be '{expected}' for this scenario, "
             f"got {parameter!r}"
         )
-    start = _float(cfg, "sweep", "start")
-    stop = _float(cfg, "sweep", "stop")
-    points = _int(cfg, "sweep", "points", 0)
-    spacing = cfg.get("sweep", "spacing", fallback="linear")
+    start = config.float("sweep", "start")
+    stop = config.float("sweep", "stop")
+    points = config.int("sweep", "points", 0)
+    spacing = config.text("sweep", "spacing", "linear")
     if points < 1:
         raise ConfigError(f"[sweep] points must be at least 1, got {points}")
     if spacing == "linear":
-        grid = np.linspace(start, stop, points)
-    elif spacing == "log":
+        return np.linspace(start, stop, points)
+    if spacing == "log":
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("[sweep] log spacing needs positive start and stop")
-        grid = np.geomspace(start, stop, points)
-    else:
-        raise ConfigError(
-            f"[sweep] spacing must be 'linear' or 'log', got {spacing!r}"
-        )
-    resolved["sweep.parameter"] = parameter
-    resolved["sweep.start"] = repr(start)
-    resolved["sweep.stop"] = repr(stop)
-    resolved["sweep.points"] = str(points)
-    resolved["sweep.spacing"] = spacing
-    return grid
+        return np.geomspace(start, stop, points)
+    raise ConfigError(f"[sweep] spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def _scenario_rates_parallel(cfg, resolved):
-    t2 = _float(cfg, "model", "t2")
-    tau_c = _float(cfg, "model", "tau_c")
-    resolved["model.t2"] = repr(t2)
-    resolved["model.tau_c"] = repr(tau_c)
+def _rates_parallel(config: _Reader, seed: int, base: Path):
+    t2 = config.float("model", "t2")
+    tau_c = config.float("model", "tau_c")
     density = Lorentzian(t2=t2, tau_c=tau_c)
-    omegas = _sweep_grid(cfg, "omega", resolved)
-
     rows = []
-    for omega in omegas:
+    for omega in _sweep_grid(config, "omega"):
         period = 2.0 * math.pi / omega
         eta = rate_parallel_closed(period, t2, tau_c).eta
         rows.append((omega, period, eta, density.evaluate(omega)))
     return rows
 
 
-def _scenario_rates_perp(cfg, resolved):
-    coupling = _float(cfg, "model", "coupling")
-    cutoff = _float(cfg, "model", "cutoff")
-    resolved["model.coupling"] = repr(coupling)
-    resolved["model.cutoff"] = repr(cutoff)
+def _rates_perp(config: _Reader, seed: int, base: Path):
+    coupling = config.float("model", "coupling")
+    cutoff = config.float("model", "cutoff")
     density = PhononCutoff(coupling=coupling, cutoff=cutoff)
-    omegas = _sweep_grid(cfg, "omega", resolved)
-
     return [
         (omega, rate_perp_closed(omega, coupling, cutoff).eta, density.evaluate(omega))
-        for omega in omegas
+        for omega in _sweep_grid(config, "omega")
     ]
 
 
-def _longitudinal_model(cfg, resolved):
+def _longitudinal_model(config: _Reader):
     """Kicked two-level dephasing setup shared by trajectory and audit.
 
     Free precession at detuning delta, pi/2-angle kicks about axis 1,
     environment coupled through axis 3 scaled by 1/sqrt(2), Lorentzian
     spectral density.
     """
-    t2 = _float(cfg, "model", "t2")
-    tau_c = _float(cfg, "model", "tau_c")
-    period = _float(cfg, "model", "period")
-    delta = _float_default(cfg, "model", "delta", 0.0)
-    strength = _float_default(cfg, "model", "strength", math.pi / 2.0)
-    rel_tol = _float_default(cfg, "run", "rel_tol", 1e-8)
-    resolved["model.t2"] = repr(t2)
-    resolved["model.tau_c"] = repr(tau_c)
-    resolved["model.period"] = repr(period)
-    resolved["model.delta"] = repr(delta)
-    resolved["model.strength"] = repr(strength)
-    resolved["run.rel_tol"] = repr(rel_tol)
+    t2 = config.float("model", "t2")
+    tau_c = config.float("model", "tau_c")
+    period = config.float("model", "period")
+    delta = config.float("model", "delta", 0.0)
+    strength = config.float("model", "strength", math.pi / 2.0)
+    rel_tol = config.float("run", "rel_tol", 1e-8)
     model = KickedModel(
         h0=0.5 * delta * PAULI_Z,
         kick=PAULI_X,
@@ -229,112 +232,64 @@ def _longitudinal_model(cfg, resolved):
     return model, generator, eta, delta
 
 
-def _scenario_trajectory(cfg, resolved):
-    model, generator, eta, delta = _longitudinal_model(cfg, resolved)
-    omega0 = _float(cfg, "model", "omega0")
-    omega_ext = _float_default(cfg, "model", "omega_ext", omega0 - delta)
+def _trajectory(config: _Reader, seed: int, base: Path):
+    model, generator, eta, delta = _longitudinal_model(config)
+    omega0 = config.float("model", "omega0")
+    omega_ext = config.float("model", "omega_ext", omega0 - delta)
     x0 = [
-        _float_default(cfg, "model", "x1_0", 0.0),
-        _float_default(cfg, "model", "x2_0", 0.0),
-        _float_default(cfg, "model", "x3_0", 1.0),
+        config.float("model", "x1_0", 0.0),
+        config.float("model", "x2_0", 0.0),
+        config.float("model", "x3_0", 1.0),
     ]
-    frame = cfg.get("model", "frame", fallback="lab")
-    resolved["model.omega0"] = repr(omega0)
-    resolved["model.omega_ext"] = repr(omega_ext)
-    resolved["model.x1_0"] = repr(x0[0])
-    resolved["model.x2_0"] = repr(x0[1])
-    resolved["model.x3_0"] = repr(x0[2])
-    resolved["model.frame"] = frame
+    frame = config.text("model", "frame", "lab")
     try:
         rho0 = density_from_bloch(x0)
     except InvalidStateError as exc:
         raise ConfigError(f"[model] initial Bloch vector: {exc}") from None
-    times = _sweep_grid(cfg, "time", resolved)
-    trajectory = evolve(
-        model,
-        generator,
-        rho0,
-        times,
-        frame=frame,
-        omega_ext=omega_ext if frame == "lab" else None,
-    )
-    bloch = trajectory.bloch()
-    return [
-        (t, bloch[i, 0], bloch[i, 1], bloch[i, 2]) for i, t in enumerate(times)
-    ]
+    times = _sweep_grid(config, "time")
+    lab = omega_ext if frame == "lab" else None
+    states = evolve(model, generator, rho0, times, frame=frame, omega_ext=lab)
+    return list(zip(times, *states.bloch().T))
 
 
-def _build_ensemble(cfg, seed: int, resolved):
-    if not cfg.has_section("ensemble"):
-        raise ConfigError("missing [ensemble] section for echo scenario")
-    kind = _require(cfg, "ensemble", "kind")
-    resolved["ensemble.kind"] = kind
+def _ensemble(config: _Reader):
+    kind = config.text("ensemble", "kind")
     if kind == "gaussian":
-        sigma = _float(cfg, "ensemble", "sigma")
-        resolved["ensemble.sigma"] = repr(sigma)
-        return GaussianDetuning(sigma=sigma, seed=seed)
+        return GaussianDetuning(sigma=config.float("ensemble", "sigma"))
     if kind == "uniform":
-        halfwidth = _float(cfg, "ensemble", "halfwidth")
-        resolved["ensemble.halfwidth"] = repr(halfwidth)
-        return UniformDetuning(halfwidth=halfwidth, seed=seed)
+        return UniformDetuning(halfwidth=config.float("ensemble", "halfwidth"))
     if kind == "discrete":
-        deltas = _float_list(
-            _require(cfg, "ensemble", "deltas"), "[ensemble] deltas"
-        )
-        weights = _float_list(
-            _require(cfg, "ensemble", "weights"), "[ensemble] weights"
-        )
-        resolved["ensemble.deltas"] = " ".join(repr(d) for d in deltas)
-        resolved["ensemble.weights"] = " ".join(repr(w) for w in weights)
         return DiscreteDetuning(
-            deltas=np.array(deltas), weights=np.array(weights), seed=seed
+            deltas=np.array(config.floats("ensemble", "deltas")),
+            weights=np.array(config.floats("ensemble", "weights")),
         )
     raise ConfigError(
         f"[ensemble] kind must be gaussian, uniform, or discrete, got {kind!r}"
     )
 
 
-def _scenario_echo(cfg, seed: int, resolved):
-    t2 = _float(cfg, "model", "t2")
-    tau_c = _float(cfg, "model", "tau_c")
-    period = _float(cfg, "model", "period")
-    omega0 = _float(cfg, "model", "omega0")
-    delta = _float_default(cfg, "model", "delta", 0.0)
-    omega_ext = _float_default(cfg, "model", "omega_ext", omega0 - delta)
-    x1_0 = _float_default(cfg, "model", "x1_0", 1.0)
-    x2_0 = _float_default(cfg, "model", "x2_0", 0.0)
-    for key, value in (
-        ("model.t2", t2),
-        ("model.tau_c", tau_c),
-        ("model.period", period),
-        ("model.omega0", omega0),
-        ("model.delta", delta),
-        ("model.omega_ext", omega_ext),
-        ("model.x1_0", x1_0),
-        ("model.x2_0", x2_0),
-    ):
-        resolved[key] = repr(value)
-    ensemble = _build_ensemble(cfg, seed, resolved)
+def _echo(config: _Reader, seed: int, base: Path):
+    t2 = config.float("model", "t2")
+    tau_c = config.float("model", "tau_c")
+    period = config.float("model", "period")
+    omega0 = config.float("model", "omega0")
+    delta = config.float("model", "delta", 0.0)
+    omega_ext = config.float("model", "omega_ext", omega0 - delta)
+    x0 = np.array(
+        [config.float("model", "x1_0", 1.0), config.float("model", "x2_0", 0.0)]
+    )
+    ensemble = _ensemble(config)
     eta = rate_parallel_closed(period, t2, tau_c).eta
     params = TLSParams(
         omega0=omega0, omega_ext=omega_ext, period=period, eta=eta
     )
-    times = _sweep_grid(cfg, "time", resolved)
-    signal = echo_signal(ensemble, params, np.array([x1_0, x2_0]), times)
-    return [
-        (
-            t,
-            signal.avg_cos[i],
-            signal.avg_sin[i],
-            signal.transverse[i, 0],
-            signal.transverse[i, 1],
-        )
-        for i, t in enumerate(times)
-    ]
+    times = _sweep_grid(config, "time")
+    signal = echo_signal(ensemble, params, x0, times)
+    return list(zip(times, signal.avg_cos, signal.avg_sin, *signal.transverse.T))
 
 
-def _scenario_generator_audit(cfg, seed: int, resolved):
-    _, generator, eta_closed, _ = _longitudinal_model(cfg, resolved)
+def _generator_audit(config: _Reader, seed: int, base: Path):
+    _, generator, eta_closed, _ = _longitudinal_model(config)
     eta_generator = -generator.floquet_superop()[1, 1].real
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     rng = np.random.default_rng(seed)
@@ -356,12 +311,10 @@ def _scenario_generator_audit(cfg, seed: int, resolved):
     ]
 
 
-def _scenario_extract_tauc(cfg, base: Path, resolved):
-    raw = _require(cfg, "run", "input")
-    path = Path(raw)
+def _extract_tauc(config: _Reader, seed: int, base: Path):
+    path = Path(config.text("run", "input"))
     if not path.is_absolute():
         path = base / path
-    resolved["run.input"] = raw
     measurements = read_rate_measurements(path)
     if len(measurements) < 2:
         raise InconsistentDataError(
@@ -379,6 +332,17 @@ def _scenario_extract_tauc(cfg, base: Path, resolved):
     ]
 
 
+# scenario -> (columns, rows from (reader, seed, config directory))
+_SCENARIOS = {
+    "rates-parallel": (("omega", "period", "eta_parallel", "gamma"), _rates_parallel),
+    "rates-perp": (("omega", "eta_perp", "gamma"), _rates_perp),
+    "trajectory": (("time", "x1", "x2", "x3"), _trajectory),
+    "echo": (("time", "avg_cos", "avg_sin", "x1", "x2"), _echo),
+    "generator-audit": (("quantity", "value"), _generator_audit),
+    "extract-tauc": (("t2", "tau_c", "residual", "degenerate"), _extract_tauc),
+}
+
+
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -389,14 +353,16 @@ def _format_cell(value) -> str:
     return "%.12e" % value
 
 
-def _write_table(path: Path, scenario: str, rows, resolved: dict[str, str]) -> None:
+def _write_table(
+    path: Path, scenario: str, columns, rows, resolved: dict[str, str]
+) -> None:
     lines = [
         f"# schema_version = {SCHEMA_VERSION}",
         f"# scenario = {scenario}",
     ]
     for key in sorted(resolved):
         lines.append(f"# config {key} = {resolved[key]}")
-    lines.append("# columns: " + " ".join(_COLUMNS[scenario]))
+    lines.append("# columns: " + " ".join(columns))
     for row in rows:
         lines.append("\t".join(_format_cell(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -404,43 +370,33 @@ def _write_table(path: Path, scenario: str, rows, resolved: dict[str, str]) -> N
 
 def run(config_path: Path) -> Path:
     """Execute the run described by an INI file, return the output path."""
-    cfg = configparser.ConfigParser()
+    parser = configparser.ConfigParser()
     with open(config_path, encoding="utf-8") as handle:
-        cfg.read_file(handle)
-    schema = _require(cfg, "run", "schema_version")
+        parser.read_file(handle)
+    config = _Reader(parser)
+    schema = config.raw("run", "schema_version")
     if schema.strip() != str(SCHEMA_VERSION):
         raise ConfigError(
             f"unsupported schema_version {schema!r}; this build understands "
             f"{SCHEMA_VERSION}"
         )
-    scenario = _require(cfg, "run", "scenario")
+    scenario = config.raw("run", "scenario")
     if scenario not in _SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; expected one of "
             + ", ".join(_SCENARIOS)
         )
-    output = _require(cfg, "run", "output")
-    seed = _int(cfg, "run", "seed", 0)
+    columns, scenario_rows = _SCENARIOS[scenario]
+    output = config.text("run", "output")
+    seed = config.int("run", "seed", 0)
     base = config_path.resolve().parent
     out_path = Path(output)
     if not out_path.is_absolute():
         out_path = base / out_path
 
-    resolved: dict[str, str] = {"run.seed": str(seed), "run.output": output}
-    if scenario == "rates-parallel":
-        rows = _scenario_rates_parallel(cfg, resolved)
-    elif scenario == "rates-perp":
-        rows = _scenario_rates_perp(cfg, resolved)
-    elif scenario == "trajectory":
-        rows = _scenario_trajectory(cfg, resolved)
-    elif scenario == "echo":
-        rows = _scenario_echo(cfg, seed, resolved)
-    elif scenario == "generator-audit":
-        rows = _scenario_generator_audit(cfg, seed, resolved)
-    else:
-        rows = _scenario_extract_tauc(cfg, base, resolved)
-
-    _write_table(out_path, scenario, rows, resolved)
+    rows = scenario_rows(config, seed, base)
+    config.reject_unread()
+    _write_table(out_path, scenario, columns, rows, config.resolved)
     return out_path
 
 

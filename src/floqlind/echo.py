@@ -33,7 +33,6 @@ class GaussianDetuning:
     """delta ~ Normal(0, sigma^2)."""
 
     sigma: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
@@ -42,8 +41,7 @@ class GaussianDetuning:
     def characteristic_function(self, u: float) -> complex:
         return complex(math.exp(-0.5 * (self.sigma * u) ** 2))
 
-    def sample(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        rng = np.random.default_rng(self.seed) if rng is None else rng
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)
 
 
@@ -52,7 +50,6 @@ class UniformDetuning:
     """delta uniform on [-halfwidth, halfwidth]."""
 
     halfwidth: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.halfwidth < math.inf:
@@ -63,8 +60,7 @@ class UniformDetuning:
     def characteristic_function(self, u: float) -> complex:
         return complex(np.sinc(self.halfwidth * u / math.pi))
 
-    def sample(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        rng = np.random.default_rng(self.seed) if rng is None else rng
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size)
 
 
@@ -74,7 +70,6 @@ class DiscreteDetuning:
 
     deltas: np.ndarray
     weights: np.ndarray
-    seed: int = 0
 
     def __post_init__(self) -> None:
         deltas = np.atleast_1d(np.asarray(self.deltas, dtype=float))
@@ -95,8 +90,7 @@ class DiscreteDetuning:
     def characteristic_function(self, u: float) -> complex:
         return complex(np.sum(self.weights * np.exp(1j * self.deltas * u)))
 
-    def sample(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        rng = np.random.default_rng(self.seed) if rng is None else rng
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.deltas, size=size, p=self.weights)
 
 

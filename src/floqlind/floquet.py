@@ -27,8 +27,8 @@ import scipy.linalg
 from .errors import DimensionError, DomainError
 from .operators import expm_hermitian, require_hermitian
 
-# Relative fuzz used when snapping t/T to an integer; keeps kick-time
-# sampling on the right-continuous branch despite float division.
+# Absolute fuzz in t/T below an integer that still snaps up to it; keeps
+# kick-time sampling on the right-continuous branch despite float division.
 _PERIOD_SNAP = 1e-9
 _CHUNK_ELEMENTS = 1 << 12  # Fourier integrals per chunk of harmonics
 
@@ -36,18 +36,22 @@ _CHUNK_ELEMENTS = 1 << 12  # Fourier integrals per chunk of harmonics
 def floor_frac(t: float, period: float) -> tuple[int, float]:
     """Split t into (n, frac) with t = (n + frac) * period, 0 <= frac < 1.
 
-    Values of t/period within 1e-9 below an integer snap up to it, so
-    times meant to be exact multiples of the period land on the
-    "just after the kick" branch.  Raises DomainError when t/period is
-    not finite.
+    Times meant to be exact multiples of the period land on the "just
+    after the kick" branch (n, 0.0): values of t/period within 1e-9 below
+    an integer snap up to it, and so does anything within two ulps of
+    t/period on either side, the rounding t/period itself carries at long
+    horizons.  Raises DomainError when t/period is not finite.
     """
     raw = t / period
     if not math.isfinite(raw):
         raise DomainError(f"time must be finite, got t/period = {raw}")
     n = math.floor(raw)
     frac = raw - n
-    if frac > 1.0 - _PERIOD_SNAP:
+    fuzz = 2.0 * math.ulp(raw)
+    if frac > 1.0 - max(_PERIOD_SNAP, fuzz):
         return n + 1, 0.0
+    if frac <= fuzz:
+        return n, 0.0
     return n, frac
 
 

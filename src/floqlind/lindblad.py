@@ -38,6 +38,8 @@ _Q_CAP = 1_048_576
 # (rounding noise of a decomposition whose tail genuinely vanishes, as in
 # the kick-free case where folding makes the harmonic content finite).
 _PARSEVAL_FLOOR = 1e-13
+# verify_cptp passes a map whose trace and positivity violations are this small.
+_CPTP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -274,17 +276,13 @@ class CPTPReport(NamedTuple):
     passed: bool
 
 
-def verify_cptp(
-    superop: np.ndarray,
-    trace_tol: float = 1e-10,
-    positivity_tol: float = 1e-10,
-) -> CPTPReport:
+def verify_cptp(superop: np.ndarray) -> CPTPReport:
     """Check a map for trace preservation and complete positivity.
 
     ``trace_defect`` is the sup-norm violation of Tr(M rho) = Tr(rho) on
     the matrix-unit basis; ``choi_min_eig`` the smallest eigenvalue of the
-    (Hermitized) Choi matrix.  The report passes iff defect <= trace_tol
-    and min eigenvalue >= -positivity_tol.
+    (Hermitized) Choi matrix.  The report passes iff both violations are
+    at most 1e-10.
     """
     choi = choi_matrix(superop)
     identity_dual = vec(np.eye(math.isqrt(len(choi)), dtype=complex)).conj()
@@ -293,5 +291,5 @@ def verify_cptp(
     return CPTPReport(
         trace_defect=defect,
         choi_min_eig=lowest,
-        passed=defect <= trace_tol and lowest >= -positivity_tol,
+        passed=defect <= _CPTP_TOL and lowest >= -_CPTP_TOL,
     )

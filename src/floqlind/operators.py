@@ -35,30 +35,23 @@ def _as_square_matrix(op: np.ndarray) -> np.ndarray:
     return mat
 
 
-def require_hermitian(op: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Return ``op`` as a complex array, raising if it is not Hermitian.
-
-    Parameters
-    ----------
-    op : array_like
-        Square matrix to check.
-    atol : float
-        Absolute entrywise tolerance on ``op - op.conj().T``.
-    """
+def require_hermitian(op: np.ndarray) -> np.ndarray:
+    """Return ``op`` as a complex array, raising if it is not Hermitian
+    within HERMITICITY_ATOL entrywise."""
     mat = _as_square_matrix(op)
-    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=atol):
+    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
         defect = np.max(np.abs(mat - mat.conj().T))
         raise HermiticityError(f"matrix deviates from Hermiticity by {defect:.3e}")
     return mat
 
 
-def as_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
+def as_density(rho: np.ndarray) -> np.ndarray:
     """Validate and normalize a density matrix.
 
-    The input must be Hermitian within ``atol``, have unit trace, and be
-    positive semidefinite (minimum eigenvalue >= -atol).  The returned
-    matrix is re-symmetrized to ``(rho + rho†)/2`` to absorb rounding from
-    upstream arithmetic.
+    The input must be Hermitian within PSD_ATOL, have unit trace within
+    TRACE_ATOL, and be positive semidefinite (minimum eigenvalue >=
+    -PSD_ATOL).  The returned matrix is re-symmetrized to
+    ``(rho + rho†)/2`` to absorb rounding from upstream arithmetic.
 
     Raises
     ------
@@ -66,14 +59,14 @@ def as_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
         If any of the three defining properties fails.
     """
     mat = _as_square_matrix(rho)
-    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=atol):
+    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=PSD_ATOL):
         raise InvalidStateError("density matrix is not Hermitian")
     trace = np.trace(mat)
     if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
         raise InvalidStateError(f"density matrix has |tr - 1| = {abs(trace - 1.0):.3e}")
     sym = 0.5 * (mat + mat.conj().T)
     lowest = scipy.linalg.eigvalsh(sym)[0]
-    if lowest < -atol:
+    if lowest < -PSD_ATOL:
         raise InvalidStateError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return sym
 

@@ -236,8 +236,8 @@ def test_criterion_08_echo_refocusing():
 
     # Sampled check: a million draws, compared at three times including
     # one echo mark where the ensemble variance collapses to zero.
-    sampled = GaussianDetuning(sigma=2.3, seed=11)
-    deltas = sampled.sample(1_000_000)
+    sampled = GaussianDetuning(sigma=2.3)
+    deltas = sampled.sample(1_000_000, np.random.default_rng(11))
     for t in (0.3 * p.period, 1.7 * p.period, 3.5 * p.period):
         frac = (t / p.period) % 1.0
         u = p.period * (frac - 0.5)

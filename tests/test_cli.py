@@ -78,28 +78,27 @@ def test_runs_are_byte_deterministic(tmp_path):
     assert first == second
 
 
+PERP_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = rates-perp
+    output = perp.tsv
+
+    [model]
+    coupling = 1.0
+    cutoff = 1.0
+
+    [sweep]
+    parameter = omega
+    start = 0.2
+    stop = 12.0
+    points = 9
+    spacing = linear
+"""
+
+
 def test_rates_perp_table(tmp_path):
-    config = write_config(
-        tmp_path,
-        """
-        [run]
-        schema_version = 1
-        scenario = rates-perp
-        output = perp.tsv
-
-        [model]
-        coupling = 1.0
-        cutoff = 1.0
-
-        [sweep]
-        parameter = omega
-        start = 0.2
-        stop = 12.0
-        points = 9
-        spacing = linear
-        """,
-    )
-    out = cli.run(config)
+    out = cli.run(write_config(tmp_path, PERP_CONFIG))
     header, rows = read_table(out)
     assert "# columns: omega eta_perp gamma" in header
     density = PhononCutoff(coupling=1.0, cutoff=1.0)
@@ -148,36 +147,35 @@ def test_trajectory_matches_the_closed_form(tmp_path):
         assert x3 == pytest.approx(expected[2], abs=1e-6)
 
 
+ECHO_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = echo
+    output = echo.tsv
+
+    [model]
+    t2 = 2.0
+    tau_c = 3.0
+    period = 1.3
+    omega0 = 5.0
+    x1_0 = 0.6
+    x2_0 = -0.3
+
+    [ensemble]
+    kind = gaussian
+    sigma = 2.3
+
+    [sweep]
+    parameter = time
+    start = 0.65
+    stop = 13.65
+    points = 11
+    spacing = linear
+"""
+
+
 def test_echo_table_shows_the_revivals(tmp_path):
-    config = write_config(
-        tmp_path,
-        """
-        [run]
-        schema_version = 1
-        scenario = echo
-        output = echo.tsv
-
-        [model]
-        t2 = 2.0
-        tau_c = 3.0
-        period = 1.3
-        omega0 = 5.0
-        x1_0 = 0.6
-        x2_0 = -0.3
-
-        [ensemble]
-        kind = gaussian
-        sigma = 2.3
-
-        [sweep]
-        parameter = time
-        start = 0.65
-        stop = 13.65
-        points = 11
-        spacing = linear
-        """,
-    )
-    out = cli.run(config)
+    out = cli.run(write_config(tmp_path, ECHO_CONFIG))
     header, rows = read_table(out)
     assert "# columns: time avg_cos avg_sin x1 x2" in header
     assert "# config ensemble.kind = gaussian" in header
@@ -210,24 +208,23 @@ def test_echo_table_shows_the_revivals(tmp_path):
         assert row == ["%.12e" % value for value in cells]
 
 
-def test_generator_audit_certifies_the_build(tmp_path):
-    config = write_config(
-        tmp_path,
-        """
-        [run]
-        schema_version = 1
-        scenario = generator-audit
-        output = audit.tsv
-        seed = 3
+AUDIT_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = generator-audit
+    output = audit.tsv
+    seed = 3
 
-        [model]
-        t2 = 2.0
-        tau_c = 3.0
-        period = 1.3
-        delta = 0.6
-        """,
-    )
-    out = cli.run(config)
+    [model]
+    t2 = 2.0
+    tau_c = 3.0
+    period = 1.3
+    delta = 0.6
+"""
+
+
+def test_generator_audit_certifies_the_build(tmp_path):
+    out = cli.run(write_config(tmp_path, AUDIT_CONFIG))
     header, rows = read_table(out)
     assert "# columns: quantity value" in header
     audit = {row[0]: float(row[1]) for row in rows}
@@ -324,6 +321,9 @@ ECHO_DISCRETE_CONFIG = """
         (PARALLEL_CONFIG, "parameter = omega", "parameter = period"),
         (ECHO_DISCRETE_CONFIG, "deltas = 0.0 0.5", "deltas = 0.0 inf"),
         (ECHO_DISCRETE_CONFIG, "weights = 0.5 0.5", "weights = nan nan"),
+        # Keys the scenario never reads: a misspelling, a stray section.
+        (AUDIT_CONFIG, "delta = 0.6", "detla = 0.6"),
+        (AUDIT_CONFIG, "delta = 0.6", "delta = 0.6\n    [ensemble]\n    kind = gaussian"),
     ],
 )
 def test_main_rejects_bad_configs(tmp_path, capsys, mutation):
@@ -332,6 +332,26 @@ def test_main_rejects_bad_configs(tmp_path, capsys, mutation):
     config = write_config(tmp_path, base.replace(old, new))
     assert cli.main([str(config)]) == 2
     assert "floqlind: config error:" in capsys.readouterr().err
+
+
+def test_main_names_every_unread_key(tmp_path, capsys):
+    body = PARALLEL_CONFIG.replace("t2 = 2.0", "t2 = 2.0\n    T2_ = 1.0").replace(
+        "[sweep]", "[sweeep]\n    points = 3\n\n    [sweep]"
+    )
+    config = write_config(tmp_path, body)
+    assert cli.main([str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "[model] t2_, [sweeep] points" in err
+    assert not (tmp_path / "rates.tsv").exists()
+
+
+def test_default_section_keys_are_read_once_for_all_sections(tmp_path, capsys):
+    body = PARALLEL_CONFIG.replace("[run]", "[DEFAULT]\n    seed = 3\n\n    [run]")
+    header, _ = read_table(cli.run(write_config(tmp_path, body)))
+    assert "# config run.seed = 3" in header
+    config = write_config(tmp_path, body.replace("seed = 3", "seed = 3\n    sead = 4"))
+    assert cli.main([str(config)]) == 2
+    assert "keys this scenario does not read: [DEFAULT] sead" in capsys.readouterr().err
 
 
 def test_main_rejects_missing_keys_and_files(tmp_path, capsys):
@@ -366,20 +386,20 @@ def test_main_rejects_missing_keys_and_files(tmp_path, capsys):
     assert "floqlind: config error:" in capsys.readouterr().err
 
 
+EXTRACT_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = extract-tauc
+    output = fit.tsv
+    input = measured.txt
+"""
+
+
 def _extract_config(tmp_path, rows):
     (tmp_path / "measured.txt").write_text(
         "\n".join(f"{p!r} {r!r}" for p, r in rows) + "\n", encoding="ascii"
     )
-    return write_config(
-        tmp_path,
-        """
-        [run]
-        schema_version = 1
-        scenario = extract-tauc
-        output = fit.tsv
-        input = measured.txt
-        """,
-    )
+    return write_config(tmp_path, EXTRACT_CONFIG)
 
 
 def test_main_reports_numeric_failures(tmp_path, capsys):
@@ -444,3 +464,40 @@ def test_run_raises_config_error_directly(tmp_path):
     )
     with pytest.raises(ConfigError):
         cli.run(config)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        PARALLEL_CONFIG,
+        PERP_CONFIG,
+        TRAJECTORY_CONFIG,
+        ECHO_CONFIG,
+        ECHO_DISCRETE_CONFIG,
+        AUDIT_CONFIG,
+        EXTRACT_CONFIG,
+    ],
+)
+def test_table_header_reruns_to_the_same_table(tmp_path, body):
+    (tmp_path / "measured.txt").write_text("5000.0 0.5\n0.37 0.3\n", encoding="ascii")
+    first = cli.run(write_config(tmp_path, body))
+    table = first.read_bytes()
+    first.unlink()
+    lines = table.decode("ascii").splitlines()
+    # "# schema_version = 1", "# scenario = ...", then "# config s.k = v".
+    sections = {"run": [lines[0][2:], lines[1][2:]]}
+    for line in lines:
+        if line.startswith("# config "):
+            name, value = line[len("# config ") :].split(" = ", 1)
+            section, key = name.split(".", 1)
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    rebuilt = tmp_path / "rebuilt.ini"
+    rebuilt.write_text(
+        "".join(
+            f"[{section}]\n" + "".join(entry + "\n" for entry in entries)
+            for section, entries in sections.items()
+        ),
+        encoding="ascii",
+    )
+    assert cli.run(rebuilt) == first
+    assert first.read_bytes() == table

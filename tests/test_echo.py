@@ -94,12 +94,13 @@ def test_ensemble_validation():
 
 
 def test_sampling_is_deterministic_per_seed():
-    e = GaussianDetuning(sigma=1.0, seed=7)
-    np.testing.assert_array_equal(e.sample(5), e.sample(5))
-    rng = np.random.default_rng(1)
-    first = e.sample(5, rng=rng)
-    second = e.sample(5, rng=rng)
-    assert not np.array_equal(first, second)
+    for e in THREE_KINDS:
+        np.testing.assert_array_equal(
+            e.sample(5, np.random.default_rng(7)),
+            e.sample(5, np.random.default_rng(7)),
+        )
+        rng = np.random.default_rng(1)
+        assert not np.array_equal(e.sample(5, rng), e.sample(5, rng))
 
 
 # -------------------------------------------------------------- averaging
@@ -148,8 +149,8 @@ def test_visibility_never_exceeds_one():
 
 def test_averaged_phase_agrees_with_monte_carlo():
     p = _params()
-    e = GaussianDetuning(sigma=2.3, seed=11)
-    deltas = e.sample(1_000_000)
+    e = GaussianDetuning(sigma=2.3)
+    deltas = e.sample(1_000_000, np.random.default_rng(11))
     for t in (0.3 * p.period, 1.7 * p.period):
         _, frac = math.floor(t / p.period), (t / p.period) % 1.0
         u = p.period * (frac - 0.5)

@@ -54,6 +54,17 @@ def test_floor_frac_snaps_to_kick_times():
     assert (n, frac) == (3, 0.0)
 
 
+def test_floor_frac_finds_kicks_a_billion_periods_out():
+    # t / T is only known to about one ulp there, far above the 1e-9 snap
+    # in absolute terms, and it errs to both sides of the integer.
+    for n in range(10**9, 10**9 + 2000):
+        assert floor_frac(n * 1.3, 1.3) == (n, 0.0)
+    dec = decompose(random_model(np.random.default_rng(5), dim=2, period=1.3))
+    t = (10**9 + 1) * 1.3
+    jump = propagator_left_limit(dec, t) - propagator(dec, t)
+    assert np.max(np.abs(jump)) > 1e-3
+
+
 # ---------------------------------------------------------- one period map
 
 
