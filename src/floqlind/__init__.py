@@ -8,15 +8,13 @@ trajectories, and spin-echo signals.  Brute-force validators live in
 :mod:`floqlind.cli`.
 """
 
-from .bath import Lorentzian, PhononCutoff, SpectralDensity, Tabulated
+from .bath import Lorentzian, PhononCutoff, SpectralDensity
 from .dynamics import (
     TLSParams,
     Trajectory,
     closed_form_parallel,
     closed_form_perp,
     evolve,
-    t1_time,
-    t2_prime,
 )
 from .echo import (
     DiscreteDetuning,
@@ -33,14 +31,12 @@ from .errors import (
     ConfigError,
     DimensionError,
     DomainError,
-    ExtrapolationError,
     HermiticityError,
     InconsistentDataError,
     InvalidStateError,
     OutOfRangeError,
     StabilityError,
     TruncationError,
-    UndefinedRatioError,
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
@@ -54,7 +50,6 @@ from .floquet import (
     harmonic_decomposition,
     propagator,
     propagator_left_limit,
-    reconstruct_heisenberg,
 )
 from .lindblad import (
     CPTPReport,
@@ -63,7 +58,6 @@ from .lindblad import (
     TruncationInfo,
     build_generator,
     choi_matrix,
-    combine_rates,
     rate_parallel_closed,
     rate_perp_closed,
     semigroup,
@@ -99,7 +93,6 @@ __all__ = [
     "DomainError",
     "EchoSignal",
     "ExtractionResult",
-    "ExtrapolationError",
     "FloquetDecomposition",
     "GaussianDetuning",
     "HarmonicDecomposition",
@@ -121,11 +114,9 @@ __all__ = [
     "SpectralDensity",
     "StabilityError",
     "TLSParams",
-    "Tabulated",
     "Trajectory",
     "TruncationError",
     "TruncationInfo",
-    "UndefinedRatioError",
     "UniformDetuning",
     "UnsupportedFrameError",
     "UnsupportedRegimeError",
@@ -135,7 +126,6 @@ __all__ = [
     "choi_matrix",
     "closed_form_parallel",
     "closed_form_perp",
-    "combine_rates",
     "decompose",
     "density_from_bloch",
     "echo_signal",
@@ -151,13 +141,10 @@ __all__ = [
     "rate_parallel_closed",
     "rate_perp_closed",
     "read_rate_measurements",
-    "reconstruct_heisenberg",
     "regularized_propagator",
     "require_hermitian",
     "semigroup",
     "series_rate_parallel",
-    "t1_time",
-    "t2_prime",
     "unvec",
     "vec",
     "verify_cptp",

@@ -2,7 +2,7 @@
 
 The bath enters the dynamics only through a nonnegative spectral density:
 the generator weighs each harmonic component S(omega, q) by
-gamma(omega + q Omega).  Three families are provided:
+gamma(omega + q Omega).  Two families are provided:
 
 * ``Lorentzian`` -- exponentially decaying bath correlations at high
   temperature; even in omega, so no KMS asymmetry.
@@ -10,14 +10,14 @@ gamma(omega + q Omega).  Three families are provided:
   cutoff and thermal occupation; obeys the KMS condition
   gamma(-omega) = e^{-beta omega} gamma(omega).  beta = +inf is the
   zero-temperature member.
-* ``Tabulated`` -- linear interpolation on a measured grid.  It refuses
-  to extrapolate: generator sums probe arbitrarily high harmonics and a
-  silently extended grid would corrupt truncation-error accounting.
+
+Every parameter except beta must be finite and positive.
 
 ``tail_supremum(w)`` bounds gamma over |omega| >= w.  Adaptive generator
-truncation relies on it.  Only ``Tabulated`` returns +inf, since a table
-cannot vouch for frequencies outside its grid; PhononCutoff's emission
-branch gamma(-u) = e^{-beta u} gamma(u) decays at every temperature.
+truncation relies on it.  Both families return a finite bound at every
+threshold: each rises to a single peak and then decays, and
+PhononCutoff's negative branch gamma(-u) = e^{-beta u} gamma(u) stays
+below its positive one at every temperature.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-
-from .errors import ExtrapolationError, UndefinedRatioError
 
 
 class SpectralDensity:
@@ -41,21 +39,6 @@ class SpectralDensity:
     def tail_supremum(self, threshold: float) -> float:
         """Upper bound for gamma over |omega| >= threshold (+inf if none)."""
         raise NotImplementedError
-
-    def supremum(self) -> float:
-        """Upper bound for gamma over all frequencies (+inf if unbounded)."""
-        return self.tail_supremum(0.0)
-
-    def kms_ratio(self, omega: float) -> float:
-        """Detailed-balance ratio gamma(-omega) / gamma(omega)."""
-        if omega == 0.0:
-            return 1.0
-        denominator = self.evaluate(omega)
-        if denominator == 0.0:
-            raise UndefinedRatioError(
-                f"gamma({omega}) = 0, KMS ratio undefined at this frequency"
-            )
-        return self.evaluate(-omega) / denominator
 
 
 @dataclass(frozen=True)
@@ -70,8 +53,8 @@ class Lorentzian(SpectralDensity):
     tau_c: float
 
     def __post_init__(self) -> None:
-        if not (self.t2 > 0.0 and self.tau_c > 0.0):
-            raise ValueError("t2 and tau_c must be positive")
+        if not (0.0 < self.t2 < math.inf and 0.0 < self.tau_c < math.inf):
+            raise ValueError("t2 and tau_c must be finite and positive")
 
     def evaluate(self, omega):
         return (2.0 / self.t2) / (1.0 + (self.tau_c * omega) ** 2)
@@ -97,8 +80,8 @@ class PhononCutoff(SpectralDensity):
     beta: float = math.inf
 
     def __post_init__(self) -> None:
-        if not (self.coupling > 0.0 and self.cutoff > 0.0):
-            raise ValueError("coupling and cutoff must be positive")
+        if not (0.0 < self.coupling < math.inf and 0.0 < self.cutoff < math.inf):
+            raise ValueError("coupling and cutoff must be finite and positive")
         if not self.beta > 0.0:
             raise ValueError(
                 "beta must be positive (use math.inf for zero temperature); "
@@ -131,76 +114,26 @@ class PhononCutoff(SpectralDensity):
             / -math.expm1(-self.beta * omega)
         )
 
-    def _peak(self, rate: float) -> float:
-        """Location u > 0 of the maximum of u^3 e^{-rate u} / (1 - e^{-beta u}).
+    def _peak(self) -> float:
+        """Location u > 0 of the maximum of gamma(u).
 
-        rate = 1/cutoff is the absorption branch gamma(u); rate = 1/cutoff
-        + beta the emission branch gamma(-u) = e^{-beta u} gamma(u).
+        The logarithmic slope falls monotonically from +inf at u -> 0 to
+        -beta / (e^{3 beta cutoff} - 1) <= 0 at 3 cutoff, the peak at zero
+        temperature.  When rounding leaves the slope there nonnegative, the
+        peak is 3 cutoff to within rounding.
         """
+        high = 3.0 * self.cutoff
 
         def slope(u: float) -> float:  # d/du of the logarithm
             x = self.beta * u
             thermal = 0.0 if x > 700.0 else self.beta / math.expm1(x)
-            return 3.0 / u - rate - thermal
+            return 3.0 / u - 1.0 / self.cutoff - thermal
 
-        return scipy.optimize.brentq(slope, 1e-9 * self.cutoff, 3.0 * self.cutoff)
-
-    def tail_supremum(self, threshold: float) -> float:
-        # Each branch rises to its peak and then decays.
-        w = max(threshold, 0.0)
-        if math.isinf(self.beta):  # no emission branch
-            return self.evaluate(max(w, 3.0 * self.cutoff))
-        pos = self.evaluate(max(w, self._peak(1.0 / self.cutoff)))
-        neg = self.evaluate(-max(w, self._peak(1.0 / self.cutoff + self.beta)))
-        return max(pos, neg)
-
-
-@dataclass(frozen=True)
-class Tabulated(SpectralDensity):
-    """Linear interpolation of (grid, values) samples; no extrapolation."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
-            raise ValueError("grid and values must be equal-length 1-D, length >= 2")
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
-            raise ValueError("grid and values must be finite")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(values < 0.0):
-            raise ValueError("spectral density values must be nonnegative")
-        grid.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_file(cls, path) -> "Tabulated":
-        """Load a two-column text file (omega, gamma); '#' starts a comment."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError(
-                f"{path}: expected two columns (omega, gamma), got {data.shape[1]}"
-            )
-        return cls(grid=data[:, 0], values=data[:, 1])
-
-    def evaluate(self, omega):
-        w = np.asarray(omega, dtype=float)
-        outside = (w < self.grid[0]) | (w > self.grid[-1])
-        if np.any(outside):
-            raise ExtrapolationError(
-                f"frequency {w[outside].flat[0]} outside tabulated range "
-                f"[{self.grid[0]}, {self.grid[-1]}]"
-            )
-        values = np.interp(w, self.grid, self.values)
-        return values if w.ndim else float(values)
+        if math.isinf(self.beta) or slope(high) >= 0.0:
+            return high
+        return scipy.optimize.brentq(slope, 1e-9 * self.cutoff, high)
 
     def tail_supremum(self, threshold: float) -> float:
-        # The density is unknown outside the grid, and every tail reaches
-        # there; no finite certificate exists.
-        return math.inf
-
+        # gamma rises to its peak and then decays, and the negative branch
+        # gamma(-u) = e^{-beta u} gamma(u) never exceeds it.
+        return self.evaluate(max(threshold, self._peak()))

@@ -28,9 +28,10 @@ Scenarios and their columns:
   generator-audit  quantity value
   extract-tauc     t2 tau_c residual degenerate
 
-Exit codes: 0 success, 2 malformed or incomplete config, 3 numeric
-failure (truncation, stability, an invalid computed state, inconsistent
-or out-of-range data).
+Exit codes: 0 success, 2 malformed or incomplete config, or a value
+outside its domain (a nonpositive bath parameter or rel_tol, a sweep
+time before 0), 3 numeric failure (truncation, an invalid computed
+state, inconsistent or out-of-range data).
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .errors import (
     InconsistentDataError,
     InvalidStateError,
     OutOfRangeError,
-    StabilityError,
     TruncationError,
 )
 from .floquet import KickedModel, harmonic_decomposition
@@ -412,7 +412,6 @@ def main(argv: list[str] | None = None) -> int:
         out_path = run(args.config)
     except (
         TruncationError,
-        StabilityError,
         ArithmeticError,
         InconsistentDataError,
         InvalidStateError,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SpectralDensity
 from .errors import (
     DomainError,
     UnsupportedFrameError,
@@ -211,28 +210,3 @@ def closed_form_perp(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray:
         [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]],
         dtype=complex,
     )
-
-
-def t1_time(sd: SpectralDensity, omega0: float, beta: float) -> float:
-    """Spin-lattice relaxation time [(1 + e^{-beta omega0}) gamma(omega0)]^{-1}.
-
-    Returns +inf when the density vanishes at the transition frequency
-    (no resonant bath modes, no relaxation).
-    """
-    rate = sd.evaluate(omega0)
-    if rate == 0.0:
-        return math.inf
-    exponent = 0.0 if omega0 == 0.0 else beta * omega0
-    return 1.0 / ((1.0 + math.exp(-exponent)) * rate)
-
-
-def t2_prime(t1: float, t2: float) -> float:
-    """Combined decoherence time: 1/T2' = 1/T2 + 1/(2 T1)."""
-    if not (t1 > 0.0 and t2 > 0.0):
-        raise ValueError("T1 and T2 must be positive")
-    if math.isinf(t1) and math.isinf(t2):
-        return math.inf
-    inv = (0.0 if math.isinf(t2) else 1.0 / t2) + (
-        0.0 if math.isinf(t1) else 0.5 / t1
-    )
-    return 1.0 / inv

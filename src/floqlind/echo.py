@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .dynamics import TLSParams, _decay_split
-from .errors import InconsistentDataError, OutOfRangeError
+from .errors import DomainError, InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
 
@@ -105,8 +105,10 @@ def averaged_phase(
     <e^{i phi}> = e^{i omega_ext t} C(T({t/T} - 1/2)) with C the
     ensemble's characteristic function, so the average is exact, not
     sampled.  At t = (n + 1/2) T the argument vanishes, C = 1, and the
-    phase coherence is fully restored.
+    phase coherence is fully restored.  Defined for t >= 0 only.
     """
+    if t < 0.0:
+        raise DomainError(f"echo phase defined for t >= 0, got {t}")
     _, frac = floor_frac(t, p.period)
     u = p.period * (frac - 0.5)
     mean = np.exp(1j * p.omega_ext * t) * e.characteristic_function(u)
@@ -132,6 +134,9 @@ def echo_signal(
 
         <x1> = e^{-2 eta t} <cos phi> x1(0) - (-1)^n e^{-eta t} <sin phi> x2(0)
         <x2> = e^{-2 eta t} <sin phi> x1(0) + (-1)^n e^{-eta t} <cos phi> x2(0)
+
+    Defined for times t >= 0 only: ``averaged_phase`` raises DomainError
+    for an earlier time, where the decay factors would grow.
     """
     x0 = np.asarray(x0, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -32,14 +32,6 @@ class HermiticityError(ValueError):
     """An operator that must be Hermitian is not."""
 
 
-class ExtrapolationError(ValueError):
-    """A tabulated spectral density was queried outside its grid."""
-
-
-class UndefinedRatioError(ValueError):
-    """KMS ratio requested at a frequency where the density vanishes."""
-
-
 class InconsistentDataError(ValueError):
     """Measured inputs admit no solution within the model."""
 

@@ -362,20 +362,3 @@ def harmonic_decomposition(
         cluster_index=cluster_index,
         coefficients=coefficients,
     )
-
-
-def reconstruct_heisenberg(
-    h: HarmonicDecomposition, t: float, alpha: int = 0
-) -> np.ndarray:
-    """Partial Fourier sum sum_{omega, |q| <= q_max} S(omega,q) e^{i(omega+q Omega)t}.
-
-    Returned in the original basis.  Converges to U(t)† S U(t) away from
-    the kick times, where the Heisenberg operator is discontinuous.
-    """
-    quasi = h.decomposition.quasienergies
-    q_values = np.arange(-h.q_max, h.q_max + 1)
-    harmonic_phases = np.exp(1j * h.model.omega * t * q_values)
-    summed = np.tensordot(harmonic_phases, h.coefficients[alpha], axes=(0, 0))
-    pair_phase = np.exp(1j * (quasi[:, None] - quasi[None, :]) * t)
-    v = h.decomposition.basis
-    return v @ (summed * pair_phase) @ v.conj().T

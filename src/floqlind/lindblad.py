@@ -71,10 +71,9 @@ class LindbladGenerator:
 
 @dataclass(frozen=True)
 class RateResult:
-    """A nonnegative decay rate plus the parameters that produced it."""
+    """A nonnegative decay rate."""
 
     eta: float
-    meta: dict
 
     def __post_init__(self) -> None:
         if not self.eta >= 0.0:
@@ -112,15 +111,18 @@ def build_generator(
         One bath per coupling, index-aligned with ``h.couplings``.
     rel_tol : float
         Target: discarded rate weight below rel_tol times the retained
-        rate weight.
+        rate weight; must be positive.
 
     Raises
     ------
+    DomainError
+        If rel_tol is not positive: no finite q_max can meet it.
     TruncationError
-        If no finite tail bound exists (unbounded density, or a tabulated
-        density whose grid cannot cover the tail) or the harmonic cap is
-        reached.
+        If a density's ``tail_supremum`` gives no finite bound, or the
+        harmonic cap is reached.
     """
+    if not rel_tol > 0.0:
+        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
     if len(densities) != h.n_couplings:
         raise DimensionError(
             f"{h.n_couplings} couplings but {len(densities)} spectral densities"
@@ -207,10 +209,7 @@ def rate_parallel_closed(period: float, t2: float, tau_c: float) -> RateResult:
     if not (period > 0.0 and t2 > 0.0 and tau_c > 0.0):
         raise ValueError("period, t2, tau_c must all be positive")
     eta = _suppression_factor(period / (2.0 * tau_c)) / t2
-    return RateResult(
-        eta=eta,
-        meta={"kind": "parallel", "period": period, "t2": t2, "tau_c": tau_c},
-    )
+    return RateResult(eta=eta)
 
 
 def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult:
@@ -232,19 +231,7 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
         * (1.0 + z * z)
         / (1.0 - z * z) ** 2
     )
-    return RateResult(
-        eta=eta,
-        meta={"kind": "perpendicular", "omega": omega, "coupling": coupling,
-              "cutoff": cutoff},
-    )
-
-
-def combine_rates(rates: Sequence[RateResult]) -> RateResult:
-    """Total rate of statistically independent channels: the plain sum."""
-    return RateResult(
-        eta=sum(r.eta for r in rates),
-        meta={"kind": "combined", "parts": [r.meta for r in rates]},
-    )
+    return RateResult(eta=eta)
 
 
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from floqlind import lindblad
-from floqlind.bath import Lorentzian, PhononCutoff
+from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
 from floqlind.floquet import KickedModel, harmonic_decomposition
 from floqlind.lindblad import (
     build_generator,
@@ -159,6 +159,58 @@ def reference_generator(h, densities, rel_tol):
     for rate, component in terms:
         superop += rate * dissipator_superop(basis @ component @ basis.conj().T)
     return superop, q_max, tail_bound
+
+
+def reconstruct_heisenberg(h, t, alpha=0):
+    """Partial Fourier sum sum_{omega, |q| <= q_max} S(omega,q) e^{i(omega+q Omega)t}.
+
+    Returned in the original basis.  Converges to U(t)† S U(t) away from
+    the kick times, where the Heisenberg operator is discontinuous.
+    """
+    quasi = h.decomposition.quasienergies
+    q_values = np.arange(-h.q_max, h.q_max + 1)
+    harmonic_phases = np.exp(1j * h.model.omega * t * q_values)
+    summed = np.tensordot(harmonic_phases, h.coefficients[alpha], axes=(0, 0))
+    pair_phase = np.exp(1j * (quasi[:, None] - quasi[None, :]) * t)
+    v = h.decomposition.basis
+    return v @ (summed * pair_phase) @ v.conj().T
+
+
+def kms_ratio(density, omega):
+    """Detailed-balance ratio gamma(-omega) / gamma(omega); 1 at omega = 0."""
+    if omega == 0.0:
+        return 1.0
+    return density.evaluate(-omega) / density.evaluate(omega)
+
+
+def t1_time(density, omega0, beta):
+    """Spin-lattice relaxation time [(1 + e^{-beta omega0}) gamma(omega0)]^{-1}.
+
+    +inf when the density vanishes at the transition frequency.
+    """
+    rate = density.evaluate(omega0)
+    if rate == 0.0:
+        return math.inf
+    exponent = 0.0 if omega0 == 0.0 else beta * omega0
+    return 1.0 / ((1.0 + math.exp(-exponent)) * rate)
+
+
+def t2_prime(t1, t2):
+    """Combined decoherence time: 1/T2' = 1/T2 + 1/(2 T1)."""
+    if not (t1 > 0.0 and t2 > 0.0):
+        raise ValueError("T1 and T2 must be positive")
+    inverse = 1.0 / t2 + 0.5 / t1
+    return math.inf if inverse == 0.0 else 1.0 / inverse
+
+
+class UnboundedDensity(SpectralDensity):
+    """A flat density that vouches for no bound over any tail."""
+
+    def evaluate(self, omega):
+        return np.ones_like(omega, dtype=float) if np.ndim(omega) else 1.0
+
+    def tail_supremum(self, threshold):
+        return math.inf
 
 
 LONGITUDINAL = SimpleNamespace(delta=0.6, period=1.3, t2=2.0, tau_c=3.0)

@@ -324,6 +324,11 @@ ECHO_DISCRETE_CONFIG = """
         # Keys the scenario never reads: a misspelling, a stray section.
         (AUDIT_CONFIG, "delta = 0.6", "detla = 0.6"),
         (AUDIT_CONFIG, "delta = 0.6", "delta = 0.6\n    [ensemble]\n    kind = gaussian"),
+        # Values outside their domain: no tolerance is met by a finite q_max,
+        # and an echo before t = 0 grows out of the Bloch ball.
+        (AUDIT_CONFIG, "seed = 3", "seed = 3\n    rel_tol = 0"),
+        (AUDIT_CONFIG, "seed = 3", "seed = 3\n    rel_tol = -1e-8"),
+        (ECHO_DISCRETE_CONFIG, "start = 0.0", "start = -20.0"),
     ],
 )
 def test_main_rejects_bad_configs(tmp_path, capsys, mutation):

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import LONGITUDINAL, eta_from_generator, magic_model, rand_density
+from conftest import (
+    LONGITUDINAL,
+    eta_from_generator,
+    magic_model,
+    rand_density,
+    t1_time,
+    t2_prime,
+)
 
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import (
@@ -13,8 +20,6 @@ from floqlind.dynamics import (
     closed_form_parallel,
     closed_form_perp,
     evolve,
-    t1_time,
-    t2_prime,
 )
 from floqlind.errors import (
     DomainError,

@@ -200,7 +200,10 @@ def test_echo_signal_records_the_averaged_phases():
         cos_phi, sin_phi = averaged_phase(e, p, float(t))
         assert signal.avg_cos[i] == pytest.approx(cos_phi, abs=1e-14)
         assert signal.avg_sin[i] == pytest.approx(sin_phi, abs=1e-14)
-    for bad in (math.inf, math.nan):
+    # Before t = 0 the decay factors grow and the signal leaves the Bloch ball.
+    for bad in (math.inf, math.nan, -20.0):
+        with pytest.raises(DomainError):
+            averaged_phase(e, p, bad)
         with pytest.raises(DomainError):
             echo_signal(e, p, (1.0, 0.0), [0.0, bad])
 

@@ -13,6 +13,7 @@ from conftest import (
     magic_model,
     parseval_weight,
     rand_herm,
+    reconstruct_heisenberg,
 )
 
 from floqlind import oracle
@@ -25,7 +26,6 @@ from floqlind.floquet import (
     harmonic_decomposition,
     propagator,
     propagator_left_limit,
-    reconstruct_heisenberg,
 )
 from floqlind.operators import PAULI_Y, PAULI_Z, expm_general, expm_hermitian
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    UnboundedDensity,
     conjugation_superop,
     eta_from_generator,
     magic_model,
@@ -15,7 +16,7 @@ from conftest import (
 )
 
 from floqlind import lindblad
-from floqlind.bath import Lorentzian, PhononCutoff, Tabulated
+from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.errors import DimensionError, DomainError, TruncationError
 from floqlind.floquet import KickedModel, harmonic_decomposition
 from floqlind.lindblad import (
@@ -23,13 +24,12 @@ from floqlind.lindblad import (
     TruncationInfo,
     build_generator,
     choi_matrix,
-    combine_rates,
     rate_parallel_closed,
     rate_perp_closed,
     semigroup,
     verify_cptp,
 )
-from floqlind.operators import PAULI_Z, unvec, vec
+from floqlind.operators import PAULI_X, PAULI_Z, unvec, vec
 
 # ------------------------------------------------------------- closed forms
 
@@ -74,7 +74,7 @@ def test_closed_form_validation():
     with pytest.raises(ValueError):
         rate_perp_closed(omega=1.0, coupling=1.0, cutoff=0.0)
     with pytest.raises(ValueError):
-        RateResult(eta=-0.1, meta={})
+        RateResult(eta=-0.1)
 
 
 def test_perp_rate_deep_cutoff_asymptote():
@@ -106,15 +106,6 @@ def test_perp_rate_matches_direct_harmonic_summation():
     assert rate_perp_closed(omega, coupling, cutoff).eta == pytest.approx(
         float(total), rel=1e-10
     )
-
-
-def test_combine_rates():
-    assert combine_rates([]).eta == 0.0
-    a = rate_parallel_closed(1.0, 1.0, 1.0)
-    b = rate_perp_closed(1.0, 1.0, 1.0)
-    combined = combine_rates([a, b])
-    assert combined.eta == pytest.approx(a.eta + b.eta, rel=1e-15)
-    assert combined.meta["parts"] == [a.meta, b.meta]
 
 
 # ------------------------------------------------------- generator assembly
@@ -247,10 +238,25 @@ def test_generator_density_count_must_match():
 
 def test_generator_rejects_densities_without_tail_bounds():
     h = harmonic_decomposition(magic_model(), [PAULI_Z], q_max=4)
-    grid = np.linspace(-50.0, 50.0, 101)
-    density = Tabulated(grid=grid, values=np.ones_like(grid))
     with pytest.raises(TruncationError):
-        build_generator(h, [density])
+        build_generator(h, [UnboundedDensity()])
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan])
+def test_generator_rejects_a_nonpositive_tolerance(rel_tol):
+    # No finite q_max meets it; the loop would run to the harmonic cap.
+    h = harmonic_decomposition(magic_model(), [PAULI_Z], q_max=4)
+    with pytest.raises(DomainError, match="rel_tol"):
+        build_generator(h, [Lorentzian(t2=2.0, tau_c=3.0)], rel_tol=rel_tol)
+
+
+def test_generator_with_a_cold_phonon_bath():
+    # beta * cutoff = 1e12: the negative branch peaks near 2.8e-12, where
+    # a peak search bracketed in units of the cutoff cannot reach.
+    model = magic_model(delta=0.4, period=1.1)
+    h = harmonic_decomposition(model, [PAULI_X], q_max=8)
+    g = build_generator(h, [PhononCutoff(0.05, 1.0, beta=1e12)])
+    assert verify_cptp(semigroup(g, 3.0)).passed
 
 
 def test_generator_harmonic_cap(monkeypatch, longitudinal):
