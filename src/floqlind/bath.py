@@ -117,21 +117,26 @@ class PhononCutoff(SpectralDensity):
     def _peak(self) -> float:
         """Location u > 0 of the maximum of gamma(u).
 
-        The logarithmic slope falls monotonically from +inf at u -> 0 to
-        -beta / (e^{3 beta cutoff} - 1) <= 0 at 3 cutoff, the peak at zero
+        Solved for x = u / cutoff, so the root tolerance is relative to the
+        cutoff and the bracket [1e-9, 3] stays clear of subnormals at any
+        cutoff.  With b = beta cutoff the logarithmic slope in x,
+        3/x - 1 - b / (e^{b x} - 1), falls monotonically from +inf at
+        x -> 0 to -b / (e^{3 b} - 1) <= 0 at x = 3, the peak at zero
         temperature.  When rounding leaves the slope there nonnegative, the
         peak is 3 cutoff to within rounding.
         """
-        high = 3.0 * self.cutoff
+        b = self.beta * self.cutoff
 
-        def slope(u: float) -> float:  # d/du of the logarithm
-            x = self.beta * u
-            thermal = 0.0 if x > 700.0 else self.beta / math.expm1(x)
-            return 3.0 / u - 1.0 / self.cutoff - thermal
+        def slope(x: float) -> float:  # d/dx of the logarithm
+            y = b * x
+            if y > 700.0:
+                return 3.0 / x - 1.0
+            # b / (e^y - 1) = 1 / (x (e^y - 1)/y), finite as b -> 0 too
+            return 3.0 / x - 1.0 - 1.0 / (x * (math.expm1(y) / y if y else 1.0))
 
-        if math.isinf(self.beta) or slope(high) >= 0.0:
-            return high
-        return scipy.optimize.brentq(slope, 1e-9 * self.cutoff, high)
+        if math.isinf(self.beta) or slope(3.0) >= 0.0:
+            return 3.0 * self.cutoff
+        return self.cutoff * scipy.optimize.brentq(slope, 1e-9, 3.0)
 
     def tail_supremum(self, threshold: float) -> float:
         # gamma rises to its peak and then decays, and the negative branch

@@ -10,6 +10,15 @@ kicked-model unitary.  Three frames are exposed:
 * ``lab``         -- additionally undoes the drive-carrier rotation
   e^{-i omega_ext t sigma_z / 2} (two-level systems only).
 
+``evolve`` handles all sample times at once.  The semigroup comes from
+the generator's Bohr blocks (``lindblad.BohrBlocks``), exponentiated
+once per block for every time, which keeps the trace and Hermiticity
+exact at any horizon.  The kicked unitary is built for every (n, frac)
+split of the times in one batch, the lab carrier is a diagonal phase on
+all of them, and left limits are recomputed only at kick times (elsewhere
+they are copies of the state).  Every returned state passes one batched
+Hermiticity, trace and positivity check.
+
 The closed forms implement the exactly solvable magic-angle cases: pi
 kicks about x with either dephasing (sigma_z) coupling to a Lorentzian
 bath or transverse coupling to a zero-temperature phonon bath at
@@ -30,15 +39,9 @@ from .errors import (
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
-from .floquet import (
-    KickedModel,
-    decompose,
-    floor_frac,
-    propagator,
-    propagator_left_limit,
-)
+from .floquet import KickedModel, _before_kicks, _unitary, decompose, floor_frac
 from .lindblad import LindbladGenerator
-from .operators import as_density, bloch_from_density, expm_general, unvec, vec
+from .operators import as_densities, as_density, bloch_from_density, vec
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,13 @@ class TLSParams:
         return self.omega0 - self.omega_ext
 
 
+def _sample_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be a strictly increasing 1-D sequence")
+    return times
+
+
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -75,14 +85,11 @@ class Trajectory:
     left_states: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or (len(times) > 1 and np.any(np.diff(times) <= 0.0)):
-            raise ValueError("times must be a strictly increasing 1-D sequence")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", _sample_times(self.times))
 
     def bloch(self) -> np.ndarray:
         """(N, 3) Bloch components; two-level trajectories only."""
-        return np.array([bloch_from_density(rho) for rho in self.states])
+        return bloch_from_density(self.states)
 
 
 _FRAMES = ("interaction", "rotating", "lab")
@@ -123,28 +130,40 @@ def evolve(
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & np.isfinite(times)):
         raise DomainError("evolution times must be finite and nonnegative")
+    times = _sample_times(times)
+
+    # e^{tL} rho0 in the Floquet basis, then back to the computational one.
+    v = g.basis
+    x0 = vec(v.conj().T @ rho0 @ v)[:, None]
+    in_basis = g.blocks.propagate(x0, times)[..., 0]
+    in_basis = in_basis.reshape(len(times), m.dim, m.dim).swapaxes(1, 2)
+    interaction = v @ in_basis @ v.conj().T
+    if frame == "interaction":
+        states = as_densities(interaction)
+        left_states = states.copy() if emit_left_limits else None
+        return Trajectory(times=times, states=states, frame=frame,
+                          left_states=left_states)
 
     dec = decompose(m)
-    rho_vec = vec(rho0)
-    states = np.empty((len(times), m.dim, m.dim), dtype=complex)
-    left_states = np.empty_like(states) if emit_left_limits else None
-    for i, t in enumerate(times):
-        t = float(t)
-        interaction = unvec(expm_general(g.superop, t) @ rho_vec)
-        if frame == "interaction":
-            states[i] = as_density(interaction)
-            if left_states is not None:
-                left_states[i] = states[i]
-            continue
-        # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
-        carrier = 1.0 if frame == "rotating" else np.exp(
-            -0.5j * omega_ext * t * np.array([[1.0], [-1.0]])
+    split = [floor_frac(t, m.period) for t in times.tolist()]
+    n, frac = np.array(split, dtype=float).reshape(-1, 2).T
+    # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
+    carrier = np.ones((len(times), 1, 1))
+    if frame == "lab":
+        carrier = np.exp(
+            -0.5j * omega_ext * times[:, None, None] * np.array([[1.0], [-1.0]])
         )
-        u = carrier * propagator(dec, t)
-        states[i] = as_density(u @ interaction @ u.conj().T)
-        if left_states is not None:
-            u = carrier * propagator_left_limit(dec, t)
-            left_states[i] = as_density(u @ interaction @ u.conj().T)
+
+    def dressed(n, frac, at):
+        u = carrier[at] * _unitary(dec, n[at], frac[at])
+        return as_densities(u @ interaction[at] @ u.conj().swapaxes(1, 2))
+
+    states = dressed(n, frac, slice(None))
+    left_states = None
+    if emit_left_limits:
+        left_states = states.copy()
+        n_left, frac_left, at_kick = _before_kicks(n, frac)
+        left_states[at_kick] = dressed(n_left, frac_left, at_kick)
     return Trajectory(times=times, states=states, frame=frame,
                       left_states=left_states)
 

@@ -180,12 +180,24 @@ def _as_decomposition(m: KickedModel | FloquetDecomposition) -> FloquetDecomposi
     return decompose(m)
 
 
-def _unitary(dec: FloquetDecomposition, n: int, frac: float) -> np.ndarray:
-    """(W e^{-i E T frac} W†)(V e^{-i eps T n} V†): n kicks, then frac of a period."""
+def _unitary(dec: FloquetDecomposition, n, frac) -> np.ndarray:
+    """(W e^{-i E T frac} W†)(V e^{-i eps T n} V†): n kicks, then frac of a period.
+
+    ``n`` and ``frac`` may be equal-shape arrays; the result then has one
+    (d, d) matrix per entry.
+    """
     period = dec.model.period
     w, v = dec.free_basis, dec.basis
+    n, frac = np.asarray(n)[..., None, None], np.asarray(frac)[..., None, None]
     free = (w * np.exp(-1j * period * frac * dec.free_energies)) @ w.conj().T
     return free @ ((v * np.exp(-1j * period * n * dec.quasienergies)) @ v.conj().T)
+
+
+def _before_kicks(n, frac):
+    """(n, frac, at_kick) for the limit from below: at a kick time t = nT > 0
+    it is a full free segment after n - 1 kicks."""
+    at_kick = (np.asarray(frac) == 0.0) & (np.asarray(n) > 0)
+    return np.where(at_kick, n - 1, n), np.where(at_kick, 1.0, frac), at_kick
 
 
 def propagator(m: KickedModel | FloquetDecomposition, t: float) -> np.ndarray:
@@ -207,10 +219,7 @@ def propagator_left_limit(
     if t < 0.0:
         raise DomainError(f"propagator defined for t >= 0, got {t}")
     dec = _as_decomposition(m)
-    n, frac = floor_frac(t, dec.model.period)
-    if frac == 0.0 and n > 0:
-        # Just before the kick at t = nT: a full free segment after n-1 kicks.
-        n, frac = n - 1, 1.0
+    n, frac, _ = _before_kicks(*floor_frac(t, dec.model.period))
     return _unitary(dec, n, frac)
 
 

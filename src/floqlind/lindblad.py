@@ -16,12 +16,21 @@ rigorous cap on the discarded rates.
 
 All components enter one running contraction (see ``_dissipator``), so
 each doubling of q_max computes and adds only the new harmonics.
+
+The secular generator keeps the Bohr frequency eps_k - eps_l of each
+Floquet-basis matrix element |k><l| (Breuer and Petruccione, The Theory
+of Open Quantum Systems, sec. 3.3), so in the Floquet basis it is block
+diagonal by frequency cluster.  ``BohrBlocks`` keeps those blocks and
+exponentiates each on its own, with the structure the exact map has
+imposed on it (see ``BohrBlocks``); ``semigroup`` and
+``dynamics.evolve`` both read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +39,7 @@ import scipy.linalg
 from .bath import SpectralDensity
 from .errors import DimensionError, DomainError, TruncationError
 from .floquet import HarmonicDecomposition
-from .operators import expm_general, vec
+from .operators import vec
 
 # Adaptive truncation gives up past this many harmonics.
 _Q_CAP = 1_048_576
@@ -49,23 +58,142 @@ class TruncationInfo:
 
 
 @dataclass(frozen=True)
+class BohrBlocks:
+    """The semigroup e^{tL} in the Floquet basis, one Bohr block at a time.
+
+    Indices are column-stacked Floquet-basis matrix elements (k, l), as in
+    ``LindbladGenerator.floquet_superop()``.
+
+    * ``coherences`` holds (indices, mirror, block) per pair of mirror
+      frequency clusters: ``block`` is the generator on the elements
+      ``indices`` of one cluster.  The same positions of ``mirror`` hold
+      the transposed elements (l, k), whose block is taken as the exact
+      complex conjugate, so e^{tL} keeps Hermitian matrices Hermitian.
+    * ``zeros`` are the elements of the zero-frequency cluster: all
+      populations, and coherences between (near-)degenerate
+      quasienergies.  In real coordinates of the Hermitian part (the
+      trace, the other diagonal entries, and the real and imaginary part
+      of each coherence pair) the generator is real and its trace row is
+      exactly zero: the trace functional is its known left null vector.
+      The block is exponentiated as pi tr(x) + R e^{t rates} Q x, the
+      stationary state ``stationary`` plus the decaying modes, where
+      ``to_rest`` (Q) takes x to the non-trace coordinates less their
+      stationary value, and ``from_rest`` (R) maps those back with zero
+      trace.
+    """
+
+    coherences: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    zeros: np.ndarray
+    trace: np.ndarray
+    stationary: np.ndarray
+    to_rest: np.ndarray
+    from_rest: np.ndarray
+    rates: np.ndarray
+
+    def propagate(self, x0: np.ndarray, times) -> np.ndarray:
+        """e^{tL} x0 at every time: x0 is (d², k), the result (len(times), d², k)."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty((len(times),) + x0.shape, dtype=complex)
+        for indices, mirror, block in self.coherences:
+            step = _expm_stack(times, block)
+            out[:, indices] = step @ x0[indices]
+            out[:, mirror] = step.conj() @ x0[mirror]
+        populations = x0[self.zeros]
+        decay = _expm_stack(times, self.rates) @ (self.to_rest @ populations)
+        stationary = np.outer(self.stationary, self.trace @ populations)
+        out[:, self.zeros] = stationary + self.from_rest @ decay
+        return out
+
+
+def _expm_stack(times: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """e^{t B} for every t, shape (len(times), m, m)."""
+    return scipy.linalg.expm(times[:, None, None] * block)
+
+
+def _bohr_blocks(floquet_superop: np.ndarray, cluster: np.ndarray) -> BohrBlocks:
+    """Split a Floquet-basis generator into its Bohr blocks.
+
+    ``cluster[k, l]`` labels the frequency cluster of element (k, l); the
+    generator must not couple different labels, (l, k) must carry the
+    mirror label of (k, l), and cluster[0, 0] is the zero frequency.
+    """
+    dim = len(cluster)
+    label = cluster.reshape(-1, order="F")
+    index = np.arange(dim * dim).reshape(dim, dim, order="F")
+    flip = index.T.reshape(-1, order="F")  # position of (l, k)
+    zero = cluster[0, 0]
+    coherences = []
+    for value in np.unique(label):
+        indices = np.flatnonzero(label == value)
+        if value != zero and value < label[flip[indices[0]]]:
+            block = floquet_superop[np.ix_(indices, indices)]
+            coherences.append((indices, flip[indices], block))
+    zeros = np.flatnonzero(label == zero)
+    to_real, from_real = _real_coordinates(zeros, dim)
+    real = (to_real @ floquet_superop[np.ix_(zeros, zeros)] @ from_real).real
+    rates = real[1:, 1:]
+    # The non-trace part s of a unit-trace stationary state solves
+    # rates s = -real[1:, 0]; least squares also covers several of them.
+    rest = np.linalg.lstsq(rates, -real[1:, 0], rcond=None)[0]
+    return BohrBlocks(
+        coherences=tuple(coherences),
+        zeros=zeros,
+        trace=to_real[0].real,
+        stationary=from_real[:, 0] + from_real[:, 1:] @ rest,
+        to_rest=to_real[1:] - np.outer(rest, to_real[0]),
+        from_rest=from_real[:, 1:],
+        rates=rates,
+    )
+
+
+def _real_coordinates(zeros: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(to_real, from_real) for the elements ``zeros``: z = (trace, the other
+    diagonal entries, Re and Im of x[k, l] for each pair k < l)."""
+    unit = dict(zip(zip(zeros % dim, zeros // dim), np.eye(len(zeros))))
+    diagonal = [unit[k, k] for k in range(dim)]
+    pairs = [(unit[k, l], unit[l, k]) for k, l in unit if k < l]
+    to_real = [sum(diagonal), *diagonal[1:]]
+    from_real = [diagonal[0], *(e - diagonal[0] for e in diagonal[1:])]
+    for kl, lk in pairs:
+        to_real += [(kl + lk) / 2, -0.5j * (kl - lk)]
+        from_real += [kl + lk, 1j * (kl - lk)]
+    return np.array(to_real, dtype=complex), np.array(from_real, dtype=complex).T
+
+
+@dataclass(frozen=True)
 class LindbladGenerator:
     """Assembled generator acting on column-vectorized density matrices.
 
     ``superop`` is expressed in the original (computational) basis;
     ``basis`` records the Floquet basis used during assembly;
     ``floquet_superop()`` transforms to that frame, where the
-    population/coherence block structure is visible.
+    population/coherence block structure is visible.  ``blocks`` is the
+    semigroup by Bohr block (see ``BohrBlocks``); ``build_generator``
+    records the frequency clusters, and a generator made without them is
+    treated as one zero-frequency block.
     """
 
     dim: int
     superop: np.ndarray
     truncation: TruncationInfo
     basis: np.ndarray
+    blocks: BohrBlocks | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.blocks is None:
+            one_cluster = np.zeros((self.dim, self.dim), dtype=int)
+            object.__setattr__(
+                self, "blocks", _bohr_blocks(self.floquet_superop(), one_cluster)
+            )
+
+    @cached_property
+    def floquet_change(self) -> np.ndarray:
+        """Superoperator of rho -> V rho V† for the Floquet basis V."""
+        return _floquet_change(self.basis)
 
     def floquet_superop(self) -> np.ndarray:
         """``superop`` in the Floquet basis."""
-        change = _floquet_change(self.basis)
+        change = self.floquet_change
         return change.conj().T @ self.superop @ change
 
 
@@ -168,11 +296,15 @@ def build_generator(
             change = _floquet_change(basis)
             same_cluster = cluster[:, None] == cluster[None, :]
             superop_f = _dissipator(np.where(same_cluster, pairs, 0.0), dim)
+            # Secular: no element is coupled across frequency clusters.
+            label = h.cluster_index.reshape(-1, order="F")
+            superop_f = np.where(label[:, None] == label[None, :], superop_f, 0.0)
             return LindbladGenerator(
                 dim=dim,
                 superop=change @ superop_f @ change.conj().T,
                 truncation=TruncationInfo(q_max_used=q_max, tail_bound=tail_bound),
                 basis=basis,
+                blocks=_bohr_blocks(superop_f, h.cluster_index),
             )
         if q_max >= _Q_CAP:
             raise TruncationError(
@@ -238,7 +370,9 @@ def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     """Map e^{tL} as a superoperator matrix; defined for t >= 0 only."""
     if t < 0.0:
         raise DomainError(f"semigroup defined for t >= 0, got {t}")
-    return expm_general(g.superop, t)
+    change = g.floquet_change
+    floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
+    return change @ floquet_map @ change.conj().T
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:

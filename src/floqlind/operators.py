@@ -26,9 +26,11 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-def _as_square_matrix(op: np.ndarray) -> np.ndarray:
+def _as_square_matrix(op: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``op`` as a complex square matrix, or as a stack (..., d, d) of them."""
     mat = np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    square = mat.ndim >= 2 and mat.shape[-1] == mat.shape[-2]
+    if not square or (mat.ndim > 2 and not stack):
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
@@ -45,30 +47,44 @@ def require_hermitian(op: np.ndarray) -> np.ndarray:
     return mat
 
 
-def as_density(rho: np.ndarray) -> np.ndarray:
-    """Validate and normalize a density matrix.
+def as_densities(rhos: np.ndarray) -> np.ndarray:
+    """Validate and normalize a stack of density matrices, shape (..., d, d).
 
-    The input must be Hermitian within PSD_ATOL, have unit trace within
+    Each matrix must be Hermitian within PSD_ATOL, have unit trace within
     TRACE_ATOL, and be positive semidefinite (minimum eigenvalue >=
-    -PSD_ATOL).  The returned matrix is re-symmetrized to
-    ``(rho + rho†)/2`` to absorb rounding from upstream arithmetic.
+    -PSD_ATOL).  The returned matrices are re-symmetrized to
+    ``(rho + rho†)/2`` to absorb rounding from upstream arithmetic.  Each
+    property is checked on the whole stack at once; the message names
+    the first matrix that fails it.
 
     Raises
     ------
     InvalidStateError
         If any of the three defining properties fails.
     """
-    mat = _as_square_matrix(rho)
-    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=PSD_ATOL):
+    mats = _as_square_matrix(rhos, stack=True)
+    adjoint = mats.conj().swapaxes(-1, -2)
+    if np.any(np.abs(mats - adjoint) > PSD_ATOL):
         raise InvalidStateError("density matrix is not Hermitian")
-    trace = np.trace(mat)
-    if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
-        raise InvalidStateError(f"density matrix has |tr - 1| = {abs(trace - 1.0):.3e}")
-    sym = 0.5 * (mat + mat.conj().T)
-    lowest = scipy.linalg.eigvalsh(sym)[0]
-    if lowest < -PSD_ATOL:
-        raise InvalidStateError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    off = (np.abs(trace.real - 1.0) > TRACE_ATOL) | (np.abs(trace.imag) > TRACE_ATOL)
+    if np.any(off):
+        defect = abs(trace[off][0] - 1.0)
+        raise InvalidStateError(f"density matrix has |tr - 1| = {defect:.3e}")
+    sym = 0.5 * (mats + adjoint)
+    lowest = np.linalg.eigvalsh(sym)[..., 0]
+    negative = lowest < -PSD_ATOL
+    if np.any(negative):
+        raise InvalidStateError(
+            f"density matrix has negative eigenvalue {lowest[negative][0]:.3e}"
+        )
     return sym
+
+
+def as_density(rho: np.ndarray) -> np.ndarray:
+    """Validate and normalize one density matrix: :func:`as_densities`
+    on a single (d, d) matrix."""
+    return as_densities(_as_square_matrix(rho)[None])[0]
 
 
 def vec(op: np.ndarray) -> np.ndarray:
@@ -86,16 +102,20 @@ def unvec(vector: np.ndarray) -> np.ndarray:
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch components (x1, x2, x3) of a qubit density matrix.
+    """Bloch components (x1, x2, x3) of a qubit density matrix, or of each
+    in a stack (..., 2, 2), along the last axis.
 
     Uses x1 = 2 Re rho[1,0], x2 = 2 Im rho[1,0], x3 = 2 rho[0,0] - 1,
     which equals Tr(rho sigma_i) for a valid state.
     """
-    mat = _as_square_matrix(rho)
-    if mat.shape != (2, 2):
-        raise DimensionError(f"Bloch parametrization needs a qubit, got shape {mat.shape}")
-    return np.array(
-        [2.0 * mat[1, 0].real, 2.0 * mat[1, 0].imag, 2.0 * mat[0, 0].real - 1.0]
+    mat = _as_square_matrix(rho, stack=True)
+    if mat.shape[-2:] != (2, 2):
+        raise DimensionError(
+            f"Bloch parametrization needs a qubit, got shape {mat.shape[-2:]}"
+        )
+    coherence, population = mat[..., 1, 0], mat[..., 0, 0].real
+    return np.stack(
+        [2.0 * coherence.real, 2.0 * coherence.imag, 2.0 * population - 1.0], axis=-1
     )
 
 

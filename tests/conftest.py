@@ -15,13 +15,28 @@ import pytest
 
 from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
-from floqlind.floquet import KickedModel, harmonic_decomposition
+from floqlind.floquet import (
+    KickedModel,
+    decompose,
+    harmonic_decomposition,
+    propagator,
+    propagator_left_limit,
+)
 from floqlind.lindblad import (
     build_generator,
     rate_parallel_closed,
     rate_perp_closed,
 )
-from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z, dissipator_superop, vec
+from floqlind.operators import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    as_density,
+    dissipator_superop,
+    expm_general,
+    unvec,
+    vec,
+)
 
 
 def rand_herm(rng, dim):
@@ -159,6 +174,44 @@ def reference_generator(h, densities, rel_tol):
     for rate, component in terms:
         superop += rate * dissipator_superop(basis @ component @ basis.conj().T)
     return superop, q_max, tail_bound
+
+
+def reference_evolve(m, g, rho0, times, frame="rotating", omega_ext=None,
+                     emit_left_limits=False):
+    """Per-time reference for ``dynamics.evolve``: (states, left_states).
+
+    At each time: one ``expm`` of the whole superoperator, one propagator
+    (and one left-limit propagator), one ``as_density`` per matrix.
+    """
+    dec = decompose(m)
+    rho_vec = vec(as_density(rho0))
+    states, left_states = [], []
+    for t in np.asarray(times, dtype=float).tolist():
+        interaction = unvec(expm_general(g.superop, t) @ rho_vec)
+        if frame == "interaction":
+            states.append(as_density(interaction))
+            left_states.append(states[-1])
+            continue
+        carrier = 1.0 if frame == "rotating" else np.exp(
+            -0.5j * omega_ext * t * np.array([[1.0], [-1.0]])
+        )
+        u = carrier * propagator(dec, t)
+        states.append(as_density(u @ interaction @ u.conj().T))
+        if emit_left_limits:
+            u = carrier * propagator_left_limit(dec, t)
+            left_states.append(as_density(u @ interaction @ u.conj().T))
+    return np.array(states), np.array(left_states) if emit_left_limits else None
+
+
+def degenerate_model(rng):
+    """Kick-free qutrit whose H0 has a doubly degenerate level, so the
+    zero-frequency cluster also holds the coherences inside that level."""
+    return KickedModel(
+        h0=np.diag([0.3, 0.3, -0.5]).astype(complex),
+        kick=rand_herm(rng, 3),
+        strength=0.0,
+        period=1.0,
+    )
 
 
 def reconstruct_heisenberg(h, t, alpha=0):

@@ -161,6 +161,26 @@ def test_cold_phonon_baths_have_a_tail_bound(cutoff):
 
 
 @pytest.mark.parametrize(
+    "cutoff", [1e-300, 1e-200, 1e-100, 1e-50, 1e-13, 1e-7, 1e-3, 1.0, 1e3]
+)
+def test_phonon_tail_bound_holds_at_every_cutoff_scale(cutoff):
+    """The peak is found in units of the cutoff, so the bound covers the
+    density at tiny cutoffs too (an absolute root tolerance used to miss
+    the peak below cutoff ~1e-10, and a subnormal bracket raised)."""
+    x = np.geomspace(1e-21, 1e3, 20_001)
+    for scaled in [*np.geomspace(1e-6, 1e15, 15), math.inf]:
+        beta = float(scaled) / cutoff  # beta * cutoff = scaled
+        density = PhononCutoff(coupling=0.7, cutoff=cutoff, beta=beta)
+        bound = density.tail_supremum(0.0)
+        assert math.isfinite(bound)
+        u = cutoff * x
+        largest = max(np.max(density.evaluate(u)), np.max(density.evaluate(-u)))
+        assert largest <= bound * (1.0 + 1e-12)
+    for beta in (1e13, 1.0):
+        assert math.isfinite(PhononCutoff(1.0, cutoff, beta=beta).tail_supremum(0.0))
+
+
+@pytest.mark.parametrize(
     "density",
     [
         Lorentzian(t2=2.0, tau_c=3.0),

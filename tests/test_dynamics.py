@@ -1,17 +1,26 @@
 """Trajectory engine and closed-form solution tests."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import (
     LONGITUDINAL,
+    degenerate_model,
     eta_from_generator,
     magic_model,
     rand_density,
+    rand_herm,
+    reference_evolve,
     t1_time,
     t2_prime,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from floqlind import floquet, operators
 
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import (
@@ -22,16 +31,20 @@ from floqlind.dynamics import (
     evolve,
 )
 from floqlind.errors import (
+    DimensionError,
     DomainError,
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
 from floqlind.floquet import KickedModel, harmonic_decomposition, propagator
 from floqlind.lindblad import (
+    BohrBlocks,
     LindbladGenerator,
     TruncationInfo,
     build_generator,
     rate_parallel_closed,
+    semigroup,
+    verify_cptp,
 )
 from floqlind.operators import PAULI_Z, bloch_from_density
 from floqlind.oracle import integrate_master_equation
@@ -257,6 +270,155 @@ def test_left_limits_differ_only_at_kicks(longitudinal):
     np.testing.assert_array_equal(traj.left_states[0], traj.states[0])
     jump = float(np.max(np.abs(traj.left_states[1] - traj.states[1])))
     assert jump > 0.5
+
+
+# ---------------------------------------------------- block semigroup
+
+
+def test_evolve_rejects_bad_times_before_any_work(longitudinal, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evolve propagated before checking its times")
+
+    monkeypatch.setattr(BohrBlocks, "propagate", no_work)
+    monkeypatch.setattr("floqlind.dynamics.decompose", no_work)
+    m, g = longitudinal.model, longitudinal.generator
+    for bad in ([1.0, 1.0], [2.0, 1.0], [0.0, 3.0, 3.0], [[0.0, 1.0]], 1.0):
+        with pytest.raises(ValueError, match="strictly increasing 1-D"):
+            evolve(m, g, np.eye(2) / 2, bad, frame="lab", omega_ext=4.4)
+
+
+def test_bloch_matches_the_per_state_map(longitudinal):
+    rng = np.random.default_rng(47)
+    m, g = longitudinal.model, longitudinal.generator
+    times = np.sort(rng.uniform(0.0, 20.0, 50))
+    traj = evolve(m, g, rand_density(rng, 2), times, frame="lab", omega_ext=4.4)
+    expected = np.array([bloch_from_density(state) for state in traj.states])
+    np.testing.assert_array_equal(traj.bloch(), expected)
+    qutrits = Trajectory(
+        times=np.array([0.0]), states=np.eye(3)[None] / 3, frame="rotating"
+    )
+    with pytest.raises(DimensionError, match=r"needs a qubit, got shape \(3, 3\)"):
+        qutrits.bloch()
+    broken = traj.states.copy()
+    broken[3, 0, 1] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(times=times, states=broken, frame="lab").bloch()
+
+
+def _random_generator(rng, dim, density, q_max=8, rel_tol=1e-8):
+    m = KickedModel(
+        h0=rand_herm(rng, dim), kick=rand_herm(rng, dim), strength=0.8, period=1.0
+    )
+    coupling = rand_herm(rng, dim)
+    h = harmonic_decomposition(m, [coupling / np.linalg.norm(coupling)], q_max=q_max)
+    return m, build_generator(h, (density,), rel_tol=rel_tol)
+
+
+def _assert_matches_reference(m, g, rho0, times, **kwargs):
+    traj = evolve(m, g, rho0, times, emit_left_limits=True, **kwargs)
+    states, left_states = reference_evolve(
+        m, g, rho0, times, emit_left_limits=True, **kwargs
+    )
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert np.max(np.abs(traj.left_states - left_states)) <= 1e-12
+
+
+def test_evolve_matches_the_per_time_expm_reference(longitudinal, transverse):
+    rng = np.random.default_rng(48)
+    period = longitudinal.period
+    kicks = period * np.arange(1, 6)
+    times = np.unique(np.concatenate([[0.0], kicks, rng.uniform(0.0, 40.0, 60)]))
+    for frame in ("interaction", "rotating", "lab"):
+        _assert_matches_reference(
+            longitudinal.model, longitudinal.generator, rand_density(rng, 2),
+            times, frame=frame, omega_ext=4.4,
+        )
+    _assert_matches_reference(
+        transverse.model, transverse.generator, rand_density(rng, 2), times
+    )
+    for dim in (3, 5):
+        m, g = _random_generator(rng, dim, PhononCutoff(0.05, 1.0, beta=2.0))
+        _assert_matches_reference(m, g, rand_density(rng, dim), times)
+
+
+def test_degenerate_quasienergies_share_the_zero_frequency_block():
+    rng = np.random.default_rng(49)
+    m = degenerate_model(rng)
+    coupling = rand_herm(rng, 3)
+    h = harmonic_decomposition(m, [coupling], q_max=4)
+    g = build_generator(h, (PhononCutoff(0.3, 1.0, beta=3.0),), rel_tol=1e-10)
+    # The three populations and the two coherences of the degenerate pair.
+    assert len(g.blocks.zeros) == 5
+    rho0 = rand_density(rng, 3)
+    _assert_matches_reference(m, g, rho0, np.linspace(0.0, 30.0, 31))
+    far = [1e3, 1e6, 1e9 + 0.25]
+    traj = evolve(m, g, rho0, far)
+    assert np.max(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0)) <= 1e-14
+    for t in far:
+        assert verify_cptp(semigroup(g, t)).passed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    bath=st.sampled_from(
+        [Lorentzian(t2=2.0, tau_c=0.3), PhononCutoff(0.05, 1.0, beta=2.0)]
+    ),
+    periods=st.integers(0, 10**9),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_states_stay_valid_over_long_horizons(dim, seed, bath, periods, frac):
+    rng = np.random.default_rng(seed)
+    m, g = _random_generator(rng, dim, bath, rel_tol=1e-6)
+    t = (periods + frac) * m.period
+    times = np.unique([0.5 * t, t])
+    traj = evolve(m, g, rand_density(rng, dim), times, emit_left_limits=True)
+    for states in (traj.states, traj.left_states):
+        trace = np.trace(states, axis1=1, axis2=2)
+        assert np.max(np.abs(trace - 1.0)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(states)) >= -1e-12
+    assert verify_cptp(semigroup(g, float(times[-1]))).passed
+
+
+def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
+    """Counted, not timed: one decompose, one state check on rho0, and no
+    matrix exponential or propagator call per sample time."""
+    counts = Counter()
+    watched = {
+        "expm_general": operators.expm_general,
+        "as_density": operators.as_density,
+        "decompose": floquet.decompose,
+        "propagator": floquet.propagator,
+        "propagator_left_limit": floquet.propagator_left_limit,
+    }
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [
+        mod for key, mod in sys.modules.items() if key.split(".")[0] == "floqlind"
+    ]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            for name, fn in watched.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted(name, fn))
+    m, g = longitudinal.model, longitudinal.generator
+    kicks = longitudinal.period * np.arange(1, 41)
+    times = np.unique(np.concatenate([np.linspace(0.0, 50.0, 1961), kicks]))
+    assert len(times) == 2000
+    traj = evolve(m, g, np.eye(2) / 2, times, frame="lab", omega_ext=4.4,
+                  emit_left_limits=True)
+    assert len(traj.states) == len(traj.left_states) == 2000
+    assert counts["expm_general"] == 0
+    assert counts["propagator"] == counts["propagator_left_limit"] == 0
+    assert counts["decompose"] == 1
+    assert counts["as_density"] <= 1
 
 
 # ------------------------------------------------------------ closed forms

@@ -10,6 +10,7 @@ from floqlind.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    as_densities,
     as_density,
     bloch_from_density,
     density_from_bloch,
@@ -185,3 +186,39 @@ def test_as_density_rejects_bad_trace_and_negativity():
         as_density(np.diag([1.5, -0.5]))
     with pytest.raises(InvalidStateError):
         as_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def test_as_densities_checks_each_matrix_like_as_density():
+    rng = np.random.default_rng(7)
+    for dim in (2, 3, 8):
+        stack = np.array([rand_density(rng, dim) for _ in range(6)])
+        stack += 1e-14j * np.array([rand_herm(rng, dim) for _ in range(6)])  # skew noise
+        checked = as_densities(stack)
+        for mat, one in zip(stack, checked):
+            np.testing.assert_array_equal(as_density(mat), one)
+    good = np.eye(2) / 2
+    cases = [
+        (np.diag([0.5, 0.6]), r"^density matrix has \|tr - 1\| = 1\.000e-01$"),
+        (np.diag([1.5, -0.5]), r"^density matrix has negative eigenvalue -5\.000e-01$"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), r"^density matrix is not Hermitian$"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(InvalidStateError, match=message):
+            as_density(bad)
+        with pytest.raises(InvalidStateError, match=message):
+            as_densities(np.array([good, bad, good]))
+    with pytest.raises(DimensionError):
+        as_densities(np.ones(4))
+    with pytest.raises(DimensionError):
+        as_density(np.stack([good, good]))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_densities(np.array([good, np.full((2, 2), np.nan)]))
+
+
+def test_bloch_from_density_maps_stacks_along_the_last_axis():
+    rng = np.random.default_rng(8)
+    stack = np.array([rand_density(rng, 2) for _ in range(5)])
+    expected = np.array([bloch_from_density(mat) for mat in stack])
+    np.testing.assert_array_equal(bloch_from_density(stack), expected)
+    with pytest.raises(DimensionError, match=r"got shape \(3, 3\)"):
+        bloch_from_density(np.eye(3)[None] / 3)
