@@ -67,7 +67,6 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PAULIS,
     bloch_from_density,
     density_from_bloch,
     require_hermitian,
@@ -103,7 +102,6 @@ __all__ = [
     "LindbladGenerator",
     "Lorentzian",
     "OutOfRangeError",
-    "PAULIS",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",

@@ -72,7 +72,8 @@ class PhononCutoff(SpectralDensity):
 
     gamma(0) = 0 exactly (the singularity is removable).  At beta = +inf
     the density is A omega^3 e^{-omega/cutoff} for omega > 0 and zero for
-    omega <= 0.
+    omega <= 0.  Where beta |omega| underflows to 0 it is the classical
+    limit A omega^2 e^{-|omega|/cutoff} / beta.
     """
 
     coupling: float
@@ -96,6 +97,8 @@ class PhononCutoff(SpectralDensity):
                 gamma = self.coupling * u**3 * np.exp(-u / self.cutoff)
                 gamma = gamma / -np.expm1(-self.beta * u)  # 1 at beta = inf
                 gamma = np.where(w < 0.0, np.exp(-self.beta * u) * gamma, gamma)
+                classical = self.beta * u == 0.0
+                gamma[classical] = self._classical(u[classical])
             return np.where(w == 0.0, 0.0, gamma)
         if omega == 0.0:
             return 0.0
@@ -106,6 +109,8 @@ class PhononCutoff(SpectralDensity):
         if omega < 0.0:  # absorption branch fixed by detailed balance
             u = -omega
             return math.exp(-self.beta * u) * self.evaluate(u)
+        if self.beta * omega == 0.0:
+            return float(self._classical(omega))
         # omega > 0, or NaN, which the formula propagates.
         return (
             self.coupling
@@ -113,6 +118,10 @@ class PhononCutoff(SpectralDensity):
             * math.exp(-omega / self.cutoff)
             / -math.expm1(-self.beta * omega)
         )
+
+    def _classical(self, u):
+        """A u^2 e^{-u/cutoff} / beta, ordered so that u^2 is never formed."""
+        return u / self.beta * u * self.coupling * np.exp(-u / self.cutoff)
 
     def _peak(self) -> float:
         """Location u > 0 of the maximum of gamma(u).

@@ -344,13 +344,9 @@ _SCENARIOS = {
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "%d" % int(value)
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    return "%.12e" % value
+    if isinstance(value, float):
+        return "%.12e" % value
+    return str(value)
 
 
 def _write_table(

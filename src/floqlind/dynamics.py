@@ -13,22 +13,24 @@ kicked-model unitary.  Three frames are exposed:
 ``evolve`` handles all sample times at once.  The semigroup comes from
 the generator's Bohr blocks (``lindblad.BohrBlocks``), exponentiated
 once per block for every time, which keeps the trace and Hermiticity
-exact at any horizon.  The kicked unitary is built for every (n, frac)
-split of the times in one batch, the lab carrier is a diagonal phase on
-all of them, and left limits are recomputed only at kick times (elsewhere
-they are copies of the state).  Every returned state passes one batched
-Hermiticity, trace and positivity check.
+exact at any horizon.  One ``floor_frac`` call splits all the times
+into (n, frac), the kicked unitary is built for every split in one
+batch, the lab carrier is a diagonal phase on all of them, and left
+limits are recomputed only at kick times (elsewhere they are copies of
+the state).  Every returned state passes one batched Hermiticity, trace
+and positivity check.
 
 The closed forms implement the exactly solvable magic-angle cases: pi
 kicks about x with either dephasing (sigma_z) coupling to a Lorentzian
 bath or transverse coupling to a zero-temperature phonon bath at
-resonance.  Both reduce to three motions: precession, an e^{-2 eta t}
-channel, and an e^{-eta t} channel whose sign flips with each kick.
+resonance.  Both reduce to one kicked motion, which ``echo.echo_signal``
+shares: precession by the echo phase, an e^{-2 eta t} channel along it,
+and an e^{-eta t} channel across it and along axis 3 whose sign flips
+with each kick.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -145,8 +147,7 @@ def evolve(
                           left_states=left_states)
 
     dec = decompose(m)
-    split = [floor_frac(t, m.period) for t in times.tolist()]
-    n, frac = np.array(split, dtype=float).reshape(-1, 2).T
+    n, frac = floor_frac(times, m.period)
     # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
     carrier = np.ones((len(times), 1, 1))
     if frame == "lab":
@@ -168,10 +169,22 @@ def evolve(
                       left_states=left_states)
 
 
-def _decay_split(eta: float, t: float, n: int) -> tuple[float, float]:
+def _echo_offset(period, frac):
+    """T ({t/T} - 1/2), the phase per unit detuning; zero at the echoes."""
+    return period * (frac - 0.5)
+
+
+def _kicked_motion(eta: float, t: float, n, cos_phi: float, sin_phi: float, x0):
+    """Bloch vector at time t after n kicks.  x0's transverse part is taken
+    along and across the echo phase phi, given by (cos, sin) phi or their
+    ensemble averages: e^{-2 eta t} along, (-1)^n e^{-eta t} across and x3."""
     slow = (-1.0) ** n * math.exp(-eta * t)
     fast = math.exp(-2.0 * eta * t)
-    return slow, fast
+    return (
+        fast * cos_phi * x0[0] - slow * sin_phi * x0[1],
+        fast * sin_phi * x0[0] + slow * cos_phi * x0[1],
+        slow * x0[2],
+    )
 
 
 def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -184,21 +197,16 @@ def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray
     """
     if t < 0.0:
         raise DomainError(f"closed form defined for t >= 0, got {t}")
-    x0 = bloch_from_density(as_density(rho0))
+    x = bloch_from_density(as_density(rho0))
     n, frac = floor_frac(t, p.period)
-    slow, fast = _decay_split(p.eta, t, n)
-
-    phase_now = p.omega_ext * t + p.delta * p.period * (frac - 0.5)
-    phase_start = -0.5 * p.delta * p.period
-    along = x0[0] * math.cos(phase_start) + x0[1] * math.sin(phase_start)
-    across = x0[0] * math.sin(phase_start) - x0[1] * math.cos(phase_start)
-
-    transverse = cmath.exp(1j * phase_now) * (fast * along - 1j * slow * across)
-    coherence = 0.5 * transverse  # rho[1, 0]
-    population = 0.5 * (1.0 + slow * x0[2])
+    phi = p.omega_ext * t + p.delta * _echo_offset(p.period, frac)
+    start = p.delta * _echo_offset(p.period, 0.0)  # the echo phase at t = 0
+    cos_0, sin_0 = math.cos(start), math.sin(start)
+    x0 = (cos_0 * x[0] + sin_0 * x[1], cos_0 * x[1] - sin_0 * x[0], x[2])
+    x1, x2, x3 = _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)
+    coherence = 0.5 * (x1 + 1j * x2)  # rho[1, 0]
     return np.array(
-        [[population, np.conj(coherence)], [coherence, 1.0 - population]],
-        dtype=complex,
+        [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]]
     )
 
 
@@ -206,26 +214,11 @@ def closed_form_perp(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray:
     """Exact lab-frame state for the transverse-coupled kicked TLS.
 
     Valid on resonance only (delta = 0, zero temperature): off resonance
-    the generator no longer closes in this simple form.
+    the generator no longer closes in this simple form.  On resonance the
+    motion is that of ``closed_form_parallel``, with this coupling's eta.
     """
     if p.delta != 0.0:
         raise UnsupportedRegimeError(
             f"transverse closed form holds only at delta = 0, got {p.delta}"
         )
-    if t < 0.0:
-        raise DomainError(f"closed form defined for t >= 0, got {t}")
-    x0 = bloch_from_density(as_density(rho0))
-    n, _ = floor_frac(t, p.period)
-    slow, fast = _decay_split(p.eta, t, n)
-
-    x1_int = fast * x0[0]
-    x2_int = slow * x0[1]
-    cos_t, sin_t = math.cos(p.omega0 * t), math.sin(p.omega0 * t)
-    x1 = cos_t * x1_int - sin_t * x2_int
-    x2 = sin_t * x1_int + cos_t * x2_int
-    x3 = slow * x0[2]
-    coherence = 0.5 * (x1 + 1j * x2)
-    return np.array(
-        [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]],
-        dtype=complex,
-    )
+    return closed_form_parallel(p, rho0, t)

@@ -7,7 +7,9 @@ detuning independent, so ensemble averaging touches the phase alone and
 reduces to the detuning distribution's characteristic function evaluated
 at u = T ({t/T} - 1/2).  At half-integer multiples of the period u = 0:
 every spin rephases and the single-spin transverse magnitude returns --
-the echo.
+the echo.  ``echo_signal`` splits all its times with one ``floor_frac``
+call; its per-point arithmetic stays scalar, because numpy's exp differs
+from math.exp in the last bit and the printed cells must not move.
 
 ``extract_tau_c`` inverts the kicked dephasing rate: measuring the decay
 rate at one slow and one fast kicking period determines both the bare
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .dynamics import TLSParams, _decay_split
+from .dynamics import TLSParams, _echo_offset, _kicked_motion
 from .errors import DomainError, InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
@@ -110,7 +112,10 @@ def averaged_phase(
     if t < 0.0:
         raise DomainError(f"echo phase defined for t >= 0, got {t}")
     _, frac = floor_frac(t, p.period)
-    u = p.period * (frac - 0.5)
+    return _mean_phase(e, p, t, float(_echo_offset(p.period, frac)))
+
+
+def _mean_phase(e: DetuningEnsemble, p: TLSParams, t: float, u: float):
     mean = np.exp(1j * p.omega_ext * t) * e.characteristic_function(u)
     return float(mean.real), float(mean.imag)
 
@@ -135,24 +140,21 @@ def echo_signal(
         <x1> = e^{-2 eta t} <cos phi> x1(0) - (-1)^n e^{-eta t} <sin phi> x2(0)
         <x2> = e^{-2 eta t} <sin phi> x1(0) + (-1)^n e^{-eta t} <cos phi> x2(0)
 
-    Defined for times t >= 0 only: ``averaged_phase`` raises DomainError
-    for an earlier time, where the decay factors would grow.
+    Defined for times t >= 0 only: an earlier time, where the decay
+    factors would grow, raises DomainError.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = (*np.asarray(x0, dtype=float)[:2].tolist(), 0.0)  # x3 is not echoed
     times = np.asarray(times, dtype=float)
-    avg_cos = np.empty(len(times))
-    avg_sin = np.empty(len(times))
-    transverse = np.empty((len(times), 2))
-    for i, t in enumerate(times):
-        cos_phi, sin_phi = averaged_phase(e, p, float(t))
-        n, _ = floor_frac(float(t), p.period)
-        slow, fast = _decay_split(p.eta, t, n)
-        avg_cos[i] = cos_phi
-        avg_sin[i] = sin_phi
-        transverse[i, 0] = fast * cos_phi * x0[0] - slow * sin_phi * x0[1]
-        transverse[i, 1] = fast * sin_phi * x0[0] + slow * cos_phi * x0[1]
+    if np.any(times < 0.0):
+        raise DomainError(f"echo phase defined for t >= 0, got {np.min(times)}")
+    n, frac = floor_frac(times, p.period)
+    points = zip(times.tolist(), n.tolist(), _echo_offset(p.period, frac).tolist())
+    rows = np.empty((len(times), 4))  # <cos phi>, <sin phi>, <x1>, <x2>
+    for i, (t, kicks, u) in enumerate(points):
+        rows[i, :2] = phase = _mean_phase(e, p, t, u)
+        rows[i, 2:] = _kicked_motion(p.eta, t, kicks, *phase, x0)[:2]
     return EchoSignal(
-        times=times, avg_cos=avg_cos, avg_sin=avg_sin, transverse=transverse
+        times=times, avg_cos=rows[:, 0], avg_sin=rows[:, 1], transverse=rows[:, 2:]
     )
 
 

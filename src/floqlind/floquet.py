@@ -33,26 +33,28 @@ _PERIOD_SNAP = 1e-9
 _CHUNK_ELEMENTS = 1 << 12  # Fourier integrals per chunk of harmonics
 
 
-def floor_frac(t: float, period: float) -> tuple[int, float]:
+def floor_frac(t, period: float) -> tuple[np.ndarray, np.ndarray]:
     """Split t into (n, frac) with t = (n + frac) * period, 0 <= frac < 1.
 
-    Times meant to be exact multiples of the period land on the "just
-    after the kick" branch (n, 0.0): values of t/period within 1e-9 below
-    an integer snap up to it, and so does anything within two ulps of
-    t/period on either side, the rounding t/period itself carries at long
-    horizons.  Raises DomainError when t/period is not finite.
+    Elementwise for an array t; n and frac are floats.  Times meant to be
+    exact multiples of the period land on the "just after the kick" branch
+    (n, 0.0): values of t/period within 1e-9 below an integer snap up to
+    it, and so does anything within two ulps of t/period on either side,
+    the rounding t/period itself carries at long horizons.  Raises
+    DomainError when any t/period is not finite.
     """
-    raw = t / period
-    if not math.isfinite(raw):
-        raise DomainError(f"time must be finite, got t/period = {raw}")
-    n = math.floor(raw)
+    with np.errstate(over="ignore"):  # an inf ratio raises below; an inf ulp snaps
+        raw = np.asarray(t, dtype=float) / period
+        fuzz = 2.0 * np.spacing(np.abs(raw))
+    bad = raw[~np.isfinite(raw)]
+    if bad.size:
+        raise DomainError(f"time must be finite, got t/period = {bad[0]}")
+    n = np.floor(raw)
     frac = raw - n
-    fuzz = 2.0 * math.ulp(raw)
-    if frac > 1.0 - max(_PERIOD_SNAP, fuzz):
-        return n + 1, 0.0
-    if frac <= fuzz:
-        return n, 0.0
-    return n, frac
+    up = frac > 1.0 - np.maximum(_PERIOD_SNAP, fuzz)
+    n = np.where(up, n + 1.0, n)
+    frac = np.where(up | (frac <= fuzz), 0.0, frac)
+    return n[()], frac[()]
 
 
 @dataclass(frozen=True)

@@ -168,23 +168,15 @@ class LindbladGenerator:
     ``basis`` records the Floquet basis used during assembly;
     ``floquet_superop()`` transforms to that frame, where the
     population/coherence block structure is visible.  ``blocks`` is the
-    semigroup by Bohr block (see ``BohrBlocks``); ``build_generator``
-    records the frequency clusters, and a generator made without them is
-    treated as one zero-frequency block.
+    semigroup by Bohr block (see ``BohrBlocks``), split along the
+    frequency clusters that ``build_generator`` records.
     """
 
     dim: int
     superop: np.ndarray
     truncation: TruncationInfo
     basis: np.ndarray
-    blocks: BohrBlocks | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.blocks is None:
-            one_cluster = np.zeros((self.dim, self.dim), dtype=int)
-            object.__setattr__(
-                self, "blocks", _bohr_blocks(self.floquet_superop(), one_cluster)
-            )
+    blocks: BohrBlocks = field(repr=False, compare=False)
 
     @cached_property
     def floquet_change(self) -> np.ndarray:

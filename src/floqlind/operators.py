@@ -23,7 +23,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def _as_square_matrix(op: np.ndarray, stack: bool = False) -> np.ndarray:

@@ -7,6 +7,7 @@ Two assembled generators are session fixtures because building them at
 tight tolerance is the most expensive setup step.
 """
 
+import cmath
 import math
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ import pytest
 
 from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
+from floqlind.errors import DomainError
 from floqlind.floquet import (
     KickedModel,
     decompose,
@@ -32,6 +34,7 @@ from floqlind.operators import (
     PAULI_Y,
     PAULI_Z,
     as_density,
+    bloch_from_density,
     dissipator_superop,
     expm_general,
     unvec,
@@ -201,6 +204,82 @@ def reference_evolve(m, g, rho0, times, frame="rotating", omega_ext=None,
             u = carrier * propagator_left_limit(dec, t)
             left_states.append(as_density(u @ interaction @ u.conj().T))
     return np.array(states), np.array(left_states) if emit_left_limits else None
+
+
+def reference_floor_frac(t, period):
+    """Scalar reference for ``floquet.floor_frac``: (int n, float frac)."""
+    raw = t / period
+    if not math.isfinite(raw):
+        raise DomainError(f"time must be finite, got t/period = {raw}")
+    n = math.floor(raw)
+    frac = raw - n
+    fuzz = 2.0 * math.ulp(raw)
+    if frac > 1.0 - max(1e-9, fuzz):
+        return n + 1, 0.0
+    if frac <= fuzz:
+        return n, 0.0
+    return n, frac
+
+
+def _reference_decay(eta, t, n):
+    """(slow, fast) = ((-1)^n e^{-eta t}, e^{-2 eta t})."""
+    return (-1.0) ** n * math.exp(-eta * t), math.exp(-2.0 * eta * t)
+
+
+def reference_closed_form_parallel(p, rho0, t):
+    """Reference for ``dynamics.closed_form_parallel``, through cmath."""
+    x0 = bloch_from_density(as_density(rho0))
+    n, frac = reference_floor_frac(t, p.period)
+    slow, fast = _reference_decay(p.eta, t, n)
+    phase_now = p.omega_ext * t + p.delta * p.period * (frac - 0.5)
+    phase_start = -0.5 * p.delta * p.period
+    along = x0[0] * math.cos(phase_start) + x0[1] * math.sin(phase_start)
+    across = x0[0] * math.sin(phase_start) - x0[1] * math.cos(phase_start)
+    coherence = 0.5 * cmath.exp(1j * phase_now) * (fast * along - 1j * slow * across)
+    population = 0.5 * (1.0 + slow * x0[2])
+    return np.array(
+        [[population, np.conj(coherence)], [coherence, 1.0 - population]],
+        dtype=complex,
+    )
+
+
+def reference_closed_form_perp(p, rho0, t):
+    """Reference for ``dynamics.closed_form_perp`` (delta = 0)."""
+    x0 = bloch_from_density(as_density(rho0))
+    n, _ = reference_floor_frac(t, p.period)
+    slow, fast = _reference_decay(p.eta, t, n)
+    x1_int, x2_int = fast * x0[0], slow * x0[1]
+    cos_t, sin_t = math.cos(p.omega0 * t), math.sin(p.omega0 * t)
+    x1 = cos_t * x1_int - sin_t * x2_int
+    x2 = sin_t * x1_int + cos_t * x2_int
+    x3 = slow * x0[2]
+    coherence = 0.5 * (x1 + 1j * x2)
+    return np.array(
+        [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]],
+        dtype=complex,
+    )
+
+
+def reference_echo_signal(e, p, x0, times):
+    """Per-point reference for ``echo.echo_signal``: (avg_cos, avg_sin,
+    transverse), each time split twice, with the same scalar arithmetic."""
+    x0 = np.asarray(x0, dtype=float)
+    rows = []
+    for t in np.asarray(times, dtype=float):
+        _, frac = reference_floor_frac(float(t), p.period)
+        u = p.period * (frac - 0.5)
+        mean = np.exp(1j * p.omega_ext * float(t)) * e.characteristic_function(u)
+        cos_phi, sin_phi = float(mean.real), float(mean.imag)
+        n, _ = reference_floor_frac(float(t), p.period)
+        slow, fast = _reference_decay(p.eta, t, n)
+        rows.append((
+            cos_phi,
+            sin_phi,
+            fast * cos_phi * x0[0] - slow * sin_phi * x0[1],
+            fast * sin_phi * x0[0] + slow * cos_phi * x0[1],
+        ))
+    rows = np.array(rows).reshape(-1, 4)
+    return rows[:, 0], rows[:, 1], rows[:, 2:]
 
 
 def degenerate_model(rng):

@@ -180,6 +180,23 @@ def test_phonon_tail_bound_holds_at_every_cutoff_scale(cutoff):
         assert math.isfinite(PhononCutoff(1.0, cutoff, beta=beta).tail_supremum(0.0))
 
 
+def test_phonon_density_takes_its_classical_limit_where_beta_omega_underflows():
+    """Where beta omega rounds to 0 the density is A omega^2 e^{-omega/cutoff}
+    / beta; scalar and array evaluation used to divide by zero there."""
+    hot = PhononCutoff(1.0, 1.0, beta=1e-300)
+    want = 1e240  # at omega = 1e-30, where e^{-omega/cutoff} rounds to 1
+    for omega in (1e-30, -1e-30):
+        assert hot.evaluate(omega) == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(
+        hot.evaluate(np.array([1e-30, -1e-30])), want, rtol=1e-12
+    )
+    # The peak sits at u = 2 cutoff, where u^2 itself underflows.
+    tiny = PhononCutoff(1.0, 1e-300, beta=1e-300)
+    peak = 4e-300 * math.exp(-2.0)
+    assert tiny.tail_supremum(0.0) == pytest.approx(peak, rel=1e-12)
+    np.testing.assert_allclose(tiny.evaluate(np.array([2e-300])), peak, rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "density",
     [

@@ -13,6 +13,8 @@ from conftest import (
     magic_model,
     rand_density,
     rand_herm,
+    reference_closed_form_parallel,
+    reference_closed_form_perp,
     reference_evolve,
     t1_time,
     t2_prime,
@@ -20,7 +22,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqlind import floquet, operators
+from floqlind import dynamics, floquet, operators
 
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import (
@@ -39,8 +41,6 @@ from floqlind.errors import (
 from floqlind.floquet import KickedModel, harmonic_decomposition, propagator
 from floqlind.lindblad import (
     BohrBlocks,
-    LindbladGenerator,
-    TruncationInfo,
     build_generator,
     rate_parallel_closed,
     semigroup,
@@ -106,12 +106,8 @@ def test_lab_frame_needs_a_two_level_system():
     h0 = (a + a.T) / 2
     m = KickedModel(h0=h0.astype(complex), kick=np.eye(3, dtype=complex),
                     strength=0.3, period=1.0)
-    g = LindbladGenerator(
-        dim=3,
-        superop=np.zeros((9, 9), dtype=complex),
-        truncation=TruncationInfo(q_max_used=1, tail_bound=0.0),
-        basis=np.eye(3, dtype=complex),
-    )
+    h = harmonic_decomposition(m, [np.zeros((3, 3))], q_max=1)
+    g = build_generator(h, (Lorentzian(t2=1.0, tau_c=1.0),))
     with pytest.raises(UnsupportedFrameError):
         evolve(m, g, np.eye(3) / 3, [0.0, 1.0], frame="lab", omega_ext=1.0)
 
@@ -421,6 +417,24 @@ def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
     assert counts["as_density"] <= 1
 
 
+def test_evolve_splits_all_times_with_one_floor_frac_call(longitudinal, monkeypatch):
+    """Counted, not timed: a per-time split would make 2000 calls."""
+    calls = []
+
+    def counted(t, period):
+        calls.append(np.shape(t))
+        return floquet.floor_frac(t, period)
+
+    monkeypatch.setattr(dynamics, "floor_frac", counted)
+    m, g = longitudinal.model, longitudinal.generator
+    kicks = longitudinal.period * np.arange(1, 41)
+    times = np.unique(np.concatenate([np.linspace(0.0, 50.0, 1961), kicks]))
+    traj = evolve(m, g, np.eye(2) / 2, times, frame="lab", omega_ext=4.4,
+                  emit_left_limits=True)
+    assert len(traj.left_states) == len(times) == 2000
+    assert calls == [(2000,)]
+
+
 # ------------------------------------------------------------ closed forms
 
 
@@ -481,6 +495,31 @@ def test_closed_forms_coincide_on_resonance():
             closed_form_perp(p, rho0, t),
             atol=1e-13,
         )
+
+
+def test_closed_forms_match_their_scalar_references():
+    """The closed forms multiply in the echo's order, not in these
+    references', so states may differ by a few ulps, and by no more, at
+    kicks, echoes and in between."""
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        period, eta = rng.uniform(0.2, 1.2), rng.uniform(0.0, 0.5)
+        omega_ext, delta = rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0)
+        p = TLSParams(omega0=omega_ext + delta, omega_ext=omega_ext,
+                      period=period, eta=eta)
+        p0 = TLSParams(omega0=omega_ext, omega_ext=omega_ext, period=period, eta=eta)
+        rho0 = rand_density(rng, 2)
+        marks = period * np.arange(0.0, 12.0, 0.5)
+        for t in np.concatenate([marks, rng.uniform(0.0, 12.0 * period, 12)]):
+            t = float(t)
+            np.testing.assert_allclose(
+                closed_form_parallel(p, rho0, t),
+                reference_closed_form_parallel(p, rho0, t), rtol=0.0, atol=1e-14,
+            )
+            np.testing.assert_allclose(
+                closed_form_perp(p0, rho0, t),
+                reference_closed_form_perp(p0, rho0, t), rtol=0.0, atol=1e-14,
+            )
 
 
 # ------------------------------------------------------- relaxation times

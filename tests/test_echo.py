@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_echo_signal
 
+from floqlind import echo
 from floqlind.dynamics import TLSParams, closed_form_parallel
 from floqlind.echo import (
     DiscreteDetuning,
@@ -16,6 +18,7 @@ from floqlind.echo import (
     read_rate_measurements,
 )
 from floqlind.errors import DomainError, InconsistentDataError, OutOfRangeError
+from floqlind.floquet import floor_frac
 from floqlind.lindblad import rate_parallel_closed
 from floqlind.operators import bloch_from_density, density_from_bloch
 
@@ -206,6 +209,48 @@ def test_echo_signal_records_the_averaged_phases():
             averaged_phase(e, p, bad)
         with pytest.raises(DomainError):
             echo_signal(e, p, (1.0, 0.0), [0.0, bad])
+
+
+@pytest.mark.parametrize("ensemble", THREE_KINDS)
+def test_echo_signal_equals_the_per_point_reference(ensemble):
+    rng = np.random.default_rng(8)
+    for p in (_params(), _params(eta=0.3, period=0.7, omega_ext=-2.9)):
+        marks = p.period * np.arange(0.0, 30.5, 0.5)  # t = 0, kicks and echoes
+        times = np.unique(np.concatenate([marks, rng.uniform(0.0, 21.0, 400)]))
+        x0 = rng.uniform(-0.7, 0.7, 2)
+        signal = echo_signal(ensemble, p, x0, times)
+        avg_cos, avg_sin, transverse = reference_echo_signal(ensemble, p, x0, times)
+        assert np.array_equal(signal.times, times)
+        assert np.array_equal(signal.avg_cos, avg_cos)
+        assert np.array_equal(signal.avg_sin, avg_sin)
+        assert np.array_equal(signal.transverse, transverse)
+
+
+def test_echo_signal_rejects_a_negative_time_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        GaussianDetuning, "characteristic_function", lambda self, u: calls.append(u)
+    )
+    with pytest.raises(DomainError):
+        echo_signal(GaussianDetuning(sigma=1.0), _params(), (1.0, 0.0),
+                    [0.0, 0.5, 1.0, -1e-300])
+    assert calls == []
+
+
+@pytest.mark.parametrize("ensemble", THREE_KINDS)
+def test_echo_signal_splits_all_times_with_one_floor_frac_call(ensemble, monkeypatch):
+    """Counted, not timed: a per-time split would make 40 000 calls or more."""
+    calls = []
+
+    def counted(t, period):
+        calls.append(np.shape(t))
+        return floor_frac(t, period)
+
+    monkeypatch.setattr(echo, "floor_frac", counted)
+    times = np.linspace(0.0, 40.0 * 1.3, 40_000)
+    signal = echo_signal(ensemble, _params(), (0.6, 0.8), times)
+    assert len(signal.transverse) == 40_000
+    assert calls == [(40_000,)]
 
 
 # ------------------------------------------------------------- extraction

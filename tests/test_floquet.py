@@ -1,6 +1,8 @@
 """Floquet analysis tests: stroboscopic algebra, gauge, harmonics."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     parseval_weight,
     rand_herm,
     reconstruct_heisenberg,
+    reference_floor_frac,
 )
 
 from floqlind import oracle
@@ -63,6 +66,54 @@ def test_floor_frac_finds_kicks_a_billion_periods_out():
     t = (10**9 + 1) * 1.3
     jump = propagator_left_limit(dec, t) - propagator(dec, t)
     assert np.max(np.abs(jump)) > 1e-3
+
+
+def _floor_frac_inputs():
+    """(times, period) pairs: kicks, times just below kicks and random
+    fractions from 1 to 10^12 periods, for periods from 1e-3 to 17."""
+    rng = np.random.default_rng(11)
+    counts = np.unique(np.concatenate([
+        np.arange(0, 200), np.floor(np.geomspace(1.0, 1e12, 400)),
+        np.floor(rng.uniform(0.0, 1e12, 100)),
+    ]))
+    for period in (1e-3, 0.1, 1.3, 2.0 / 3.0, 17.0):
+        kicks = counts * period
+        offsets = rng.uniform(0.0, 1.0, (len(counts), 16))
+        fractions = (counts[:, None] + offsets) * period
+        times = np.concatenate([
+            kicks, np.nextafter(kicks, 0.0), kicks * (1.0 - 1e-15),
+            kicks - 0.5e-9 * period, kicks - 2e-9 * period, fractions.ravel(),
+        ])
+        yield times[times >= 0.0], period
+    edges = [0.0, 5e-324, 2.0**52, 2.0**53, sys.float_info.max]
+    yield np.array(edges), 1.0
+
+
+def test_floor_frac_splits_arrays_like_the_scalar_reference():
+    checked = 0
+    for times, period in _floor_frac_inputs():
+        n, frac = floor_frac(times, period)
+        expected = [reference_floor_frac(t, period) for t in times.tolist()]
+        want_n, want_frac = np.array(expected, dtype=float).T
+        assert np.array_equal(n, want_n) and np.array_equal(frac, want_frac)
+        for i in range(0, len(times), 97):  # scalar calls give the same pair
+            pair = floor_frac(times[i], period)
+            assert all(isinstance(x, np.float64) for x in pair)
+            assert pair == (want_n[i], want_frac[i])
+        checked += len(times)
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_floor_frac_rejects_any_non_finite_time_without_a_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in (bad, [0.0, 1.0, bad], [[bad, 2.0]]):
+            with pytest.raises(DomainError):
+                floor_frac(times, 1.3)
+        with pytest.raises(DomainError):  # t / period overflows to inf
+            floor_frac([1.0, 1e300], 1e-10)
+        assert floor_frac(sys.float_info.max, 1.0) == (sys.float_info.max, 0.0)
 
 
 # ---------------------------------------------------------- one period map

@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 from conftest import analytic_floquet_pair, component, magic_model, rand_herm
 
+from floqlind.bath import Lorentzian
 from floqlind.errors import StabilityError
-from floqlind.floquet import KickedModel, decompose, floquet_operator, propagator
+from floqlind.floquet import (
+    KickedModel,
+    decompose,
+    floquet_operator,
+    harmonic_decomposition,
+    propagator,
+)
 from floqlind.lindblad import (
     LindbladGenerator,
-    TruncationInfo,
+    build_generator,
     rate_parallel_closed,
     semigroup,
 )
@@ -136,13 +143,9 @@ def test_quadrature_second_order_convergence(dim):
 # ------------------------------------------------------------- RK4 integrator
 
 
-def _zero_generator(dim: int = 2) -> LindbladGenerator:
-    return LindbladGenerator(
-        dim=dim,
-        superop=np.zeros((dim * dim, dim * dim), dtype=complex),
-        truncation=TruncationInfo(q_max_used=1, tail_bound=0.0),
-        basis=np.eye(dim, dtype=complex),
-    )
+def _zero_generator() -> LindbladGenerator:
+    h = harmonic_decomposition(magic_model(), [np.zeros((2, 2))], q_max=1)
+    return build_generator(h, (Lorentzian(t2=1.0, tau_c=1.0),))
 
 
 def test_integrator_validation():
