@@ -23,10 +23,16 @@ below its positive one at every temperature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+
+
+# Smallest normal double.  Below it 1 - e^{-x} = x(1 - x/2 + ...) is x to
+# within rounding, while expm1 on a subnormal x keeps only a few bits.
+_TINY = sys.float_info.min
 
 
 class SpectralDensity:
@@ -72,8 +78,10 @@ class PhononCutoff(SpectralDensity):
 
     gamma(0) = 0 exactly (the singularity is removable).  At beta = +inf
     the density is A omega^3 e^{-omega/cutoff} for omega > 0 and zero for
-    omega <= 0.  Where beta |omega| underflows to 0 it is the classical
-    limit A omega^2 e^{-|omega|/cutoff} / beta.
+    omega <= 0.  Where beta |omega| is below the smallest normal double
+    (subnormal or 0, where 1 - e^{-beta omega} keeps too few bits) it is
+    the classical limit A omega^2 e^{-|omega|/cutoff} / beta, whose
+    relative error there is below 1e-308.
     """
 
     coupling: float
@@ -97,7 +105,7 @@ class PhononCutoff(SpectralDensity):
                 gamma = self.coupling * u**3 * np.exp(-u / self.cutoff)
                 gamma = gamma / -np.expm1(-self.beta * u)  # 1 at beta = inf
                 gamma = np.where(w < 0.0, np.exp(-self.beta * u) * gamma, gamma)
-                classical = self.beta * u == 0.0
+                classical = self.beta * u < _TINY
                 gamma[classical] = self._classical(u[classical])
             return np.where(w == 0.0, 0.0, gamma)
         if omega == 0.0:
@@ -109,7 +117,7 @@ class PhononCutoff(SpectralDensity):
         if omega < 0.0:  # absorption branch fixed by detailed balance
             u = -omega
             return math.exp(-self.beta * u) * self.evaluate(u)
-        if self.beta * omega == 0.0:
+        if self.beta * omega < _TINY:
             return float(self._classical(omega))
         # omega > 0, or NaN, which the formula propagates.
         return (

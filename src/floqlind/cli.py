@@ -185,22 +185,22 @@ def _rates_parallel(config: _Reader, seed: int, base: Path):
     t2 = config.float("model", "t2")
     tau_c = config.float("model", "tau_c")
     density = Lorentzian(t2=t2, tau_c=tau_c)
-    rows = []
-    for omega in _sweep_grid(config, "omega"):
-        period = 2.0 * math.pi / omega
-        eta = rate_parallel_closed(period, t2, tau_c).eta
-        rows.append((omega, period, eta, density.evaluate(omega)))
-    return rows
+    omegas = _sweep_grid(config, "omega")
+    periods = 2.0 * math.pi / omegas
+    etas = [rate_parallel_closed(period, t2, tau_c).eta for period in periods]
+    return omegas, periods, etas, [density.evaluate(omega) for omega in omegas]
 
 
 def _rates_perp(config: _Reader, seed: int, base: Path):
     coupling = config.float("model", "coupling")
     cutoff = config.float("model", "cutoff")
     density = PhononCutoff(coupling=coupling, cutoff=cutoff)
-    return [
-        (omega, rate_perp_closed(omega, coupling, cutoff).eta, density.evaluate(omega))
-        for omega in _sweep_grid(config, "omega")
-    ]
+    omegas = _sweep_grid(config, "omega")
+    return (
+        omegas,
+        [rate_perp_closed(omega, coupling, cutoff).eta for omega in omegas],
+        [density.evaluate(omega) for omega in omegas],
+    )
 
 
 def _longitudinal_model(config: _Reader):
@@ -249,7 +249,7 @@ def _trajectory(config: _Reader, seed: int, base: Path):
     times = _sweep_grid(config, "time")
     lab = omega_ext if frame == "lab" else None
     states = evolve(model, generator, rho0, times, frame=frame, omega_ext=lab)
-    return list(zip(times, *states.bloch().T))
+    return (times, *states.bloch().T)
 
 
 def _ensemble(config: _Reader):
@@ -285,7 +285,7 @@ def _echo(config: _Reader, seed: int, base: Path):
     )
     times = _sweep_grid(config, "time")
     signal = echo_signal(ensemble, params, x0, times)
-    return list(zip(times, signal.avg_cos, signal.avg_sin, *signal.transverse.T))
+    return (times, signal.avg_cos, signal.avg_sin, *signal.transverse.T)
 
 
 def _generator_audit(config: _Reader, seed: int, base: Path):
@@ -300,7 +300,7 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
         report = verify_cptp(semigroup(generator, t))
         trace_defect = max(trace_defect, report.trace_defect)
         choi_min = min(choi_min, report.choi_min_eig)
-    return [
+    rows = [
         ("eta_closed", eta_closed),
         ("eta_generator", eta_generator),
         ("rel_residual", rel_residual),
@@ -308,6 +308,11 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
         ("q_max_used", generator.truncation.q_max_used),
         ("trace_defect_max", trace_defect),
         ("choi_min_eig_min", choi_min),
+    ]
+    # The one mixed column: the integer q_max_used prints as it is.
+    return [name for name, _ in rows], [
+        "%.12e" % value if isinstance(value, float) else str(value)
+        for _, value in rows
     ]
 
 
@@ -327,40 +332,47 @@ def _extract_tauc(config: _Reader, seed: int, base: Path):
     result = extract_tau_c(
         eta_slow=slow[1], eta_fast=fast[1], t_fast=fast[0]
     )
-    return [
-        (result.t2, result.tau_c, result.residual, int(result.degenerate))
-    ]
+    return [result.t2], [result.tau_c], [result.residual], [int(result.degenerate)]
 
 
-# scenario -> (columns, rows from (reader, seed, config directory))
+def _floats(count: int) -> str:
+    """Row format of ``count`` float cells, each printed with %.12e."""
+    return "\t".join(["%.12e"] * count)
+
+
+# scenario -> (column names, row format, columns from (reader, seed,
+# config directory))
 _SCENARIOS = {
-    "rates-parallel": (("omega", "period", "eta_parallel", "gamma"), _rates_parallel),
-    "rates-perp": (("omega", "eta_perp", "gamma"), _rates_perp),
-    "trajectory": (("time", "x1", "x2", "x3"), _trajectory),
-    "echo": (("time", "avg_cos", "avg_sin", "x1", "x2"), _echo),
-    "generator-audit": (("quantity", "value"), _generator_audit),
-    "extract-tauc": (("t2", "tau_c", "residual", "degenerate"), _extract_tauc),
+    "rates-parallel": (
+        ("omega", "period", "eta_parallel", "gamma"), _floats(4), _rates_parallel
+    ),
+    "rates-perp": (("omega", "eta_perp", "gamma"), _floats(3), _rates_perp),
+    "trajectory": (("time", "x1", "x2", "x3"), _floats(4), _trajectory),
+    "echo": (("time", "avg_cos", "avg_sin", "x1", "x2"), _floats(5), _echo),
+    "generator-audit": (("quantity", "value"), "%s\t%s", _generator_audit),
+    "extract-tauc": (
+        ("t2", "tau_c", "residual", "degenerate"), _floats(3) + "\t%d", _extract_tauc
+    ),
 }
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return "%.12e" % value
-    return str(value)
-
-
 def _write_table(
-    path: Path, scenario: str, columns, rows, resolved: dict[str, str]
+    path: Path, scenario: str, names, row_format: str, columns,
+    resolved: dict[str, str],
 ) -> None:
+    """Header, then one line per row: the row format applied to the cells
+    of the columns, one ``%`` per row."""
     lines = [
         f"# schema_version = {SCHEMA_VERSION}",
         f"# scenario = {scenario}",
     ]
     for key in sorted(resolved):
         lines.append(f"# config {key} = {resolved[key]}")
-    lines.append("# columns: " + " ".join(columns))
-    for row in rows:
-        lines.append("\t".join(_format_cell(cell) for cell in row))
+    lines.append("# columns: " + " ".join(names))
+    lines += [
+        row_format % row
+        for row in zip(*[np.asarray(column).tolist() for column in columns])
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -382,7 +394,7 @@ def run(config_path: Path) -> Path:
             f"unknown scenario {scenario!r}; expected one of "
             + ", ".join(_SCENARIOS)
         )
-    columns, scenario_rows = _SCENARIOS[scenario]
+    names, row_format, scenario_columns = _SCENARIOS[scenario]
     output = config.text("run", "output")
     seed = config.int("run", "seed", 0)
     base = config_path.resolve().parent
@@ -390,9 +402,9 @@ def run(config_path: Path) -> Path:
     if not out_path.is_absolute():
         out_path = base / out_path
 
-    rows = scenario_rows(config, seed, base)
+    columns = scenario_columns(config, seed, base)
     config.reject_unread()
-    _write_table(out_path, scenario, columns, rows, config.resolved)
+    _write_table(out_path, scenario, names, row_format, columns, config.resolved)
     return out_path
 
 

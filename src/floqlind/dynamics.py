@@ -174,12 +174,21 @@ def _echo_offset(period, frac):
     return period * (frac - 0.5)
 
 
-def _kicked_motion(eta: float, t: float, n, cos_phi: float, sin_phi: float, x0):
-    """Bloch vector at time t after n kicks.  x0's transverse part is taken
-    along and across the echo phase phi, given by (cos, sin) phi or their
-    ensemble averages: e^{-2 eta t} along, (-1)^n e^{-eta t} across and x3."""
-    slow = (-1.0) ** n * math.exp(-eta * t)
-    fast = math.exp(-2.0 * eta * t)
+def _math_exp(x) -> np.ndarray:
+    """math.exp elementwise, for a scalar or an array.  numpy's exp differs
+    from it in the last bit, and the printed cells must not move."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(map(math.exp, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _kicked_motion(eta: float, t, n, cos_phi, sin_phi, x0):
+    """Bloch vector at times t after n kicks, elementwise over arrays.  x0's
+    transverse part is taken along and across the echo phase phi, given by
+    (cos, sin) phi or their ensemble averages: e^{-2 eta t} along,
+    (-1)^n e^{-eta t} across and x3."""
+    t = np.asarray(t)
+    slow = (1.0 - 2.0 * (np.asarray(n) % 2)) * _math_exp(-eta * t)
+    fast = _math_exp(-2.0 * eta * t)
     return (
         fast * cos_phi * x0[0] - slow * sin_phi * x0[1],
         fast * sin_phi * x0[0] + slow * cos_phi * x0[1],
@@ -203,7 +212,9 @@ def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray
     start = p.delta * _echo_offset(p.period, 0.0)  # the echo phase at t = 0
     cos_0, sin_0 = math.cos(start), math.sin(start)
     x0 = (cos_0 * x[0] + sin_0 * x[1], cos_0 * x[1] - sin_0 * x[0], x[2])
-    x1, x2, x3 = _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)
+    x1, x2, x3 = map(
+        float, _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)
+    )
     coherence = 0.5 * (x1 + 1j * x2)  # rho[1, 0]
     return np.array(
         [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]]

@@ -7,9 +7,14 @@ detuning independent, so ensemble averaging touches the phase alone and
 reduces to the detuning distribution's characteristic function evaluated
 at u = T ({t/T} - 1/2).  At half-integer multiples of the period u = 0:
 every spin rephases and the single-spin transverse magnitude returns --
-the echo.  ``echo_signal`` splits all its times with one ``floor_frac``
-call; its per-point arithmetic stays scalar, because numpy's exp differs
-from math.exp in the last bit and the printed cells must not move.
+the echo.  ``echo_signal`` has no per-time loop: one ``floor_frac`` call
+splits all its times, each characteristic function takes the whole array
+of offsets u, and the carrier e^{i omega_ext t} is one complex exp.  The
+printed cells must not move, so the arithmetic keeps the bits of the
+per-time formulas: real decay factors come from math.exp (numpy's exp
+differs from it in the last bit), and complex products are formed in
+real arithmetic (numpy's vectorised complex multiply rounds differently
+from its scalar one).
 
 ``extract_tau_c`` inverts the kicked dephasing rate: measuring the decay
 rate at one slow and one fast kicking period determines both the bare
@@ -40,8 +45,11 @@ class GaussianDetuning:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
-    def characteristic_function(self, u: float) -> complex:
-        return complex(math.exp(-0.5 * (self.sigma * u) ** 2))
+    def characteristic_function(self, u):
+        """e^{-(sigma u)^2 / 2}, each through math.exp."""
+        u = np.asarray(u, dtype=float)
+        values = [math.exp(-0.5 * (self.sigma * x) ** 2) for x in u.ravel().tolist()]
+        return _complex_like(u, values)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)
@@ -59,8 +67,10 @@ class UniformDetuning:
                 f"halfwidth must be nonnegative and finite, got {self.halfwidth}"
             )
 
-    def characteristic_function(self, u: float) -> complex:
-        return complex(np.sinc(self.halfwidth * u / math.pi))
+    def characteristic_function(self, u):
+        """sin(halfwidth u) / (halfwidth u)."""
+        u = np.asarray(u, dtype=float)
+        return _complex_like(u, np.sinc(self.halfwidth * u / math.pi))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size)
@@ -89,14 +99,34 @@ class DiscreteDetuning:
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "weights", weights)
 
-    def characteristic_function(self, u: float) -> complex:
-        return complex(np.sum(self.weights * np.exp(1j * self.deltas * u)))
+    def characteristic_function(self, u):
+        """sum_k w_k e^{i delta_k u}.  The (times, atoms) terms are formed one
+        block of times at a time, so memory stays bounded for many atoms;
+        each row sums along the atoms like the one-time sum."""
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1, 1)
+        phases = 1j * self.deltas
+        values = np.empty(len(flat), dtype=complex)
+        block = max(1, _BLOCK_TERMS // len(phases))
+        for start in range(0, len(flat), block):
+            terms = self.weights * np.exp(phases * flat[start : start + block])
+            values[start : start + block] = np.sum(terms, axis=-1)
+        return _complex_like(u, values)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.deltas, size=size, p=self.weights)
 
 
 DetuningEnsemble = GaussianDetuning | UniformDetuning | DiscreteDetuning
+
+# Complex terms a discrete ensemble forms at once: 512 KiB.
+_BLOCK_TERMS = 1 << 15
+
+
+def _complex_like(u: np.ndarray, values):
+    """Characteristic-function values shaped like u: a complex scalar for a
+    scalar u, a complex array otherwise."""
+    return np.asarray(values, dtype=complex).reshape(u.shape)[()]
 
 
 def averaged_phase(
@@ -111,13 +141,19 @@ def averaged_phase(
     """
     if t < 0.0:
         raise DomainError(f"echo phase defined for t >= 0, got {t}")
-    _, frac = floor_frac(t, p.period)
-    return _mean_phase(e, p, t, float(_echo_offset(p.period, frac)))
+    _, avg_cos, avg_sin = _ensemble_phase(e, p, np.array([t], dtype=float))
+    return float(avg_cos[0]), float(avg_sin[0])
 
 
-def _mean_phase(e: DetuningEnsemble, p: TLSParams, t: float, u: float):
-    mean = np.exp(1j * p.omega_ext * t) * e.characteristic_function(u)
-    return float(mean.real), float(mean.imag)
+def _ensemble_phase(e: DetuningEnsemble, p: TLSParams, times: np.ndarray):
+    """(n, <cos phi>, <sin phi>) at each time.  The product
+    e^{i omega_ext t} C(u) is formed in real arithmetic, (ac - bd, ad + bc),
+    which rounds like numpy's scalar complex product."""
+    n, frac = floor_frac(times, p.period)
+    c = e.characteristic_function(_echo_offset(p.period, frac))
+    carrier = np.exp(1j * p.omega_ext * times)
+    a, b = carrier.real, carrier.imag
+    return n, a * c.real - b * c.imag, a * c.imag + b * c.real
 
 
 @dataclass(frozen=True)
@@ -140,21 +176,23 @@ def echo_signal(
         <x1> = e^{-2 eta t} <cos phi> x1(0) - (-1)^n e^{-eta t} <sin phi> x2(0)
         <x2> = e^{-2 eta t} <sin phi> x1(0) + (-1)^n e^{-eta t} <cos phi> x2(0)
 
-    Defined for times t >= 0 only: an earlier time, where the decay
-    factors would grow, raises DomainError.
+    x0 holds finite (x1, x2) or (x1, x2, x3); x3 is not echoed and is
+    ignored.  Defined for times t >= 0 only: an earlier time, where the
+    decay factors would grow, raises DomainError.
     """
-    x0 = (*np.asarray(x0, dtype=float)[:2].tolist(), 0.0)  # x3 is not echoed
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((2,), (3,)) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be 2 or 3 finite Bloch components, got {x0}")
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
         raise DomainError(f"echo phase defined for t >= 0, got {np.min(times)}")
-    n, frac = floor_frac(times, p.period)
-    points = zip(times.tolist(), n.tolist(), _echo_offset(p.period, frac).tolist())
-    rows = np.empty((len(times), 4))  # <cos phi>, <sin phi>, <x1>, <x2>
-    for i, (t, kicks, u) in enumerate(points):
-        rows[i, :2] = phase = _mean_phase(e, p, t, u)
-        rows[i, 2:] = _kicked_motion(p.eta, t, kicks, *phase, x0)[:2]
+    n, avg_cos, avg_sin = _ensemble_phase(e, p, times)
+    x1, x2, _ = _kicked_motion(
+        p.eta, times, n, avg_cos, avg_sin, (*x0[:2].tolist(), 0.0)
+    )
     return EchoSignal(
-        times=times, avg_cos=rows[:, 0], avg_sin=rows[:, 1], transverse=rows[:, 2:]
+        times=times, avg_cos=avg_cos, avg_sin=avg_sin,
+        transverse=np.column_stack([x1, x2]),
     )
 
 

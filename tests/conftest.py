@@ -16,6 +16,7 @@ import pytest
 
 from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
+from floqlind.echo import GaussianDetuning, UniformDetuning
 from floqlind.errors import DomainError
 from floqlind.floquet import (
     KickedModel,
@@ -260,15 +261,25 @@ def reference_closed_form_perp(p, rho0, t):
     )
 
 
+def reference_characteristic_function(e, u):
+    """The ensemble's characteristic function at one float u, per point."""
+    if isinstance(e, GaussianDetuning):
+        return complex(math.exp(-0.5 * (e.sigma * u) ** 2))
+    if isinstance(e, UniformDetuning):
+        return complex(np.sinc(e.halfwidth * u / math.pi))
+    return complex(np.sum(e.weights * np.exp(1j * e.deltas * u)))
+
+
 def reference_echo_signal(e, p, x0, times):
     """Per-point reference for ``echo.echo_signal``: (avg_cos, avg_sin,
-    transverse), each time split twice, with the same scalar arithmetic."""
+    transverse), each time split twice, with scalar arithmetic only."""
     x0 = np.asarray(x0, dtype=float)
     rows = []
     for t in np.asarray(times, dtype=float):
         _, frac = reference_floor_frac(float(t), p.period)
         u = p.period * (frac - 0.5)
-        mean = np.exp(1j * p.omega_ext * float(t)) * e.characteristic_function(u)
+        carrier = np.exp(1j * p.omega_ext * float(t))
+        mean = carrier * reference_characteristic_function(e, u)
         cos_phi, sin_phi = float(mean.real), float(mean.imag)
         n, _ = reference_floor_frac(float(t), p.period)
         slow, fast = _reference_decay(p.eta, t, n)

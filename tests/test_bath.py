@@ -1,6 +1,7 @@
 """Spectral-density family tests: values, detailed balance, tail bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,57 @@ def test_phonon_density_takes_its_classical_limit_where_beta_omega_underflows():
     peak = 4e-300 * math.exp(-2.0)
     assert tiny.tail_supremum(0.0) == pytest.approx(peak, rel=1e-12)
     np.testing.assert_allclose(tiny.evaluate(np.array([2e-300])), peak, rtol=1e-12)
+
+
+def test_phonon_density_takes_its_classical_limit_where_beta_omega_is_subnormal():
+    """Where beta |omega| is subnormal, -expm1(-beta omega) keeps only a few
+    bits, and the density used to be up to 1.2% high (at omega = 1e-23)."""
+    coupling, cutoff, beta = 1.3, 0.7, 1e-300
+    hot = PhononCutoff(coupling, cutoff, beta=beta)
+    omegas = np.geomspace(1e-23, 1e-8, 61)
+    assert np.all(beta * omegas < sys.float_info.min)
+    want = np.array([coupling * w * w * math.exp(-w / cutoff) / beta for w in omegas])
+    for sign in (1.0, -1.0):
+        got = np.array([hot.evaluate(sign * w) for w in omegas.tolist()])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            hot.evaluate(sign * omegas), want, rtol=1e-15, atol=0.0
+        )
+
+
+def _series_phonon(density, omega):
+    """The exact formula, which every beta |omega| >= the smallest normal
+    double keeps, with detailed balance below zero."""
+    a, c, beta = density.coupling, density.cutoff, density.beta
+    u = abs(omega)
+    gamma = a * u**3 * math.exp(-u / c) / -math.expm1(-beta * u)
+    return math.exp(-beta * u) * gamma if omega < 0.0 else gamma
+
+
+def _series_phonon_array(density, omega):
+    a, c, beta = density.coupling, density.cutoff, density.beta
+    u = np.abs(omega)
+    gamma = a * u**3 * np.exp(-u / c) / -np.expm1(-beta * u)
+    return np.where(omega < 0.0, np.exp(-beta * u) * gamma, gamma)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-100, 1e-8, 0.37, 2.0, 50.0])
+def test_phonon_density_keeps_its_bits_where_beta_omega_is_normal(beta):
+    density = PhononCutoff(coupling=0.8, cutoff=1.5, beta=beta)
+    rng = np.random.default_rng(17)
+    smallest = sys.float_info.min / beta
+    omegas = np.concatenate([
+        [smallest, np.nextafter(smallest, math.inf)],
+        np.exp(rng.uniform(math.log(smallest), math.log(40.0), 400)),
+    ])
+    omegas = omegas[beta * omegas >= sys.float_info.min]
+    assert len(omegas) >= 401
+    omegas = np.concatenate([omegas, -omegas])
+    for w in omegas.tolist():
+        assert density.evaluate(w) == _series_phonon(density, w)
+    assert np.array_equal(
+        density.evaluate(omegas), _series_phonon_array(density, omegas)
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,22 @@
 """End-to-end tests of the config-driven command line front end."""
 
 import math
+import sys
 import textwrap
 
 import numpy as np
 import pytest
+from conftest import reference_echo_signal, reference_floor_frac
 
 from floqlind import cli, operators
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import TLSParams, closed_form_parallel
-from floqlind.echo import GaussianDetuning, averaged_phase
+from floqlind.echo import (
+    DiscreteDetuning,
+    GaussianDetuning,
+    UniformDetuning,
+    averaged_phase,
+)
 from floqlind.errors import ConfigError
 from floqlind.floquet import floor_frac
 from floqlind.lindblad import rate_parallel_closed, rate_perp_closed
@@ -206,6 +213,95 @@ def test_echo_table_shows_the_revivals(tmp_path):
             fast * sin_phi * 0.6 + slow * cos_phi * -0.3,
         )
         assert row == ["%.12e" % value for value in cells]
+
+
+ECHO_MARKS_CONFIG = """
+    [run]
+    schema_version = 1
+    scenario = echo
+    output = echo.tsv
+
+    [model]
+    t2 = 2.0
+    tau_c = 3.0
+    period = 1.3
+    omega0 = 5.0
+    delta = 0.2
+    x1_0 = 0.6
+    x2_0 = -0.3
+
+    [ensemble]
+    kind = {kind}
+    {keys}
+
+    [sweep]
+    parameter = time
+    start = 0.0
+    stop = 25.987
+    points = 2000
+"""
+
+ECHO_ENSEMBLES = {
+    "gaussian": ("sigma = 2.3", GaussianDetuning(sigma=2.3)),
+    "uniform": ("halfwidth = 1.8", UniformDetuning(halfwidth=1.8)),
+    "discrete": (
+        "deltas = -1.1 0.4 2.0\n    weights = 0.3 0.45 0.25",
+        DiscreteDetuning(
+            deltas=np.array([-1.1, 0.4, 2.0]), weights=np.array([0.3, 0.45, 0.25])
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ECHO_ENSEMBLES))
+def test_echo_table_prints_the_per_point_reference_in_every_row(tmp_path, kind):
+    """The machine-independent pin of the echo bytes: every one of 2000 rows
+    is the per-point reference printed with %.12e.  The times step by T/100,
+    so t = 0, 19 more kicks and 20 echoes are among them."""
+    keys, ensemble = ECHO_ENSEMBLES[kind]
+    body = ECHO_MARKS_CONFIG.format(kind=kind, keys=keys)
+    out = cli.run(write_config(tmp_path, body))
+    _, rows = read_table(out)
+    times = np.linspace(0.0, 25.987, 2000)
+    fracs = np.array([reference_floor_frac(float(t), 1.3)[1] for t in times])
+    assert np.count_nonzero(fracs == 0.0) == 20
+    assert np.count_nonzero(np.abs(fracs - 0.5) < 1e-12) == 20
+    eta = rate_parallel_closed(1.3, 2.0, 3.0).eta
+    params = TLSParams(omega0=5.0, omega_ext=5.0 - 0.2, period=1.3, eta=eta)
+    avg_cos, avg_sin, transverse = reference_echo_signal(
+        ensemble, params, (0.6, -0.3), times
+    )
+    expected = zip(times, avg_cos, avg_sin, *transverse.T)
+    assert rows == [["%.12e" % cell for cell in row] for row in expected]
+
+
+def _calls_while_writing(path, rows):
+    """Python and builtin calls made while one float table is written."""
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows) for _ in range(5)]
+    names = ("time", "avg_cos", "avg_sin", "x1", "x2")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        cli._write_table(path, "echo", names, cli._floats(5), columns, {})
+    finally:
+        sys.setprofile(None)
+    _, table = read_table(path)
+    assert table == [["%.12e" % cell for cell in row] for row in zip(*columns)]
+    return len(calls)
+
+
+def test_writing_a_float_table_makes_no_call_per_cell(tmp_path):
+    """Counted, not timed: per-cell formatting would make 5 calls a row."""
+    _calls_while_writing(tmp_path / "warm-up.tsv", 1)  # first-use imports
+    few = _calls_while_writing(tmp_path / "few.tsv", 10)
+    many = _calls_while_writing(tmp_path / "many.tsv", 4000)
+    assert many == few < 50
 
 
 AUDIT_CONFIG = """

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_echo_signal
+from conftest import reference_characteristic_function, reference_echo_signal
 
 from floqlind import echo
 from floqlind.dynamics import TLSParams, closed_form_parallel
@@ -38,6 +38,13 @@ ZERO_WIDTH = [
 ]
 
 
+def _atoms(count):
+    rng = np.random.default_rng(count)
+    weights = rng.dirichlet(np.ones(count))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return DiscreteDetuning(deltas=rng.uniform(-3.0, 3.0, count), weights=weights)
+
+
 def _params(eta=0.05, period=1.3, omega_ext=4.4):
     return TLSParams(
         omega0=omega_ext, omega_ext=omega_ext, period=period, eta=eta
@@ -62,6 +69,33 @@ def test_characteristic_functions_match_their_formulas():
         assert atoms.characteristic_function(u) == pytest.approx(
             0.25 * np.exp(-1j * u) + 0.75 * np.exp(2j * u), rel=1e-14
         )
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [GaussianDetuning(2.3), UniformDetuning(1.8), *map(_atoms, (1, 4, 9, 1000))],
+    ids=["gaussian", "uniform", "atoms-1", "atoms-4", "atoms-9", "atoms-1000"],
+)
+def test_characteristic_functions_take_arrays_like_scalars(ensemble):
+    """One implementation for both: an array of offsets gives, bit for bit,
+    the scalar values and the per-point reference formulas."""
+    half = 0.5 * 1.3
+    rng = np.random.default_rng(12)
+    u = np.concatenate([[0.0, -half, half], rng.uniform(-half, half, 10_000)])
+    values = ensemble.characteristic_function(u)
+    assert values.dtype == complex and values.shape == u.shape
+    points = u.tolist()
+    scalars = [ensemble.characteristic_function(x) for x in points]
+    assert all(isinstance(c, complex) and np.ndim(c) == 0 for c in scalars)
+    assert np.array_equal(values, scalars)
+    assert np.array_equal(
+        values, [reference_characteristic_function(ensemble, x) for x in points]
+    )
+    grid = u[:12].reshape(3, 4)
+    assert np.array_equal(
+        ensemble.characteristic_function(grid), values[:12].reshape(3, 4)
+    )
+    assert ensemble.characteristic_function(u[:0]).shape == (0,)
 
 
 def test_every_ensemble_is_normalized_at_zero():
@@ -251,6 +285,42 @@ def test_echo_signal_splits_all_times_with_one_floor_frac_call(ensemble, monkeyp
     signal = echo_signal(ensemble, _params(), (0.6, 0.8), times)
     assert len(signal.transverse) == 40_000
     assert calls == [(40_000,)]
+
+
+@pytest.mark.parametrize("ensemble", THREE_KINDS)
+def test_echo_signal_calls_the_characteristic_function_once(ensemble, monkeypatch):
+    """Counted, not timed: a per-time evaluation would make 40 000 calls."""
+    calls = []
+    kind = type(ensemble)
+    original = kind.characteristic_function
+
+    def counted(self, u):
+        calls.append(np.shape(u))
+        return original(self, u)
+
+    monkeypatch.setattr(kind, "characteristic_function", counted)
+    times = np.linspace(0.0, 40.0 * 1.3, 40_000)
+    signal = echo_signal(ensemble, _params(), (0.6, 0.8), times)
+    assert len(signal.transverse) == 40_000
+    assert calls == [(40_000,)]
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [(1.0,), (0.6, 0.8, 0.0, 0.1), (math.nan, 0.0), (0.6, -math.inf),
+     (0.6, 0.8, math.nan), [[0.6, 0.8]], ()],
+)
+def test_echo_signal_rejects_a_bad_initial_vector(x0):
+    with pytest.raises(ValueError, match="x0"):
+        echo_signal(GaussianDetuning(sigma=1.0), _params(), x0, [0.0, 1.0])
+
+
+def test_echo_signal_ignores_x3():
+    times = np.linspace(0.0, 6.0, 25)
+    e = GaussianDetuning(sigma=1.0)
+    with_x3 = echo_signal(e, _params(), (0.6, 0.8, -0.7), times)
+    without = echo_signal(e, _params(), (0.6, 0.8), times)
+    assert np.array_equal(with_x3.transverse, without.transverse)
 
 
 # ------------------------------------------------------------- extraction
