@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 # Smallest normal double.  Below it 1 - e^{-x} = x(1 - x/2 + ...) is x to
@@ -153,6 +152,10 @@ class PhononCutoff(SpectralDensity):
 
         if math.isinf(self.beta) or slope(3.0) >= 0.0:
             return 3.0 * self.cutoff
+        # Imported here, not with the module: loading scipy.optimize takes
+        # about 0.3 s, and only this search and echo.extract_tau_c need it.
+        import scipy.optimize
+
         return self.cutoff * scipy.optimize.brentq(slope, 1e-9, 3.0)
 
     def tail_supremum(self, threshold: float) -> float:

@@ -31,7 +31,9 @@ Scenarios and their columns:
 Exit codes: 0 success, 2 malformed or incomplete config, or a value
 outside its domain (a nonpositive bath parameter or rel_tol, a sweep
 time before 0), 3 numeric failure (truncation, an invalid computed
-state, inconsistent or out-of-range data).
+state, inconsistent or out-of-range data, an overflow).  A table never
+holds an inf or NaN cell: such a run exits 3, naming the scenario, the
+column and the first bad row, and writes no table.
 """
 
 from __future__ import annotations
@@ -309,6 +311,7 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
         ("trace_defect_max", trace_defect),
         ("choi_min_eig_min", choi_min),
     ]
+    _require_finite("generator-audit", ("value",), [[value for _, value in rows]])
     # The one mixed column: the integer q_max_used prints as it is.
     return [name for name, _ in rows], [
         "%.12e" % value if isinstance(value, float) else str(value)
@@ -333,6 +336,21 @@ def _extract_tauc(config: _Reader, seed: int, base: Path):
         eta_slow=slow[1], eta_fast=fast[1], t_fast=fast[0]
     )
     return [result.t2], [result.tau_c], [result.residual], [int(result.degenerate)]
+
+
+def _require_finite(scenario: str, names, columns) -> None:
+    """Raise FloatingPointError at the first inf or NaN cell of the float
+    columns, so that no table ever prints one."""
+    for name, column in zip(names, columns):
+        column = np.asarray(column)
+        if column.dtype.kind == "f":
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                row = int(bad[0])
+                raise FloatingPointError(
+                    f"{scenario}: column {name} is {float(column[row])} in row "
+                    f"{row + 1} of {len(column)}; no table written"
+                )
 
 
 def _floats(count: int) -> str:
@@ -402,8 +420,12 @@ def run(config_path: Path) -> Path:
     if not out_path.is_absolute():
         out_path = base / out_path
 
-    columns = scenario_columns(config, seed, base)
+    # Overflow shows as an inf or NaN cell, which _require_finite reports
+    # as a numeric failure; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        columns = scenario_columns(config, seed, base)
     config.reject_unread()
+    _require_finite(scenario, names, columns)
     _write_table(out_path, scenario, names, row_format, columns, config.resolved)
     return out_path
 

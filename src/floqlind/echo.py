@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import TLSParams, _echo_offset, _kicked_motion
 from .errors import DomainError, InconsistentDataError, OutOfRangeError
@@ -253,6 +252,8 @@ def extract_tau_c(
         raise OutOfRangeError(
             f"rate ratio {target} above the searchable suppression range"
         )
+    import scipy.optimize  # loaded on first use, as in PhononCutoff._peak
+
     log_tau = scipy.optimize.brentq(misfit, lo, hi, xtol=1e-15, rtol=1e-15)
     tau_c = math.exp(log_tau) * t_fast
     residual = abs(misfit(log_tau))

@@ -191,11 +191,17 @@ class LindbladGenerator:
 
 @dataclass(frozen=True)
 class RateResult:
-    """A nonnegative decay rate."""
+    """A nonnegative decay rate.
+
+    NaN can only come from arithmetic (an overflowed intermediate times
+    zero), never from valid inputs, so it is a numeric failure.
+    """
 
     eta: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.eta):
+            raise FloatingPointError("decay rate is NaN: an intermediate overflowed")
         if not self.eta >= 0.0:
             raise ValueError(f"decay rate must be nonnegative, got {self.eta}")
 
@@ -342,7 +348,8 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
 
     eta = (A omega^3 / (4 pi^2)) coth(x) / sinh(x), x = omega/(2 cutoff),
     evaluated as (A omega^3 / (2 pi^2)) z (1 + z^2) / (1 - z^2)^2 with
-    z = e^{-x}, which cannot overflow at large x.
+    z = e^{-x}, which cannot overflow at large x.  1 - z^2 is taken as
+    -expm1(-2x), which keeps its digits where omega << cutoff.
     """
     if not (omega > 0.0 and coupling > 0.0 and cutoff > 0.0):
         raise ValueError("omega, coupling, cutoff must all be positive")
@@ -353,7 +360,7 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
         / (2.0 * math.pi**2)
         * z
         * (1.0 + z * z)
-        / (1.0 - z * z) ** 2
+        / math.expm1(-omega / cutoff) ** 2
     )
     return RateResult(eta=eta)
 

@@ -19,7 +19,7 @@ from floqlind.echo import (
 )
 from floqlind.errors import ConfigError
 from floqlind.floquet import floor_frac
-from floqlind.lindblad import rate_parallel_closed, rate_perp_closed
+from floqlind.lindblad import RateResult, rate_parallel_closed, rate_perp_closed
 from floqlind.operators import bloch_from_density
 
 
@@ -511,6 +511,59 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     config = _extract_config(tmp_path, [(5000.0, 0.5), (0.37, 5e-10)])
     assert cli.main([str(config)]) == 3
     assert "floqlind: numeric failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # 1/t2 overflows: every rate and density cell is inf.
+        (
+            PARALLEL_CONFIG.replace("t2 = 2.0", "t2 = 1e-310"),
+            "rates-parallel: column eta_parallel is inf in row 1 of 12;",
+        ),
+        # An infinite rate times t = 0 in the decay factors is NaN.
+        (
+            ECHO_CONFIG.replace("t2 = 2.0", "t2 = 1e-310").replace(
+                "start = 0.65", "start = 0.0"
+            ),
+            "echo: column x1 is nan in row 1 of 11;",
+        ),
+        # coupling omega^3 overflows, and e^{-omega/2} underflows to 0.
+        (
+            PERP_CONFIG.replace("coupling = 1.0", "coupling = 1e300").replace(
+                "stop = 12.0", "stop = 2000.0"
+            ),
+            "decay rate is NaN",
+        ),
+    ],
+    ids=["rates-parallel", "echo", "rates-perp"],
+)
+def test_main_reports_a_non_finite_result_as_numeric(
+    tmp_path, capsys, body, message
+):
+    config = write_config(tmp_path, body)
+    assert cli.main([str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: ")
+    assert message in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_generator_audit_never_prints_a_non_finite_value(tmp_path, monkeypatch):
+    infinite = RateResult(math.inf)
+    monkeypatch.setattr(cli, "rate_parallel_closed", lambda *args: infinite)
+    expected = "generator-audit: column value is inf in row 1 of 7;"
+    with pytest.raises(FloatingPointError, match=expected):
+        cli.run(write_config(tmp_path, AUDIT_CONFIG))
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_rates_perp_far_below_a_huge_cutoff_is_finite(tmp_path):
+    # 1 - e^{-omega/cutoff} formed directly rounds to 0 here.
+    body = PERP_CONFIG.replace("cutoff = 1.0", "cutoff = 1e16")
+    _, rows = read_table(cli.run(write_config(tmp_path, body)))
+    for row, omega in zip(rows, np.linspace(0.2, 12.0, 9)):
+        assert float(row[1]) == pytest.approx(omega * 1e32 / math.pi**2, rel=1e-11)
 
 
 TRAJECTORY_CONFIG = """

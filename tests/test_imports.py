@@ -1,0 +1,125 @@
+"""`scipy.optimize` loads only where a root is found.
+
+It takes about 0.3 s to import, and only two calls use it: the peak search
+behind a finite-temperature `PhononCutoff.tail_supremum`, and
+`extract_tau_c`.  Each check runs in a fresh interpreter, so that the
+modules this test session has already imported cannot hide a module-level
+import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import floqlind
+from test_cli import (
+    AUDIT_CONFIG,
+    ECHO_CONFIG,
+    PARALLEL_CONFIG,
+    PERP_CONFIG,
+    TRAJECTORY_CONFIG,
+    write_config,
+)
+
+SRC = str(Path(floqlind.__file__).resolve().parent.parent)
+
+
+def _run_steps(steps, *argv):
+    """Run each (name, code) step in order in one fresh interpreter; return
+    {name: scipy.optimize was loaded after it} and the last value of ``out``."""
+    lines = ["import json, sys", "out = None", "loaded = {}"]
+    for name, code in steps:
+        lines.append(code)
+        lines.append(f"loaded[{name!r}] = 'scipy.optimize' in sys.modules")
+    lines.append("print(json.dumps([loaded, out]))")
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines), *argv],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_leaves_scipy_optimize_unloaded():
+    loaded, _ = _run_steps([("import", "import floqlind, floqlind.cli")])
+    assert loaded == {"import": False}
+
+
+def test_a_lorentzian_build_and_its_dynamics_never_load_scipy_optimize():
+    setup = textwrap.dedent("""
+        import math
+        import numpy as np
+        from floqlind import (
+            PAULI_X, PAULI_Z, KickedModel, Lorentzian, build_generator,
+            density_from_bloch, evolve, harmonic_decomposition, semigroup,
+            verify_cptp,
+        )
+        model = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X,
+                            strength=math.pi / 2, period=1.3)
+        harmonics = harmonic_decomposition(
+            model, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+    """)
+    loaded, out = _run_steps([
+        ("setup", setup),
+        ("build", "g = build_generator(harmonics, (Lorentzian(t2=2.0, tau_c=3.0),))"),
+        ("semigroup", "s = semigroup(g, 0.7)"),
+        ("verify_cptp", "report = verify_cptp(s)"),
+        ("evolve", textwrap.dedent("""
+            rho0 = density_from_bloch([0.6, 0.0, 0.8])
+            states = evolve(model, g, rho0, np.linspace(0.0, 20.0, 50),
+                            frame="lab", omega_ext=5.0)
+            out = states.bloch().shape
+        """)),
+    ])
+    assert loaded == dict.fromkeys(
+        ("setup", "build", "semigroup", "verify_cptp", "evolve"), False
+    )
+    assert out == [50, 3]
+
+
+def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
+    bodies = {
+        "rates-parallel": PARALLEL_CONFIG,
+        "rates-perp": PERP_CONFIG,
+        "echo": ECHO_CONFIG,
+        "trajectory": TRAJECTORY_CONFIG,
+        "generator-audit": AUDIT_CONFIG,
+    }
+    paths = [
+        str(write_config(tmp_path, body, name=f"{scenario}.ini"))
+        for scenario, body in bodies.items()
+    ]
+    steps = [("import", "from pathlib import Path\nfrom floqlind import cli")]
+    steps += [
+        (scenario, f"out = cli.run(Path(sys.argv[{k}])).name")
+        for k, scenario in enumerate(bodies, start=1)
+    ]
+    loaded, _ = _run_steps(steps, *paths)
+    assert loaded == dict.fromkeys(["import", *bodies], False)
+
+
+def test_the_two_root_finders_load_scipy_optimize_and_keep_their_floats():
+    loaded, out = _run_steps([
+        ("import", "import floqlind"),
+        ("tail", textwrap.dedent("""
+            cold = floqlind.PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0)
+            hot = floqlind.PhononCutoff(coupling=0.05, cutoff=1.0, beta=0.3)
+            out = [cold.tail_supremum(0.0), cold.tail_supremum(4.0),
+                   hot.tail_supremum(0.0)]
+        """)),
+    ])
+    assert loaded == {"import": False, "tail": True}
+    assert out == [0.06738212461165625, 0.05862971252138497, 0.1223716195178429]
+
+    loaded, out = _run_steps([
+        ("import", "import floqlind"),
+        ("extract", textwrap.dedent("""
+            r = floqlind.extract_tau_c(eta_slow=0.5, eta_fast=0.1, t_fast=0.37)
+            out = [r.t2, r.tau_c, r.residual, r.degenerate]
+        """)),
+    ])
+    assert loaded == {"import": False, "extract": True}
+    assert out == [2.0, 0.20832987774129025, 5.551115123125783e-17, False]

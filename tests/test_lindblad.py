@@ -108,6 +108,33 @@ def test_perp_rate_matches_direct_harmonic_summation():
     )
 
 
+def test_perp_rate_keeps_its_digits_where_omega_is_far_below_the_cutoff():
+    """Against coth(x)/sinh(x) at 50 digits, down to omega/cutoff 1e-15,
+    where 1 - e^{-2x} formed directly loses digits (1.6e-3 at 1e-13) and
+    rounds to 0 (from 1e-16)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    coupling = 0.8
+    for omega in (1e-3, 0.1, 7.3):
+        for ratio in np.geomspace(1e-15, 1e2, 69):
+            cutoff = omega / ratio
+            x = mpmath.mpf(omega) / (2 * mpmath.mpf(cutoff))
+            exact = (
+                coupling * mpmath.mpf(omega) ** 3 / (4 * mpmath.pi**2)
+                * mpmath.coth(x) / mpmath.sinh(x)
+            )
+            eta = rate_perp_closed(omega, coupling, cutoff).eta
+            assert float(abs(eta - exact) / exact) <= 1e-13, (omega, ratio)
+
+
+def test_a_nan_rate_is_a_numeric_failure_not_bad_input():
+    with pytest.raises(FloatingPointError, match="NaN"):
+        RateResult(eta=math.nan)
+    # coupling * omega^3 overflows to inf, and z = e^{-omega/2} is 0.
+    with pytest.raises(FloatingPointError):
+        rate_perp_closed(2000.0, 1e300, 1.0)
+
+
 # ------------------------------------------------------- generator assembly
 
 
