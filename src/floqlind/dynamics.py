@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
-from .floquet import KickedModel, _before_kicks, _unitary, decompose, floor_frac
+from .floquet import KickedModel, _before_kicks, _unitary, floor_frac
 from .lindblad import LindbladGenerator
 from .operators import as_densities, as_density, bloch_from_density, vec
 
@@ -61,6 +61,9 @@ class TLSParams:
     eta: float
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "omega_ext", "period", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.period > 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
         if not self.eta >= 0.0:
@@ -110,7 +113,8 @@ def evolve(
 
     Parameters
     ----------
-    m, g : model and its assembled generator.
+    m, g : model and its assembled generator, dressed with U(t) from
+        ``g.decomposition``, whose model must be ``m`` itself.
     rho0 : initial density matrix.
     times : strictly increasing sample times, all >= 0.
     frame : "interaction", "rotating", or "lab".
@@ -118,13 +122,16 @@ def evolve(
     emit_left_limits : also record the limit from below at each time
         (differs from the right-continuous value exactly at kick times).
     """
+    dec = g.decomposition
+    if m is not dec.model:
+        raise ValueError("m is not the model the generator was built from")
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
     if frame == "lab":
-        if m.dim != 2:
+        if dec.dim != 2:
             raise UnsupportedFrameError(
                 "lab frame is defined through the sigma_z carrier rotation "
-                f"and needs a two-level system, got dimension {m.dim}"
+                f"and needs a two-level system, got dimension {dec.dim}"
             )
         if omega_ext is None:
             raise ValueError("lab frame requires omega_ext")
@@ -135,10 +142,10 @@ def evolve(
     times = _sample_times(times)
 
     # e^{tL} rho0 in the Floquet basis, then back to the computational one.
-    v = g.basis
+    v = dec.basis
     x0 = vec(v.conj().T @ rho0 @ v)[:, None]
     in_basis = g.blocks.propagate(x0, times)[..., 0]
-    in_basis = in_basis.reshape(len(times), m.dim, m.dim).swapaxes(1, 2)
+    in_basis = in_basis.reshape(len(times), dec.dim, dec.dim).swapaxes(1, 2)
     interaction = v @ in_basis @ v.conj().T
     if frame == "interaction":
         states = as_densities(interaction)
@@ -146,8 +153,7 @@ def evolve(
         return Trajectory(times=times, states=states, frame=frame,
                           left_states=left_states)
 
-    dec = decompose(m)
-    n, frac = floor_frac(times, m.period)
+    n, frac = floor_frac(times, dec.model.period)
     # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
     carrier = np.ones((len(times), 1, 1))
     if frame == "lab":

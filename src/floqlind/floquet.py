@@ -19,6 +19,7 @@ first n kicks, and the kick at t=0 is not counted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,15 +226,14 @@ def propagator_left_limit(
     return _unitary(dec, n, frac)
 
 
-def _cluster_frequencies(
-    quasienergies: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group all pairwise quasienergy differences into clusters.
+def _cluster_frequencies(dec: FloquetDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Group all pairwise quasienergy differences of ``dec`` into clusters.
 
     Returns (representatives, index) where index[k, l] labels the cluster
-    of quasienergies[k] - quasienergies[l] and representatives holds the
-    cluster means.  Differences closer than ``tol`` share a label.
+    of eps_k - eps_l and representatives holds the cluster means.  The
+    one Bohr-cluster tolerance: differences closer than ``tol`` share a label.
     """
+    quasienergies, tol = dec.quasienergies, 1e-9 * dec.model.omega
     d = len(quasienergies)
     diffs = quasienergies[:, None] - quasienergies[None, :]
     flat = diffs.reshape(-1)
@@ -349,8 +349,10 @@ def harmonic_decomposition(
     m : KickedModel
     couplings : list of Hermitian operators
     q_max : int
-        Harmonics |q| <= q_max are computed; must be >= 1.
+        Harmonics |q| <= q_max are computed; an integer >= 1 (a float
+        raises TypeError, even when integral).
     """
+    q_max = operator.index(q_max)
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     validated = [require_hermitian(s) for s in couplings]
@@ -361,9 +363,7 @@ def harmonic_decomposition(
             )
     dec = decompose(m)
     coefficients = _fourier_tensor(dec, validated, np.arange(-q_max, q_max + 1))
-    frequencies, cluster_index = _cluster_frequencies(
-        dec.quasienergies, 1e-9 * m.omega
-    )
+    frequencies, cluster_index = _cluster_frequencies(dec)
     coefficients.flags.writeable = False
     return HarmonicDecomposition(
         decomposition=dec,

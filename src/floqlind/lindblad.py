@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .bath import SpectralDensity
 from .errors import DimensionError, DomainError, TruncationError
-from .floquet import HarmonicDecomposition
+from .floquet import FloquetDecomposition, HarmonicDecomposition
 from .operators import vec
 
 # Adaptive truncation gives up past this many harmonics.
@@ -165,18 +165,21 @@ class LindbladGenerator:
     """Assembled generator acting on column-vectorized density matrices.
 
     ``superop`` is expressed in the original (computational) basis;
-    ``basis`` records the Floquet basis used during assembly;
-    ``floquet_superop()`` transforms to that frame, where the
-    population/coherence block structure is visible.  ``blocks`` is the
-    semigroup by Bohr block (see ``BohrBlocks``), split along the
+    ``decomposition`` is the Floquet decomposition it was built from, whose
+    ``basis`` (also ``g.basis``) is the frame of ``floquet_superop()`` and
+    whose U(t) ``dynamics.evolve`` dresses the semigroup with.  ``blocks``
+    is the semigroup by Bohr block (see ``BohrBlocks``), split along the
     frequency clusters that ``build_generator`` records.
     """
 
-    dim: int
     superop: np.ndarray
     truncation: TruncationInfo
-    basis: np.ndarray
+    decomposition: FloquetDecomposition = field(repr=False, compare=False)
     blocks: BohrBlocks = field(repr=False, compare=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.decomposition.basis
 
     @cached_property
     def floquet_change(self) -> np.ndarray:
@@ -290,18 +293,16 @@ def build_generator(
                 "tail; the generator series cannot be certified to converge"
             )
         if tail_bound <= rel_tol * scale + 1e-300:
-            basis = h.decomposition.basis
-            change = _floquet_change(basis)
+            change = _floquet_change(h.decomposition.basis)
             same_cluster = cluster[:, None] == cluster[None, :]
             superop_f = _dissipator(np.where(same_cluster, pairs, 0.0), dim)
             # Secular: no element is coupled across frequency clusters.
             label = h.cluster_index.reshape(-1, order="F")
             superop_f = np.where(label[:, None] == label[None, :], superop_f, 0.0)
             return LindbladGenerator(
-                dim=dim,
                 superop=change @ superop_f @ change.conj().T,
                 truncation=TruncationInfo(q_max_used=q_max, tail_bound=tail_bound),
-                basis=basis,
+                decomposition=h.decomposition,
                 blocks=_bohr_blocks(superop_f, h.cluster_index),
             )
         if q_max >= _Q_CAP:
@@ -349,26 +350,37 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
     eta = (A omega^3 / (4 pi^2)) coth(x) / sinh(x), x = omega/(2 cutoff),
     evaluated as (A omega^3 / (2 pi^2)) z (1 + z^2) / (1 - z^2)^2 with
     z = e^{-x}, which cannot overflow at large x.  1 - z^2 is taken as
-    -expm1(-2x), which keeps its digits where omega << cutoff.
+    -expm1(-2x), which keeps its digits where omega << cutoff.  Where
+    omega^3 or (omega/cutoff)^2 would leave the normal double range, the
+    same product is formed from the frexp mantissas of A, omega and
+    1 - z^2, and one ldexp restores their powers of two.
     """
     if not (omega > 0.0 and coupling > 0.0 and cutoff > 0.0):
         raise ValueError("omega, coupling, cutoff must all be positive")
     z = math.exp(-omega / (2.0 * cutoff))
+    shrink = math.expm1(-omega / cutoff)
+    exponent = 0  # powers of two split off where omega^3 or shrink^2 is not normal
+    if not (3e-103 < omega < 5e102 and shrink < -2e-154):
+        (coupling, a), (omega, w), (shrink, s) = map(
+            math.frexp, (coupling, omega, shrink)
+        )
+        exponent = a + 3 * w - 2 * s
     eta = (
         coupling
         * omega**3
         / (2.0 * math.pi**2)
         * z
         * (1.0 + z * z)
-        / math.expm1(-omega / cutoff) ** 2
+        / shrink**2
     )
+    eta = math.ldexp(eta, exponent)
     return RateResult(eta=eta)
 
 
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
-    """Map e^{tL} as a superoperator matrix; defined for t >= 0 only."""
-    if t < 0.0:
-        raise DomainError(f"semigroup defined for t >= 0, got {t}")
+    """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
     change = g.floquet_change
     floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
     return change @ floquet_map @ change.conj().T

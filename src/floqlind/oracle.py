@@ -142,9 +142,7 @@ def quadrature_harmonics(
     coefficients = np.empty((1, len(q_values), m.dim, m.dim), dtype=complex)
     coefficients[0] = spectrum[q_values % n_samples] * correction[:, None, None]
 
-    frequencies, cluster_index = _cluster_frequencies(
-        dec.quasienergies, 1e-9 * m.omega
-    )
+    frequencies, cluster_index = _cluster_frequencies(dec)
     return HarmonicDecomposition(
         decomposition=dec,
         couplings=(coupling,),

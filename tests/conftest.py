@@ -9,12 +9,13 @@ tight tolerance is the most expensive setup step.
 
 import cmath
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from floqlind import lindblad
+from floqlind import floquet, lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
 from floqlind.echo import GaussianDetuning, UniformDetuning
 from floqlind.errors import DomainError
@@ -354,6 +355,25 @@ class UnboundedDensity(SpectralDensity):
 
     def tail_supremum(self, threshold):
         return math.inf
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """A list that gains one entry per ``floquet.decompose`` call, from
+    whichever floqlind module makes it."""
+    calls = []
+    original = floquet.decompose
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "floqlind":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 LONGITUDINAL = SimpleNamespace(delta=0.6, period=1.3, t2=2.0, tau_c=3.0)

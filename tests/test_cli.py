@@ -588,6 +588,13 @@ TRAJECTORY_CONFIG = """
 """
 
 
+@pytest.mark.parametrize("frame", ["lab", "rotating", "interaction"])
+def test_a_trajectory_run_decomposes_once(tmp_path, decompose_calls, frame):
+    body = TRAJECTORY_CONFIG.replace("x3_0 = 1.0", f"x3_0 = 1.0\n    frame = {frame}")
+    cli.run(write_config(tmp_path, body))
+    assert len(decompose_calls) == 1
+
+
 def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):
     outside = TRAJECTORY_CONFIG.replace("x1_0 = 0.0", "x1_0 = 0.8")
     config = write_config(tmp_path, outside)

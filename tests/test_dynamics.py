@@ -77,6 +77,14 @@ def test_params_validation():
         TLSParams(omega0=1.0, omega_ext=1.0, period=0.0, eta=0.1)
     with pytest.raises(ValueError):
         TLSParams(omega0=1.0, omega_ext=1.0, period=1.0, eta=-0.1)
+    # A non-finite parameter would give a NaN state, not an error.
+    for field, value in [("omega0", math.nan), ("omega0", math.inf),
+                         ("omega_ext", -math.inf), ("omega_ext", math.nan),
+                         ("period", math.inf), ("period", math.nan),
+                         ("eta", math.inf), ("eta", math.nan)]:
+        values = dict(omega0=5.0, omega_ext=4.4, period=1.3, eta=0.01)
+        with pytest.raises(ValueError, match=field):
+            TLSParams(**values | {field: value})
 
 
 def test_trajectory_requires_increasing_times():
@@ -98,6 +106,26 @@ def test_evolve_argument_errors(longitudinal):
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 evolve(m, g, rho0, [0.0, bad], frame=frame)
+
+
+def test_evolve_rejects_a_model_other_than_the_generators(longitudinal):
+    """Even an equal copy: the state would be dressed with another U(t)."""
+    m, g = longitudinal.model, longitudinal.generator
+    twin = KickedModel(h0=m.h0.copy(), kick=m.kick.copy(), strength=m.strength,
+                       period=m.period)
+    for other in (twin, magic_model(0.0, m.period)):
+        with pytest.raises(ValueError, match="not the model the generator"):
+            evolve(other, g, np.eye(2) / 2, [0.0, 1.0], frame="interaction")
+
+
+def test_one_decomposition_per_run(decompose_calls):
+    m = magic_model(0.6, 1.3)
+    h = harmonic_decomposition(m, [PAULI_Z / math.sqrt(2.0)], q_max=8)
+    g = build_generator(h, (Lorentzian(t2=2.0, tau_c=3.0),))
+    evolve(m, g, np.eye(2) / 2, np.linspace(0.0, 20.0, 41), frame="lab",
+           omega_ext=4.4, emit_left_limits=True)
+    assert g.decomposition is h.decomposition
+    assert decompose_calls == [m]
 
 
 def test_lab_frame_needs_a_two_level_system():
@@ -276,7 +304,7 @@ def test_evolve_rejects_bad_times_before_any_work(longitudinal, monkeypatch):
         raise AssertionError("evolve propagated before checking its times")
 
     monkeypatch.setattr(BohrBlocks, "propagate", no_work)
-    monkeypatch.setattr("floqlind.dynamics.decompose", no_work)
+    monkeypatch.setattr("floqlind.floquet.decompose", no_work)
     m, g = longitudinal.model, longitudinal.generator
     for bad in ([1.0, 1.0], [2.0, 1.0], [0.0, 3.0, 3.0], [[0.0, 1.0]], 1.0):
         with pytest.raises(ValueError, match="strictly increasing 1-D"):
@@ -378,8 +406,9 @@ def test_states_stay_valid_over_long_horizons(dim, seed, bath, periods, frac):
 
 
 def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
-    """Counted, not timed: one decompose, one state check on rho0, and no
-    matrix exponential or propagator call per sample time."""
+    """Counted, not timed: no decompose (the generator carries its own), one
+    state check on rho0, and no matrix exponential or propagator call per
+    sample time."""
     counts = Counter()
     watched = {
         "expm_general": operators.expm_general,
@@ -413,7 +442,7 @@ def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
     assert len(traj.states) == len(traj.left_states) == 2000
     assert counts["expm_general"] == 0
     assert counts["propagator"] == counts["propagator_left_limit"] == 0
-    assert counts["decompose"] == 1
+    assert counts["decompose"] == 0
     assert counts["as_density"] <= 1
 
 

@@ -324,6 +324,17 @@ def test_harmonic_decomposition_validation():
         harmonic_decomposition(m, [np.eye(3)], q_max=2)
     with pytest.raises(HermiticityError):
         harmonic_decomposition(m, [np.array([[0.0, 1.0], [0.0, 0.0]])], q_max=2)
+    # q_max = 2.5 built harmonics at -2.5 ... 2.5, which fooled the Parseval
+    # check into a false certificate (eta 0.500 against 0.00768 at T = 1.3,
+    # t2 = 2, tau_c = 3).
+    for bad in (2.5, 4.0):
+        with pytest.raises(TypeError):
+            harmonic_decomposition(m, [PAULI_Z], q_max=bad)
+    h = harmonic_decomposition(m, [PAULI_Z], q_max=np.int64(4))
+    assert h.q_max == 4 and type(h.q_max) is int
+    np.testing.assert_array_equal(
+        h.coefficients, harmonic_decomposition(m, [PAULI_Z], q_max=4).coefficients
+    )
 
 
 def test_component_lookup_errors():

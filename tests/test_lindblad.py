@@ -1,6 +1,7 @@
 """Generator assembly and closed-form rate tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -111,20 +112,34 @@ def test_perp_rate_matches_direct_harmonic_summation():
 def test_perp_rate_keeps_its_digits_where_omega_is_far_below_the_cutoff():
     """Against coth(x)/sinh(x) at 50 digits, down to omega/cutoff 1e-15,
     where 1 - e^{-2x} formed directly loses digits (1.6e-3 at 1e-13) and
-    rounds to 0 (from 1e-16)."""
+    rounds to 0 (from 1e-16); and on to omega 1e-150 and omega/cutoff
+    1e-300, where omega^3 or (omega/cutoff)^2 leaves the normal double
+    range (0.0 at omega 1e-120, ZeroDivisionError at ratio 1e-200),
+    wherever the exact rate is itself a normal double."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     coupling = 0.8
-    for omega in (1e-3, 0.1, 7.3):
-        for ratio in np.geomspace(1e-15, 1e2, 69):
+    grids = [(omega, np.geomspace(1e-15, 1e2, 69)) for omega in (1e-3, 0.1, 7.3)]
+    grids += [
+        (omega, np.geomspace(1e-300, 1e2, 303))
+        for omega in (1e-150, 1e-120, 1e-100, 1e-3, 0.1, 7.3)
+    ]
+    grids += [(1e104, np.geomspace(1.0, 1e2, 41))]  # omega^3 overflows
+    checked = 0
+    for omega, ratios in grids:
+        for ratio in ratios:
             cutoff = omega / ratio
             x = mpmath.mpf(omega) / (2 * mpmath.mpf(cutoff))
             exact = (
                 coupling * mpmath.mpf(omega) ** 3 / (4 * mpmath.pi**2)
                 * mpmath.coth(x) / mpmath.sinh(x)
             )
+            if not sys.float_info.min <= exact <= sys.float_info.max:
+                continue
             eta = rate_perp_closed(omega, coupling, cutoff).eta
             assert float(abs(eta - exact) / exact) <= 1e-13, (omega, ratio)
+            checked += 1
+    assert checked >= 3 * 69 + 1000  # the filter keeps most of the grid
 
 
 def test_a_nan_rate_is_a_numeric_failure_not_bad_input():
@@ -301,8 +316,9 @@ def test_semigroup_at_time_zero_is_the_identity(longitudinal):
     np.testing.assert_allclose(
         semigroup(longitudinal.generator, 0.0), np.eye(4), atol=1e-14
     )
-    with pytest.raises(DomainError):
-        semigroup(longitudinal.generator, -0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            semigroup(longitudinal.generator, bad)
 
 
 def test_semigroup_contracts_floquet_components(longitudinal):
