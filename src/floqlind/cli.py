@@ -292,7 +292,7 @@ def _echo(config: _Reader, seed: int, base: Path):
 
 def _generator_audit(config: _Reader, seed: int, base: Path):
     _, generator, eta_closed, _ = _longitudinal_model(config)
-    eta_generator = -generator.floquet_superop()[1, 1].real
+    eta_generator = -generator.floquet_superop[1, 1].real
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, 5.0 / eta_closed, size=20)

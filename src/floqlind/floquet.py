@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +33,7 @@ from .operators import expm_hermitian, require_hermitian
 # kick-time sampling on the right-continuous branch despite float division.
 _PERIOD_SNAP = 1e-9
 _CHUNK_ELEMENTS = 1 << 12  # Fourier integrals per chunk of harmonics
+_BOHR_TOL = 1e-9  # Bohr-cluster tolerance, in units of Omega
 
 
 def floor_frac(t, period: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,38 +114,49 @@ def floquet_operator(m: KickedModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FloquetDecomposition:
-    """Quasienergy data of a kicked model.
+    """The Floquet frame of a kicked model.
 
     ``basis`` holds the Floquet eigenvectors as columns, orthonormal, in a
     deterministic gauge (largest-magnitude entry real positive), ordered
-    by decreasing quasienergy.  ``quasienergies`` lie in the principal
-    zone (-Omega/2, Omega/2].  ``free_energies`` and ``free_basis`` are
-    the eigendecomposition of H0, the free evolution between kicks.
+    by decreasing quasienergy.  ``quasienergies`` span less than Omega
+    (see ``decompose`` for the zone).  ``frequencies`` and
+    ``cluster_index`` are the Bohr clusters of eps_k - eps_l (see
+    ``_cluster_frequencies``), and ``change`` is the superoperator of
+    rho -> V rho V†.  ``free_energies`` and ``free_basis`` are the
+    eigendecomposition of H0, the free evolution between kicks.
     """
 
     model: KickedModel
-    floquet_op: np.ndarray
-    averaged_hamiltonian: np.ndarray
     quasienergies: np.ndarray
     basis: np.ndarray
     free_energies: np.ndarray
     free_basis: np.ndarray
+    frequencies: np.ndarray
+    cluster_index: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @cached_property
+    def change(self) -> np.ndarray:
+        """Superoperator of rho -> V rho V† for the Floquet basis V."""
+        return np.kron(self.basis.conj(), self.basis)
+
 
 def decompose(m: KickedModel) -> FloquetDecomposition:
-    """Diagonalize the Floquet operator.
+    """Diagonalize the Floquet operator and cluster its Bohr frequencies.
 
     Uses the complex Schur form, which returns an orthonormal set of
     vectors even for (numerically) degenerate eigenvalues; for the
     unitary U(T) the Schur factor is diagonal up to rounding, so the
-    columns are eigenvectors.
+    columns are eigenvectors.  Quasienergies are folded into the zone
+    (-Omega/2, Omega/2].  Where two of them straddle its edge closer than
+    the Bohr-cluster tolerance, the cut moves into the widest gap between
+    neighbours, and those at or below that gap are raised by Omega, so a
+    Bohr cluster never splits across the cut.
     """
-    u_t = floquet_operator(m)
-    schur_t, z = scipy.linalg.schur(u_t, output="complex")
+    schur_t, z = scipy.linalg.schur(floquet_operator(m), output="complex")
     eigenvalues = np.diag(schur_t)
 
     omega = m.omega
@@ -151,29 +164,33 @@ def decompose(m: KickedModel) -> FloquetDecomposition:
     # np.angle returns (-pi, pi], so quasi sits in [-Omega/2, Omega/2);
     # move the lower edge to the upper to get the zone (-Omega/2, Omega/2].
     quasi = np.where(quasi <= -0.5 * omega, quasi + omega, quasi)
-
     order = np.argsort(-quasi, kind="stable")
     quasi = quasi[order]
+    if len(quasi) > 1 and quasi[-1] + omega - quasi[0] < _BOHR_TOL * omega:
+        lower = quasi[np.argmax(quasi[:-1] - quasi[1:]) + 1]
+        quasi = np.where(quasi <= lower, quasi + omega, quasi)
+        recut = np.argsort(-quasi, kind="stable")
+        order, quasi = order[recut], quasi[recut]
+
     basis = z[:, order].copy()
     for k in range(basis.shape[1]):
         pivot = int(np.argmax(np.abs(basis[:, k])))
         phase = basis[pivot, k] / abs(basis[pivot, k])
         basis[:, k] /= phase
 
-    hbar = (basis * quasi) @ basis.conj().T
-    hbar = 0.5 * (hbar + hbar.conj().T)
     energies, free_basis = scipy.linalg.eigh(m.h0)
+    frequencies, cluster_index = _cluster_frequencies(quasi, omega)
 
-    for arr in (u_t, hbar, quasi, basis, energies, free_basis):
+    for arr in (quasi, basis, energies, free_basis, frequencies, cluster_index):
         arr.flags.writeable = False
     return FloquetDecomposition(
         model=m,
-        floquet_op=u_t,
-        averaged_hamiltonian=hbar,
         quasienergies=quasi,
         basis=basis,
         free_energies=energies,
         free_basis=free_basis,
+        frequencies=frequencies,
+        cluster_index=cluster_index,
     )
 
 
@@ -226,14 +243,14 @@ def propagator_left_limit(
     return _unitary(dec, n, frac)
 
 
-def _cluster_frequencies(dec: FloquetDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Group all pairwise quasienergy differences of ``dec`` into clusters.
+def _cluster_frequencies(quasienergies, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group all pairwise quasienergy differences into clusters.
 
     Returns (representatives, index) where index[k, l] labels the cluster
-    of eps_k - eps_l and representatives holds the cluster means.  The
-    one Bohr-cluster tolerance: differences closer than ``tol`` share a label.
+    of eps_k - eps_l and representatives holds the cluster means.
+    Differences closer than the Bohr-cluster tolerance share a label.
     """
-    quasienergies, tol = dec.quasienergies, 1e-9 * dec.model.omega
+    tol = _BOHR_TOL * omega
     d = len(quasienergies)
     diffs = quasienergies[:, None] - quasienergies[None, :]
     flat = diffs.reshape(-1)
@@ -264,7 +281,8 @@ class HarmonicDecomposition:
     where omega runs over quasienergy differences and q over harmonics of
     the kick frequency Omega.  ``coefficients[alpha, q + q_max, k, l]``
     stores the Floquet-basis matrix elements; the (omega, q) component
-    matrices are slices of this tensor masked by frequency cluster.
+    matrices are slices of this tensor masked by the decomposition's
+    ``cluster_index``.
     Components obey S(omega, q)† = S(-omega, -q) and
     [Hbar, S(omega, q)] = omega S(omega, q).
     """
@@ -272,8 +290,6 @@ class HarmonicDecomposition:
     decomposition: FloquetDecomposition
     couplings: tuple[np.ndarray, ...]
     q_max: int
-    frequencies: np.ndarray
-    cluster_index: np.ndarray
     coefficients: np.ndarray
 
     @property
@@ -363,13 +379,10 @@ def harmonic_decomposition(
             )
     dec = decompose(m)
     coefficients = _fourier_tensor(dec, validated, np.arange(-q_max, q_max + 1))
-    frequencies, cluster_index = _cluster_frequencies(dec)
     coefficients.flags.writeable = False
     return HarmonicDecomposition(
         decomposition=dec,
         couplings=tuple(validated),
         q_max=q_max,
-        frequencies=frequencies,
-        cluster_index=cluster_index,
         coefficients=coefficients,
     )

@@ -29,6 +29,7 @@ imposed on it (see ``BohrBlocks``); ``semigroup`` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -49,6 +50,10 @@ _Q_CAP = 1_048_576
 _PARSEVAL_FLOOR = 1e-13
 # verify_cptp passes a map whose trace and positivity violations are this small.
 _CPTP_TOL = 1e-10
+_TINY = sys.float_info.min  # the smallest normal double
+# ln 2 = _LN2_HI + _LN2_LO; the high part ends in 21 zero bits, so
+# n * _LN2_HI is exact for |n| < 2^21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class BohrBlocks:
     """The semigroup e^{tL} in the Floquet basis, one Bohr block at a time.
 
     Indices are column-stacked Floquet-basis matrix elements (k, l), as in
-    ``LindbladGenerator.floquet_superop()``.
+    ``LindbladGenerator.floquet_superop``.
 
     * ``coherences`` holds (indices, mirror, block) per pair of mirror
       frequency clusters: ``block`` is the generator on the elements
@@ -164,15 +169,15 @@ def _real_coordinates(zeros: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
 class LindbladGenerator:
     """Assembled generator acting on column-vectorized density matrices.
 
-    ``superop`` is expressed in the original (computational) basis;
-    ``decomposition`` is the Floquet decomposition it was built from, whose
-    ``basis`` (also ``g.basis``) is the frame of ``floquet_superop()`` and
-    whose U(t) ``dynamics.evolve`` dresses the semigroup with.  ``blocks``
-    is the semigroup by Bohr block (see ``BohrBlocks``), split along the
-    frequency clusters that ``build_generator`` records.
+    ``floquet_superop`` is the generator as assembled, in the Floquet basis
+    (also ``g.basis``) of ``decomposition``, the decomposition it was built
+    from, whose U(t) ``dynamics.evolve`` dresses the semigroup with.
+    ``superop`` is it in the original (computational) basis, formed on
+    first read.  ``blocks`` is the semigroup by Bohr block (see
+    ``BohrBlocks``), split along the decomposition's frequency clusters.
     """
 
-    superop: np.ndarray
+    floquet_superop: np.ndarray
     truncation: TruncationInfo
     decomposition: FloquetDecomposition = field(repr=False, compare=False)
     blocks: BohrBlocks = field(repr=False, compare=False)
@@ -182,14 +187,10 @@ class LindbladGenerator:
         return self.decomposition.basis
 
     @cached_property
-    def floquet_change(self) -> np.ndarray:
-        """Superoperator of rho -> V rho V† for the Floquet basis V."""
-        return _floquet_change(self.basis)
-
-    def floquet_superop(self) -> np.ndarray:
-        """``superop`` in the Floquet basis."""
-        change = self.floquet_change
-        return change.conj().T @ self.superop @ change
+    def superop(self) -> np.ndarray:
+        """The generator in the original basis."""
+        change = self.decomposition.change
+        return change @ self.floquet_superop @ change.conj().T
 
 
 @dataclass(frozen=True)
@@ -207,11 +208,6 @@ class RateResult:
             raise FloatingPointError("decay rate is NaN: an intermediate overflowed")
         if not self.eta >= 0.0:
             raise ValueError(f"decay rate must be nonnegative, got {self.eta}")
-
-
-def _floquet_change(basis: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> V rho V† for the Floquet basis V."""
-    return np.kron(basis.conj(), basis)
 
 
 def _dissipator(pairs: np.ndarray, dim: int) -> np.ndarray:
@@ -256,17 +252,17 @@ def build_generator(
         raise DimensionError(
             f"{h.n_couplings} couplings but {len(densities)} spectral densities"
         )
-    dim = h.dim
-    cluster = h.cluster_index.reshape(-1)
-    members = (cluster[:, None] == np.arange(len(h.frequencies))).astype(float)
+    dim, dec = h.dim, h.decomposition
+    cluster = dec.cluster_index.reshape(-1)
+    members = (cluster[:, None] == np.arange(len(dec.frequencies))).astype(float)
     pairs = np.zeros((dim * dim, dim * dim), dtype=complex)
     held, scale = [0.0] * len(densities), 0.0  # Parseval, retained rate weight
-    quasi = h.decomposition.quasienergies
+    quasi = dec.quasienergies
     spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
     q_max, coefficients = h.q_max, h.coefficients
     q_values = np.arange(-q_max, q_max + 1)
     while True:
-        frequencies = h.frequencies[None, :] + q_values[:, None] * h.model.omega
+        frequencies = dec.frequencies[None, :] + q_values[:, None] * h.model.omega
         for alpha, density in enumerate(densities):
             flat = coefficients[alpha].reshape(len(q_values), dim * dim)
             power = np.abs(flat) ** 2
@@ -293,17 +289,14 @@ def build_generator(
                 "tail; the generator series cannot be certified to converge"
             )
         if tail_bound <= rel_tol * scale + 1e-300:
-            change = _floquet_change(h.decomposition.basis)
-            same_cluster = cluster[:, None] == cluster[None, :]
-            superop_f = _dissipator(np.where(same_cluster, pairs, 0.0), dim)
             # Secular: no element is coupled across frequency clusters.
-            label = h.cluster_index.reshape(-1, order="F")
-            superop_f = np.where(label[:, None] == label[None, :], superop_f, 0.0)
+            label = dec.cluster_index.reshape(1, -1, order="F")
+            superop_f = np.where(label.T == label, _dissipator(pairs, dim), 0.0)
             return LindbladGenerator(
-                superop=change @ superop_f @ change.conj().T,
+                floquet_superop=superop_f,
                 truncation=TruncationInfo(q_max_used=q_max, tail_bound=tail_bound),
-                decomposition=h.decomposition,
-                blocks=_bohr_blocks(superop_f, h.cluster_index),
+                decomposition=dec,
+                blocks=_bohr_blocks(superop_f, dec.cluster_index),
             )
         if q_max >= _Q_CAP:
             raise TruncationError(
@@ -351,29 +344,39 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
     evaluated as (A omega^3 / (2 pi^2)) z (1 + z^2) / (1 - z^2)^2 with
     z = e^{-x}, which cannot overflow at large x.  1 - z^2 is taken as
     -expm1(-2x), which keeps its digits where omega << cutoff.  Where
-    omega^3 or (omega/cutoff)^2 would leave the normal double range, the
-    same product is formed from the frexp mantissas of A, omega and
-    1 - z^2, and one ldexp restores their powers of two.
+    omega^3, A omega^3, z or (omega/cutoff)^2 would leave the normal
+    double range, the same product is formed from the frexp mantissas of
+    A, omega and 1 - z^2, with z split as e^{-r} 2^{-n}, r = x - n ln 2,
+    and one ldexp restores the powers of two.  Where omega/cutoff itself
+    underflows, 1 - z^2 is its limit omega/cutoff, the next term being
+    omega/(2 cutoff) smaller.  A rate above the largest double is inf.
     """
     if not (omega > 0.0 and coupling > 0.0 and cutoff > 0.0):
         raise ValueError("omega, coupling, cutoff must all be positive")
-    z = math.exp(-omega / (2.0 * cutoff))
+    x = omega / (2.0 * cutoff)
+    z = math.exp(-x)
+    z2 = z * z
     shrink = math.expm1(-omega / cutoff)
-    exponent = 0  # powers of two split off where omega^3 or shrink^2 is not normal
-    if not (3e-103 < omega < 5e102 and shrink < -2e-154):
+    exponent = 0  # powers of two split off where an intermediate is not normal
+    if not (
+        3e-103 < omega < 5e102 and shrink < -2e-154 and z >= _TINY
+        and 1e-290 < coupling * omega**3 < math.inf
+    ):
+        if omega / cutoff < _TINY:  # then 1 - z^2 is omega/cutoff
+            (omega_m, w), (cutoff_m, c) = math.frexp(omega), math.frexp(cutoff)
+            shrink, exponent = -omega_m / cutoff_m, -2 * (w - c)
+        if z < _TINY:  # z = e^{-r} 2^{-n}; past x = 4e3 the rate underflows
+            n = round(min(x, 4e3) / math.log(2.0))
+            z, exponent = math.exp(n * _LN2_LO - (x - n * _LN2_HI)), exponent - n
         (coupling, a), (omega, w), (shrink, s) = map(
             math.frexp, (coupling, omega, shrink)
         )
-        exponent = a + 3 * w - 2 * s
-    eta = (
-        coupling
-        * omega**3
-        / (2.0 * math.pi**2)
-        * z
-        * (1.0 + z * z)
-        / shrink**2
-    )
-    eta = math.ldexp(eta, exponent)
+        exponent += a + 3 * w - 2 * s
+    eta = coupling * omega**3 / (2.0 * math.pi**2) * z * (1.0 + z2) / shrink**2
+    try:
+        eta = math.ldexp(eta, exponent)
+    except OverflowError:  # the rate is above the largest double
+        eta = math.inf
     return RateResult(eta=eta)
 
 
@@ -381,7 +384,7 @@ def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only."""
     if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
-    change = g.floquet_change
+    change = g.decomposition.change
     floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
     return change @ floquet_map @ change.conj().T
 

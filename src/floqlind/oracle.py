@@ -23,12 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import StabilityError, TruncationError
-from .floquet import (
-    HarmonicDecomposition,
-    KickedModel,
-    _cluster_frequencies,
-    decompose,
-)
+from .floquet import HarmonicDecomposition, KickedModel, decompose
 from .lindblad import LindbladGenerator
 from .operators import as_density, expm_hermitian, require_hermitian, unvec, vec
 
@@ -124,14 +119,14 @@ def quadrature_harmonics(
 
     # The two one-sided factors of the periodic part are diagonalized once;
     # each sample is then a pair of phase profiles around fixed mixing
-    # matrices rather than a fresh matrix exponential.
+    # matrices rather than a fresh matrix exponential.  The averaged
+    # Hamiltonian's eigenpairs are the quasienergies and the basis V.
     free_energies, free_vectors = np.linalg.eigh(m.h0)
-    mean_energies, mean_vectors = np.linalg.eigh(dec.averaged_hamiltonian)
-    mixing = free_vectors.conj().T @ mean_vectors
+    mixing = free_vectors.conj().T @ v
     left_phase = np.exp(-1j * np.outer(times, free_energies))
-    right_phase = np.exp(1j * np.outer(times, mean_energies))
+    right_phase = np.exp(1j * np.outer(times, dec.quasienergies))
     core = left_phase[:, :, None] * mixing[None, :, :] * right_phase[:, None, :]
-    heisenberg = free_vectors @ core @ (mean_vectors.conj().T @ v)
+    heisenberg = free_vectors @ core
     sampled = heisenberg.conj().swapaxes(1, 2) @ (coupling @ heisenberg)
 
     # Midpoint phases factor as exp(-i pi q / n) times a plain DFT kernel,
@@ -142,13 +137,10 @@ def quadrature_harmonics(
     coefficients = np.empty((1, len(q_values), m.dim, m.dim), dtype=complex)
     coefficients[0] = spectrum[q_values % n_samples] * correction[:, None, None]
 
-    frequencies, cluster_index = _cluster_frequencies(dec)
     return HarmonicDecomposition(
         decomposition=dec,
         couplings=(coupling,),
         q_max=q_max,
-        frequencies=frequencies,
-        cluster_index=cluster_index,
         coefficients=coefficients,
     )
 

@@ -83,7 +83,13 @@ def eta_from_generator(generator):
     In the Floquet basis the generator block-diagonalizes; the diagonal
     entry on the first off-diagonal matrix unit is -eta.
     """
-    return -float(generator.floquet_superop()[1, 1].real)
+    return -float(generator.floquet_superop[1, 1].real)
+
+
+def averaged_hamiltonian(dec):
+    """Hbar = V diag(eps) V†, whose e^{-i Hbar T} is the Floquet operator."""
+    hbar = (dec.basis * dec.quasienergies) @ dec.basis.conj().T
+    return 0.5 * (hbar + hbar.conj().T)
 
 
 def vectorize(map_action, dim):
@@ -109,11 +115,12 @@ def conjugation_superop(u):
 
 def frequency_label(h, omega):
     """Index of the frequency cluster of ``h`` matching ``omega``."""
-    if len(h.frequencies) == 0:
+    frequencies = h.decomposition.frequencies
+    if len(frequencies) == 0:
         raise KeyError("decomposition has no frequency clusters")
-    idx = int(np.argmin(np.abs(h.frequencies - omega)))
+    idx = int(np.argmin(np.abs(frequencies - omega)))
     tol = 1e-6 * max(h.model.omega, 1.0)
-    if abs(h.frequencies[idx] - omega) > tol:
+    if abs(frequencies[idx] - omega) > tol:
         raise KeyError(f"no frequency cluster near {omega}")
     return idx
 
@@ -122,7 +129,7 @@ def component(h, alpha, omega, q, basis="floquet"):
     """Matrix S_alpha(omega, q) of ``h``, in the Floquet or original basis."""
     if abs(q) > h.q_max:
         raise KeyError(f"|q| = {abs(q)} exceeds stored q_max = {h.q_max}")
-    mask = h.cluster_index == frequency_label(h, omega)
+    mask = h.decomposition.cluster_index == frequency_label(h, omega)
     mat = np.where(mask, h.coefficients[alpha, q + h.q_max], 0.0)
     if basis == "floquet":
         return mat
@@ -154,8 +161,8 @@ def reference_generator(h, densities, rel_tol):
         quasi = current.decomposition.quasienergies
         tail_start = (q_max + 1) * model.omega - float(np.ptp(quasi))
         for alpha, density in enumerate(densities):
-            for idx, omega in enumerate(current.frequencies):
-                mask = current.cluster_index == idx
+            for idx, omega in enumerate(current.decomposition.frequencies):
+                mask = current.decomposition.cluster_index == idx
                 for q in range(-q_max, q_max + 1):
                     component = np.where(
                         mask, current.coefficients[alpha, q + q_max], 0.0
@@ -303,6 +310,13 @@ def degenerate_model(rng):
         strength=0.0,
         period=1.0,
     )
+
+
+def zone_edge_h0(rng):
+    """Qutrit H0 with levels +-pi and 0.7 in a random basis: at T = 1 two
+    of its quasienergies sit on the zone edge +-Omega/2."""
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return w @ np.diag([math.pi, -math.pi, 0.7]) @ w.conj().T
 
 
 def reconstruct_heisenberg(h, t, alpha=0):

@@ -139,7 +139,7 @@ def test_criterion_05_harmonics_match_quadrature():
         grid = oracle.quadrature_harmonics(m, coupling, q_max=20, n_samples=1 << 16)
         closed = np.stack(
             [
-                sum(component(h, 0, float(w), q) for w in h.frequencies)
+                sum(component(h, 0, float(w), q) for w in h.decomposition.frequencies)
                 for q in range(-20, 21)
             ]
         )
@@ -164,7 +164,7 @@ def test_criterion_06_cptp_property_suite(longitudinal, transverse):
             assert report.passed
             assert report.trace_defect <= 1e-10
             assert report.choi_min_eig >= -1e-10
-        in_basis = g.floquet_superop()
+        in_basis = g.floquet_superop
         for population in (0, 3):
             for coherence in (1, 2):
                 assert abs(in_basis[population, coherence]) < 1e-12

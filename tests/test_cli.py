@@ -528,12 +528,13 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
             ),
             "echo: column x1 is nan in row 1 of 11;",
         ),
-        # coupling omega^3 overflows, and e^{-omega/2} underflows to 0.
+        # The rate column is finite; the density forms coupling omega^3
+        # first, and inf times e^{-omega} = 0 is NaN at omega = 750.125.
         (
             PERP_CONFIG.replace("coupling = 1.0", "coupling = 1e300").replace(
                 "stop = 12.0", "stop = 2000.0"
             ),
-            "decay rate is NaN",
+            "rates-perp: column gamma is nan in row 4 of 9;",
         ),
     ],
     ids=["rates-parallel", "echo", "rates-perp"],

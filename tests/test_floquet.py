@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     analytic_floquet_pair,
+    averaged_hamiltonian,
     component,
     frequency_label,
     magic_model,
@@ -17,6 +18,7 @@ from conftest import (
     rand_herm,
     reconstruct_heisenberg,
     reference_floor_frac,
+    zone_edge_h0,
 )
 
 from floqlind import oracle
@@ -203,11 +205,10 @@ def test_averaged_hamiltonian_regenerates_floquet_operator():
     rng = np.random.default_rng(5)
     m = random_model(rng, dim=4, period=1.1)
     dec = decompose(m)
-    regenerated = expm_general(-1j * dec.averaged_hamiltonian, m.period)
-    np.testing.assert_allclose(regenerated, dec.floquet_op, atol=1e-12)
-    np.testing.assert_allclose(
-        dec.averaged_hamiltonian, dec.averaged_hamiltonian.conj().T, atol=1e-13
-    )
+    hbar = averaged_hamiltonian(dec)
+    regenerated = expm_general(-1j * hbar, m.period)
+    np.testing.assert_allclose(regenerated, floquet_operator(m), atol=1e-12)
+    np.testing.assert_allclose(hbar, hbar.conj().T, atol=1e-13)
 
 
 # --------------------------------------------------------------- propagator
@@ -218,7 +219,7 @@ def test_propagator_pins():
     dec = decompose(m)
     np.testing.assert_allclose(propagator(dec, 0.0), np.eye(2), atol=1e-14)
     np.testing.assert_allclose(
-        propagator(dec, m.period), dec.floquet_op, atol=1e-14
+        propagator(dec, m.period), floquet_operator(m), atol=1e-14
     )
     # The squared magic-kick map is -1 for any detuning, so 2.7 periods is
     # a free segment with a sign.
@@ -248,7 +249,7 @@ def test_propagator_cocycle_property():
     rng = np.random.default_rng(19)
     m = random_model(rng, dim=2, period=0.8)
     dec = decompose(m)
-    u_t = dec.floquet_op
+    u_t = floquet_operator(m)
     t = 0.37 * m.period
     base = propagator(dec, t)
     power = np.eye(2, dtype=complex)
@@ -266,11 +267,11 @@ def test_propagator_is_right_continuous_at_kicks():
     n = 4
     at_kick = propagator(dec, n * m.period)
     np.testing.assert_allclose(
-        at_kick, np.linalg.matrix_power(dec.floquet_op, n), atol=1e-12
+        at_kick, np.linalg.matrix_power(floquet_operator(m), n), atol=1e-12
     )
     before = propagator_left_limit(dec, n * m.period)
     expected_before = expm_hermitian(m.h0, -m.period) @ np.linalg.matrix_power(
-        dec.floquet_op, n - 1
+        floquet_operator(m), n - 1
     )
     np.testing.assert_allclose(before, expected_before, atol=1e-12)
     # Away from kicks the left limit is the propagator itself.
@@ -398,7 +399,7 @@ def test_kick_free_decomposition_is_static():
     h = harmonic_decomposition(m, [coupling], q_max=3)
     v = h.decomposition.basis
     static = np.zeros((3, 3), dtype=complex)
-    for omega in h.frequencies:
+    for omega in h.decomposition.frequencies:
         for q in range(-3, 4):
             mat = component(h, 0, float(omega), q)
             if q == 0:
@@ -412,7 +413,7 @@ def test_components_pair_up_under_adjoint():
     rng = np.random.default_rng(37)
     m = random_model(rng, dim=3)
     h = harmonic_decomposition(m, [rand_herm(rng, 3)], q_max=3)
-    for omega in h.frequencies:
+    for omega in h.decomposition.frequencies:
         for q in range(-3, 4):
             left = component(h, 0, float(omega), q).conj().T
             right = component(h, 0, float(-omega), -q)
@@ -423,8 +424,8 @@ def test_components_are_ladder_operators_of_the_averaged_hamiltonian():
     rng = np.random.default_rng(41)
     m = random_model(rng, dim=3)
     h = harmonic_decomposition(m, [rand_herm(rng, 3)], q_max=2)
-    hbar = h.decomposition.averaged_hamiltonian
-    for omega in h.frequencies:
+    hbar = averaged_hamiltonian(h.decomposition)
+    for omega in h.decomposition.frequencies:
         for q in range(-2, 3):
             mat = component(h, 0, float(omega), q, basis="original")
             np.testing.assert_allclose(
@@ -491,8 +492,23 @@ def test_closed_form_harmonics_match_quadrature(dim, seed):
     grid = oracle.quadrature_harmonics(m, coupling, q_max=20, n_samples=1 << 19)
     closed = np.stack(
         [
-            sum(component(h, 0, float(w), q) for w in h.frequencies)
+            sum(component(h, 0, float(w), q) for w in h.decomposition.frequencies)
             for q in range(-20, 21)
         ]
     )
     np.testing.assert_allclose(closed, grid.coefficients[0], atol=1e-10)
+
+
+def test_harmonics_match_quadrature_across_a_moved_zone_cut():
+    """Two levels of H0 at +-Omega/2, split by a weak kick across the zone
+    edge: the cut moves, one quasienergy is raised by Omega, and the
+    closed-form harmonics, relabelled by one q, still match quadrature."""
+    rng = np.random.default_rng(12)
+    h0 = zone_edge_h0(rng)
+    m = KickedModel(h0=h0, kick=rand_herm(rng, 3), strength=1e-11, period=1.0)
+    coupling = rand_herm(rng, 3)
+    h = harmonic_decomposition(m, [coupling], q_max=20)
+    quasi = h.decomposition.quasienergies
+    assert quasi[0] > m.omega / 2 and quasi[0] - quasi[-1] < m.omega
+    grid = oracle.quadrature_harmonics(m, coupling, q_max=20, n_samples=1 << 19)
+    np.testing.assert_allclose(h.coefficients, grid.coefficients, atol=1e-10)

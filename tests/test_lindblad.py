@@ -8,18 +8,23 @@ import pytest
 from conftest import (
     UnboundedDensity,
     conjugation_superop,
+    degenerate_model,
     eta_from_generator,
     magic_model,
     rand_density,
     rand_herm,
     reference_generator,
     vectorize,
+    zone_edge_h0,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqlind import lindblad
 from floqlind.bath import Lorentzian, PhononCutoff
+from floqlind.dynamics import evolve
 from floqlind.errors import DimensionError, DomainError, TruncationError
-from floqlind.floquet import KickedModel, harmonic_decomposition
+from floqlind.floquet import KickedModel, floquet_operator, harmonic_decomposition
 from floqlind.lindblad import (
     RateResult,
     TruncationInfo,
@@ -30,7 +35,7 @@ from floqlind.lindblad import (
     semigroup,
     verify_cptp,
 )
-from floqlind.operators import PAULI_X, PAULI_Z, unvec, vec
+from floqlind.operators import PAULI_X, PAULI_Z, density_from_bloch, unvec, vec
 
 # ------------------------------------------------------------- closed forms
 
@@ -115,7 +120,9 @@ def test_perp_rate_keeps_its_digits_where_omega_is_far_below_the_cutoff():
     rounds to 0 (from 1e-16); and on to omega 1e-150 and omega/cutoff
     1e-300, where omega^3 or (omega/cutoff)^2 leaves the normal double
     range (0.0 at omega 1e-120, ZeroDivisionError at ratio 1e-200),
-    wherever the exact rate is itself a normal double."""
+    wherever the exact rate is itself a normal double; and at five points
+    where omega/cutoff, coupling omega^3 or e^{-omega/2 cutoff} leaves
+    that range."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     coupling = 0.8
@@ -125,29 +132,42 @@ def test_perp_rate_keeps_its_digits_where_omega_is_far_below_the_cutoff():
         for omega in (1e-150, 1e-120, 1e-100, 1e-3, 0.1, 7.3)
     ]
     grids += [(1e104, np.geomspace(1.0, 1e2, 41))]  # omega^3 overflows
+    points = [
+        (omega, coupling, omega / ratio) for omega, ratios in grids for ratio in ratios
+    ]
+    # omega/cutoff underflows (was ZeroDivisionError); coupling omega^3
+    # overflows (was inf), and at omega 2000 z = e^{-1000} underflows (NaN).
+    points += [(1e-200, 1.0, 1e200), (1e-320, 1.0, 1e10)]
+    points += [(700.0, 1e300, 1.0), (1000.0, 1e300, 1.0), (2000.0, 1e300, 1.0)]
     checked = 0
-    for omega, ratios in grids:
-        for ratio in ratios:
-            cutoff = omega / ratio
-            x = mpmath.mpf(omega) / (2 * mpmath.mpf(cutoff))
-            exact = (
-                coupling * mpmath.mpf(omega) ** 3 / (4 * mpmath.pi**2)
-                * mpmath.coth(x) / mpmath.sinh(x)
-            )
-            if not sys.float_info.min <= exact <= sys.float_info.max:
-                continue
-            eta = rate_perp_closed(omega, coupling, cutoff).eta
-            assert float(abs(eta - exact) / exact) <= 1e-13, (omega, ratio)
-            checked += 1
-    assert checked >= 3 * 69 + 1000  # the filter keeps most of the grid
+    for omega, coupling, cutoff in points:
+        x = mpmath.mpf(omega) / (2 * mpmath.mpf(cutoff))
+        exact = (
+            coupling * mpmath.mpf(omega) ** 3 / (4 * mpmath.pi**2)
+            * mpmath.coth(x) / mpmath.sinh(x)
+        )
+        if not sys.float_info.min <= exact <= sys.float_info.max:
+            continue
+        eta = rate_perp_closed(omega, coupling, cutoff).eta
+        assert float(abs(eta - exact) / exact) <= 1e-13, (omega, coupling, cutoff)
+        checked += 1
+    assert checked >= 3 * 69 + 1000 + 5  # the filter keeps most of the grid
 
 
 def test_a_nan_rate_is_a_numeric_failure_not_bad_input():
     with pytest.raises(FloatingPointError, match="NaN"):
         RateResult(eta=math.nan)
-    # coupling * omega^3 overflows to inf, and z = e^{-omega/2} is 0.
-    with pytest.raises(FloatingPointError):
-        rate_perp_closed(2000.0, 1e300, 1.0)
+    # coupling * omega^3 overflows and z = e^{-omega/2} underflows, but
+    # the rate is a normal double (60-digit mpmath).
+    eta = rate_perp_closed(2000.0, 1e300, 1.0).eta
+    assert eta == pytest.approx(2.057208654478268e-126, rel=1e-13)
+
+
+def test_a_perp_rate_above_the_double_range_is_inf():
+    # Exact 3.4e308 (the frexp branch's ldexp raised OverflowError) and
+    # about 1e499 (omega/cutoff underflows; ZeroDivisionError).
+    assert rate_perp_closed(1e104, 1.0, 1e103).eta == math.inf
+    assert rate_perp_closed(1e-200, 1e300, 1e200).eta == math.inf
 
 
 # ------------------------------------------------------- generator assembly
@@ -165,7 +185,7 @@ def test_generator_matches_closed_form_rate_transverse(transverse):
 
 def test_generator_floquet_basis_matrix_structure(longitudinal):
     g = longitudinal.generator
-    in_basis = g.floquet_superop() / longitudinal.eta
+    in_basis = g.floquet_superop / longitudinal.eta
     expected = np.array(
         [
             [-1.0, 0.0, 0.0, 1.0],
@@ -180,7 +200,7 @@ def test_generator_floquet_basis_matrix_structure(longitudinal):
 @pytest.mark.parametrize("which", ["longitudinal", "transverse"])
 def test_generator_population_coherence_decoupling(which, request):
     g = request.getfixturevalue(which).generator
-    in_basis = g.floquet_superop()
+    in_basis = g.floquet_superop
     for row in (0, 3):
         for col in (1, 2):
             assert abs(in_basis[row, col]) < 1e-12
@@ -218,17 +238,37 @@ def _random_model(seed, dim):
     return model, [s / np.linalg.norm(s) for s in couplings]
 
 
+def _zone_edge_model(strength):
+    """h0 = pi sigma_z at T = 1, so U(T) = -1 without the kick: its two
+    quasienergies sit at the zone edge, +-Omega/2, split by the kick."""
+    return KickedModel(
+        h0=math.pi * PAULI_Z, kick=PAULI_X, strength=strength, period=1.0
+    )
+
+
+ZONE_EDGE_COUPLING = (PAULI_X + PAULI_Z) / 2.0
+
+
 def _equivalence_cases():
     tls = magic_model(0.6, 1.3), [PAULI_Z / math.sqrt(2.0)]
     lorentz = Lorentzian(t2=2.0, tau_c=3.0)
     qutrit, qutrit_couplings = _random_model(5, 3)
     qudit, qudit_couplings = _random_model(8, 8)
+    _, degenerate_couplings = _random_model(6, 3)
     baths = (Lorentzian(t2=2.0, tau_c=0.3), PhononCutoff(0.05, 1.0, beta=2.0))
     return {
         "tls-1e-8": (*tls, [lorentz], 64, 1e-8),
         "tls-1e-12": (*tls, [lorentz], 64, 1e-12),
         "random-d3": (qutrit, qutrit_couplings, baths, 8, 1e-8),
         "random-d8": (qudit, qudit_couplings, baths, 16, 1e-6),
+        "degenerate-d3": (
+            degenerate_model(np.random.default_rng(6)), degenerate_couplings,
+            baths, 8, 1e-8,
+        ),
+        "zone-edge": (
+            _zone_edge_model(1e-11), [ZONE_EDGE_COUPLING],
+            [Lorentzian(t2=2.0, tau_c=0.7)], 64, 1e-10,
+        ),
     }
 
 
@@ -242,6 +282,93 @@ def test_generator_matches_the_per_component_reference(case):
     scale = np.max(np.abs(superop))
     np.testing.assert_allclose(g.superop, superop, rtol=0.0, atol=1e-13 * scale)
     assert g.truncation.tail_bound == pytest.approx(tail_bound, rel=1e-9, abs=0.0)
+
+
+def test_superop_is_formed_only_when_read(longitudinal):
+    """The generator is kept as assembled, in the Floquet basis; evolve and
+    semigroup never need it in the original basis."""
+    model, density = longitudinal.model, longitudinal.density
+    g = build_generator(longitudinal.harmonics, (density,), rel_tol=1e-8)
+    evolve(model, g, np.eye(2) / 2.0, [0.5, 2.0], emit_left_limits=True)
+    semigroup(g, 1.5)
+    assert "superop" not in vars(g)
+    change = g.decomposition.change
+    np.testing.assert_array_equal(change, np.kron(g.basis.conj(), g.basis))
+    np.testing.assert_array_equal(
+        g.superop, change @ g.floquet_superop @ change.conj().T
+    )
+    assert "superop" in vars(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_floquet_superop_couples_only_elements_of_one_cluster(dim, seed):
+    model, couplings = _random_model(seed, dim)
+    h = harmonic_decomposition(model, couplings, q_max=4)
+    g = build_generator(h, [Lorentzian(t2=2.0, tau_c=0.3)] * 2, rel_tol=1e-4)
+    dec = g.decomposition
+    label = dec.cluster_index.reshape(-1, order="F")
+    assert g.floquet_superop.shape == (dim * dim, dim * dim)
+    assert np.all(g.floquet_superop[label[:, None] != label[None, :]] == 0.0)
+    # Element (l, k) carries the mirror frequency of (k, l).
+    np.testing.assert_allclose(
+        dec.frequencies[dec.cluster_index],
+        -dec.frequencies[dec.cluster_index.T],
+        rtol=0.0, atol=1e-9 * model.omega,
+    )
+
+
+def _zone_edge_run(strength):
+    m = _zone_edge_model(strength)
+    h = harmonic_decomposition(m, [ZONE_EDGE_COUPLING], q_max=64)
+    g = build_generator(h, [Lorentzian(t2=2.0, tau_c=0.7)], rel_tol=1e-10)
+    rho0 = density_from_bloch(np.array([0.6, 0.3, 0.5]))
+    bloch = evolve(m, g, rho0, [3.0], frame="interaction").bloch()[0]
+    return len(h.decomposition.frequencies), bloch
+
+
+@pytest.mark.parametrize("strength", [1e-13, 1e-11, 1e-9])
+def test_zone_edge_degeneracy_is_continuous_as_the_kick_vanishes(strength):
+    """Quasienergies split by less than the cluster tolerance across
+    +-Omega/2 share a cluster, as the exactly degenerate pair does (three
+    clusters and Bloch x2 = 0.134 instead of 0.0645 when they did not)."""
+    clusters, bloch = _zone_edge_run(strength)
+    exact_clusters, exact_bloch = _zone_edge_run(0.0)
+    assert clusters == exact_clusters == 1
+    np.testing.assert_allclose(bloch, exact_bloch, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(exact_bloch, [0.129033, 0.064516, 0.464461], atol=1e-6)
+
+
+def test_a_pair_forced_to_the_zone_edge_shares_a_cluster():
+    """A random qutrit whose H0 puts two levels at +-Omega/2: as the kick
+    vanishes the generator tends to the kick-free one (it jumped by 5%
+    when the pair straddled the zone cut in two clusters)."""
+    rng = np.random.default_rng(12)
+    h0 = zone_edge_h0(rng)
+    kick, coupling = rand_herm(rng, 3), rand_herm(rng, 3)
+
+    def generator(strength):
+        m = KickedModel(h0=h0, kick=kick / np.linalg.norm(kick, 2),
+                        strength=strength, period=1.0)
+        h = harmonic_decomposition(m, [coupling / np.linalg.norm(coupling)], 16)
+        return m, build_generator(h, [Lorentzian(t2=2.0, tau_c=0.7)], 1e-10)
+
+    _, exact = generator(0.0)
+    scale = np.max(np.abs(exact.superop))
+    for strength in (1e-13, 1e-11, 1e-9):
+        m, g = generator(strength)
+        dec = g.decomposition
+        assert len(dec.frequencies) == len(exact.decomposition.frequencies) == 3
+        quasi = dec.quasienergies
+        assert np.all(np.diff(quasi) <= 0.0) and quasi[0] - quasi[-1] < m.omega
+        v = dec.basis
+        np.testing.assert_allclose(
+            (v * np.exp(-1j * m.period * quasi)) @ v.conj().T, floquet_operator(m),
+            atol=1e-13,
+        )
+        np.testing.assert_allclose(
+            g.superop, exact.superop, rtol=0.0, atol=1e-6 * scale
+        )
 
 
 def test_generator_truncation_tightens_with_tolerance(longitudinal):
