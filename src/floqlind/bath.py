@@ -32,6 +32,9 @@ import numpy as np
 # Smallest normal double.  Below it 1 - e^{-x} = x(1 - x/2 + ...) is x to
 # within rounding, while expm1 on a subnormal x keeps only a few bits.
 _TINY = sys.float_info.min
+# ln 2 = _LN2_HI + _LN2_LO; the high part ends in 21 zero bits, so
+# n * _LN2_HI is exact for |n| < 2^21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 class SpectralDensity:
@@ -80,7 +83,10 @@ class PhononCutoff(SpectralDensity):
     omega <= 0.  Where beta |omega| is below the smallest normal double
     (subnormal or 0, where 1 - e^{-beta omega} keeps too few bits) it is
     the classical limit A omega^2 e^{-|omega|/cutoff} / beta, whose
-    relative error there is below 1e-308.
+    relative error there is below 1e-308.  Where A omega^3
+    e^{-omega/cutoff} is inf or NaN, or an exponential factor is not a
+    normal double, the density is rescaled by powers of two (_rescaled);
+    elsewhere the formula is evaluated as written.
     """
 
     coupling: float
@@ -100,31 +106,57 @@ class PhononCutoff(SpectralDensity):
         if np.ndim(omega) > 0:  # the scalar branches below, elementwise
             w = np.asarray(omega, dtype=float)
             u = np.abs(w)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                gamma = self.coupling * u**3 * np.exp(-u / self.cutoff)
-                gamma = gamma / -np.expm1(-self.beta * u)  # 1 at beta = inf
-                gamma = np.where(w < 0.0, np.exp(-self.beta * u) * gamma, gamma)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                z = np.exp(-u / self.cutoff)
+                gamma = self.coupling * u**3 * z / -np.expm1(-self.beta * u)
+                absorbed = np.exp(-self.beta * u)
+                gamma = np.where(w < 0.0, absorbed * gamma, gamma)
+                plain = (z >= _TINY) & (gamma < math.inf)
+                plain &= (w > 0.0) | (absorbed >= _TINY)
                 classical = self.beta * u < _TINY
-                gamma[classical] = self._classical(u[classical])
-            return np.where(w == 0.0, 0.0, gamma)
-        if omega == 0.0:
+            gamma[classical] = self._classical(u[classical])
+            zero = w <= 0.0 if math.isinf(self.beta) else w == 0.0
+            gamma[zero] = 0.0
+            for i in np.flatnonzero(~(plain | classical | zero)):
+                gamma.flat[i] = self._rescaled(float(u.flat[i]), w.flat[i] < 0.0)
+            return gamma
+        if omega == 0.0 or omega < 0.0 and math.isinf(self.beta):
             return 0.0
-        if math.isinf(self.beta):
-            if omega <= 0.0:
-                return 0.0
-            return self.coupling * omega**3 * math.exp(-omega / self.cutoff)
-        if omega < 0.0:  # absorption branch fixed by detailed balance
-            u = -omega
-            return math.exp(-self.beta * u) * self.evaluate(u)
-        if self.beta * omega < _TINY:
-            return float(self._classical(omega))
-        # omega > 0, or NaN, which the formula propagates.
-        return (
-            self.coupling
-            * omega**3
-            * math.exp(-omega / self.cutoff)
-            / -math.expm1(-self.beta * omega)
-        )
+        u = abs(omega)
+        beta_u = self.beta * u
+        if beta_u < _TINY:
+            return float(self._classical(u))
+        if u < 5e102:  # else u**3 overflows
+            z = math.exp(-u / self.cutoff)
+            gamma = self.coupling * u**3 * z / -math.expm1(-beta_u)
+            # below zero, detailed balance; the division is by 1 at beta = inf
+            absorbed = math.exp(-beta_u) if omega < 0.0 else 1.0
+            if z >= _TINY and absorbed >= _TINY and gamma < math.inf:
+                return absorbed * gamma
+        # An exponential has underflowed, or the product is inf or NaN.
+        return self._rescaled(u, omega < 0.0)
+
+    def _rescaled(self, u: float, absorbed: bool) -> float:
+        """gamma(u), times e^{-beta u} if absorbed, where the plain product
+        A u^3 e^{-u/cutoff} is inf or NaN or one of its exponentials is not
+        a normal double.
+
+        A u^3 / (1 - e^{-beta u}) is formed from frexp mantissas, each
+        exponential e^{-x} as e^{-r} 2^{-n} with r = x - n ln 2, and one
+        ldexp restores the powers of two, as in rate_perp_closed.  Past
+        x = 5e3 the result underflows whatever A, u and beta are.
+        """
+        (coupling, a), (u_m, w) = math.frexp(self.coupling), math.frexp(u)
+        shrink, s = math.frexp(-math.expm1(-self.beta * u))
+        mantissa, exponent = coupling * u_m**3 / shrink, a + 3 * w - s
+        for x in (u / self.cutoff, self.beta * u if absorbed else 0.0):
+            n = round(min(5e3, x) / math.log(2.0))  # a NaN x keeps 5e3
+            mantissa *= math.exp(n * _LN2_LO - (x - n * _LN2_HI))
+            exponent -= n
+        try:
+            return math.ldexp(mantissa, exponent)
+        except OverflowError:  # the density is above the largest double
+            return math.inf
 
     def _classical(self, u):
         """A u^2 e^{-u/cutoff} / beta, ordered so that u^2 is never formed."""

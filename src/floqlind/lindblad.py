@@ -29,7 +29,6 @@ imposed on it (see ``BohrBlocks``); ``semigroup`` and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -37,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .bath import SpectralDensity
+from .bath import _LN2_HI, _LN2_LO, _TINY, SpectralDensity
 from .errors import DimensionError, DomainError, TruncationError
 from .floquet import FloquetDecomposition, HarmonicDecomposition
 from .operators import vec
@@ -50,10 +49,6 @@ _Q_CAP = 1_048_576
 _PARSEVAL_FLOOR = 1e-13
 # verify_cptp passes a map whose trace and positivity violations are this small.
 _CPTP_TOL = 1e-10
-_TINY = sys.float_info.min  # the smallest normal double
-# ln 2 = _LN2_HI + _LN2_LO; the high part ends in 21 zero bits, so
-# n * _LN2_HI is exact for |n| < 2^21.
-_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)

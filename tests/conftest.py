@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from floqlind import floquet, lindblad
+from floqlind import cli, floquet, lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
 from floqlind.echo import GaussianDetuning, UniformDetuning
 from floqlind.errors import DomainError
@@ -299,6 +299,34 @@ def reference_echo_signal(e, p, x0, times):
         ))
     rows = np.array(rows).reshape(-1, 4)
     return rows[:, 0], rows[:, 1], rows[:, 2:]
+
+
+# The row format each scenario's table was written with, one % per row.
+REFERENCE_ROW_FORMATS = {
+    "rates-parallel": "\t".join(["%.12e"] * 4),
+    "rates-perp": "\t".join(["%.12e"] * 3),
+    "trajectory": "\t".join(["%.12e"] * 4),
+    "echo": "\t".join(["%.12e"] * 5),
+    "generator-audit": "%s\t%s",
+    "extract-tauc": "\t".join(["%.12e"] * 3) + "\t%d",
+}
+
+
+def reference_write_table(path, scenario, names, row_format, columns, resolved):
+    """The CLI's table writer as it was: header, then the row format applied
+    to the cells of the columns, one ``%`` per row."""
+    lines = [
+        f"# schema_version = {cli.SCHEMA_VERSION}",
+        f"# scenario = {scenario}",
+    ]
+    for key in sorted(resolved):
+        lines.append(f"# config {key} = {resolved[key]}")
+    lines.append("# columns: " + " ".join(names))
+    lines += [
+        row_format % row
+        for row in zip(*[np.asarray(column).tolist() for column in columns])
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def degenerate_model(rng):

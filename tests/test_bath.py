@@ -272,3 +272,60 @@ def test_array_evaluation_matches_scalar_evaluation(density):
     # build_generator evaluates an empty array when no component is live.
     assert density.evaluate(np.array([])).shape == (0,)
 
+
+
+def _exact_phonon(density, omega):
+    """gamma(omega) in 40-digit mpmath, rounded to a double."""
+    mpmath = pytest.importorskip("mpmath")
+    if omega == 0.0 or omega < 0.0 and math.isinf(density.beta):
+        return 0.0
+    with mpmath.workdps(40):
+        u = abs(mpmath.mpf(omega))
+        gamma = density.coupling * u**3 * mpmath.exp(-u / density.cutoff)
+        if not math.isinf(density.beta):
+            gamma /= -mpmath.expm1(-density.beta * u)
+            if omega < 0.0:
+                gamma *= mpmath.exp(-density.beta * u)
+        return float(gamma)
+
+
+def _assert_phonon_matches_mpmath(density, omegas):
+    """Scalar and array evaluation against mpmath.  The exponent u/cutoff
+    (+ beta u below zero) is rounded before exponentiating, so the error
+    may grow with it; a cell that is exactly 0 or inf must be that."""
+    values = density.evaluate(np.array(omegas))
+    for omega, value in zip(omegas, values.tolist()):
+        exact = _exact_phonon(density, omega)
+        x = abs(omega) / density.cutoff + (
+            density.beta * abs(omega) if omega < 0.0 else 0.0
+        )
+        for got in (density.evaluate(omega), value):
+            assert got == pytest.approx(exact, rel=1e-15 * (10.0 + x), abs=1e-323)
+
+
+@pytest.mark.parametrize(
+    "beta, omegas",
+    [
+        # A omega^3 overflows from omega ~ 565 and e^{-omega} underflows
+        # from 745: the plain product is inf, then inf * 0 = NaN.
+        (math.inf, [564.0, 566.0, 600.0, 700.0, 750.125, 1000.1, 2000.0, 1e5]),
+        # Below zero the detailed-balance factor e^{-2 u} underflows too.
+        (2.0, [-600.0, -400.0, -360.0, 300.0, 600.0, 1000.1]),
+    ],
+    ids=["cold", "warm"],
+)
+def test_phonon_density_at_a_huge_coupling_matches_mpmath(beta, omegas):
+    density = PhononCutoff(coupling=1e300, cutoff=1.0, beta=beta)
+    _assert_phonon_matches_mpmath(density, omegas)
+
+
+@pytest.mark.parametrize("coupling", [1e-10, 1.0, 1e300])
+@pytest.mark.parametrize("cutoff", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("beta_cutoff", [math.inf, 2.0, 0.1])
+def test_phonon_density_matches_mpmath_across_its_range(coupling, cutoff, beta_cutoff):
+    """From the peak region to far tails where e^{-omega/cutoff} or the
+    detailed-balance factor leave the normal range, both signs."""
+    density = PhononCutoff(coupling=coupling, cutoff=cutoff, beta=beta_cutoff / cutoff)
+    scales = [0.37, 3.0, 40.0, 400.0, 707.0, 720.0, 745.5, 1200.0, 4000.0, 6000.0]
+    omegas = [sign * scale * cutoff for scale in scales for sign in (1.0, -1.0)]
+    _assert_phonon_matches_mpmath(density, omegas)

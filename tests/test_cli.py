@@ -6,7 +6,15 @@ import textwrap
 
 import numpy as np
 import pytest
-from conftest import reference_echo_signal, reference_floor_frac
+from conftest import (
+    REFERENCE_ROW_FORMATS,
+    reference_echo_signal,
+    reference_floor_frac,
+    reference_write_table,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_benchmark_contract import WORKLOADS
 
 from floqlind import cli, operators
 from floqlind.bath import Lorentzian, PhononCutoff
@@ -288,7 +296,7 @@ def _calls_while_writing(path, rows):
 
     sys.setprofile(profile)
     try:
-        cli._write_table(path, "echo", names, cli._floats(5), columns, {})
+        cli._write_table(path, "echo", names, columns, {})
     finally:
         sys.setprofile(None)
     _, table = read_table(path)
@@ -302,6 +310,104 @@ def test_writing_a_float_table_makes_no_call_per_cell(tmp_path):
     few = _calls_while_writing(tmp_path / "few.tsv", 10)
     many = _calls_while_writing(tmp_path / "many.tsv", 4000)
     assert many == few < 50
+
+
+def _calls(write):
+    """Python and builtin calls made by write()."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        write()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_writing_a_mixed_table_makes_no_call_per_cell(tmp_path):
+    """Three float columns and an int one, as extract-tauc writes."""
+    names = ("t2", "tau_c", "residual", "degenerate")
+    row_format = REFERENCE_ROW_FORMATS["extract-tauc"]
+
+    def calls(rows):
+        rng = np.random.default_rng(rows)
+        columns = [*rng.standard_normal((3, rows)), rng.integers(0, 2, rows)]
+        path, reference = tmp_path / "mixed.tsv", tmp_path / "reference.tsv"
+        count = _calls(
+            lambda: cli._write_table(path, "extract-tauc", names, columns, {})
+        )
+        reference_write_table(reference, "extract-tauc", names, row_format, columns, {})
+        assert path.read_bytes() == reference.read_bytes()
+        return count
+
+    calls(1)  # first-use imports
+    assert calls(4000) == calls(10) < 50
+
+
+def _printed(values):
+    """_scientific's cells with their NUL padding dropped."""
+    cells = cli._scientific(np.asarray(values, dtype=float))
+    return [cell.replace(b"\0", b"") for cell in cells.ravel().tolist()]
+
+
+def _assert_prints_as_percent(values):
+    values = np.asarray(values, dtype=float)
+    assert cli._scientific(values).shape == values.shape
+    assert _printed(values) == [b"%.12e" % value for value in values.ravel().tolist()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_scientific_prints_every_finite_double_as_percent_does(value):
+    """Subnormals and both zeros included."""
+    _assert_prints_as_percent([value, -value])
+
+
+def test_scientific_prints_random_bit_patterns_as_percent_does():
+    rng = np.random.default_rng(13)
+    for _ in range(10):  # 10^6 patterns of both signs, 10^5 at a time
+        values = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = 0.0
+        _assert_prints_as_percent(values.reshape(-1, 5))
+
+
+def test_scientific_prints_powers_of_ten_and_carries_as_percent_does():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_prints_as_percent(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)]
+    )
+    # The fast path's edges, and 13 digits that round up to the next power.
+    edges = np.array([1e-280, 1e280, 5e-324, sys.float_info.min, sys.float_info.max])
+    nines = [f"9.99999999999{tail}e{k}" for tail in ("95", "951", "96", "949")
+             for k in range(-300, 301, 7)]
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                             [float(text) for text in nines]])
+    _assert_prints_as_percent(np.concatenate([values, -values]))
+
+
+def test_scientific_prints_extreme_exponents_as_percent_does():
+    rng = np.random.default_rng(7)
+    mantissas = rng.uniform(1.0, 10.0, 200).tolist()
+    values = [float(f"{m!r}e{k}") for m in mantissas
+              for k in (-308, -280, -100, -99, 99, 100, 280, 308)]
+    values = np.array(values)
+    _assert_prints_as_percent(np.concatenate([values, -values]))
+
+
+def test_scientific_rounds_decimal_half_way_points_as_percent_does():
+    """13 digits followed by a 5: exact ties, which round to even, and the
+    doubles nearest to ties, which fall on the side of their binary value;
+    each lies within 0.01 of a half-integer once scaled, so % prints it."""
+    rng = np.random.default_rng(11)
+    leads = rng.integers(10**12, 10**13, 500).tolist()
+    ties = [float(10 * lead + 5) * scale for lead in leads for scale in (1.0, 10.0)]
+    near = [float(f"{lead}5e{k}") for lead in leads[:100] for k in range(-290, 280, 37)]
+    values = np.array(ties + near)
+    _assert_prints_as_percent(np.concatenate([values, -values]))
 
 
 AUDIT_CONFIG = """
@@ -528,13 +634,15 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
             ),
             "echo: column x1 is nan in row 1 of 11;",
         ),
-        # The rate column is finite; the density forms coupling omega^3
-        # first, and inf times e^{-omega} = 0 is NaN at omega = 750.125.
+        # The density is 3.68e308 here, above the double range; the rate,
+        # 1.05e308, is not.
         (
-            PERP_CONFIG.replace("coupling = 1.0", "coupling = 1e300").replace(
-                "stop = 12.0", "stop = 2000.0"
-            ),
-            "rates-perp: column gamma is nan in row 4 of 9;",
+            PERP_CONFIG.replace("coupling = 1.0", "coupling = 1e300")
+            .replace("cutoff = 1.0", "cutoff = 1e3")
+            .replace("start = 0.2", "start = 1e3")
+            .replace("stop = 12.0", "stop = 1e3")
+            .replace("points = 9", "points = 1"),
+            "rates-perp: column gamma is inf in row 1 of 1;",
         ),
     ],
     ids=["rates-parallel", "echo", "rates-perp"],
@@ -557,6 +665,24 @@ def test_generator_audit_never_prints_a_non_finite_value(tmp_path, monkeypatch):
     with pytest.raises(FloatingPointError, match=expected):
         cli.run(write_config(tmp_path, AUDIT_CONFIG))
     assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_rates_perp_at_a_huge_coupling_prints_the_density_mpmath_gives(tmp_path):
+    """coupling omega^3 overflows from omega ~ 565 and e^{-omega} underflows
+    from 745, yet the density stays a double up to omega ~ 1100."""
+    mpmath = pytest.importorskip("mpmath")
+    body = PERP_CONFIG.replace("coupling = 1.0", "coupling = 1e300").replace(
+        "stop = 12.0", "stop = 2000.0"
+    )
+    _, rows = read_table(cli.run(write_config(tmp_path, body)))
+    omegas = np.linspace(0.2, 2000.0, 9).tolist()
+    assert [row[0] for row in rows] == ["%.12e" % omega for omega in omegas]
+    for row, omega in zip(rows, omegas):
+        with mpmath.workdps(40):
+            exact = 1e300 * mpmath.mpf(omega) ** 3 * mpmath.exp(-mpmath.mpf(omega))
+        # 13 printed digits, and e^{-omega} of a rounded omega.
+        rel = 5e-13 + 1e-15 * omega
+        assert float(row[2]) == pytest.approx(float(exact), rel=rel, abs=1e-323)
 
 
 def test_rates_perp_far_below_a_huge_cutoff_is_finite(tmp_path):
@@ -663,3 +789,58 @@ def test_table_header_reruns_to_the_same_table(tmp_path, body):
     )
     assert cli.run(rebuilt) == first
     assert first.read_bytes() == table
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Each table cli.run writes, with the one the % row writer writes for
+    the same columns: (scenario, bytes, reference bytes)."""
+    tables = []
+    write = cli._write_table
+
+    def both(path, scenario, names, columns, resolved):
+        write(path, scenario, names, columns, resolved)
+        reference = path.with_suffix(".reference")
+        row_format = REFERENCE_ROW_FORMATS[scenario]
+        reference_write_table(reference, scenario, names, row_format, columns, resolved)
+        tables.append((scenario, path.read_bytes(), reference.read_bytes()))
+
+    monkeypatch.setattr(cli, "_write_table", both)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        PARALLEL_CONFIG,
+        PERP_CONFIG,
+        TRAJECTORY_CONFIG,
+        ECHO_CONFIG,
+        ECHO_DISCRETE_CONFIG,
+        AUDIT_CONFIG,
+        EXTRACT_CONFIG,
+    ],
+    ids=[
+        "rates-parallel", "rates-perp", "trajectory", "echo", "echo-discrete",
+        "generator-audit", "extract-tauc",
+    ],
+)
+def test_tables_keep_the_bytes_of_the_percent_row_writer(
+    tmp_path, against_reference, body
+):
+    (tmp_path / "measured.txt").write_text("5000.0 0.5\n0.37 0.3\n", encoding="ascii")
+    cli.run(write_config(tmp_path, body))
+    [(_, written, reference)] = against_reference
+    assert written == reference
+
+
+def test_benchmark_tables_keep_the_bytes_of_the_percent_row_writer(
+    tmp_path, against_reference
+):
+    """The five cli-tables configs at seed 1: 120 000 rows."""
+    workload = WORKLOADS["cli-tables"]
+    workload.task(workload.setup(1, tmp_path))
+    scenarios = [scenario for scenario, _, _ in against_reference]
+    assert scenarios == ["rates-parallel", "rates-perp", "echo", "echo", "extract-tauc"]
+    for scenario, written, reference in against_reference:
+        assert written == reference, scenario
