@@ -32,9 +32,27 @@ import numpy as np
 # Smallest normal double.  Below it 1 - e^{-x} = x(1 - x/2 + ...) is x to
 # within rounding, while expm1 on a subnormal x keeps only a few bits.
 _TINY = sys.float_info.min
+# u**3 is a normal double for u strictly between these.
+_CUBE_MIN, _CUBE_MAX = 3e-103, 5e102
 # ln 2 = _LN2_HI + _LN2_LO; the high part ends in 21 zero bits, so
 # n * _LN2_HI is exact for |n| < 2^21.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _exp_split(x: float) -> tuple[float, int]:
+    """(e^{-r}, n) with e^{-x} = e^{-r} 2^{-n}, r = x - n ln 2.  n stops at
+    4e3 / ln 2 (also for a NaN x): 2^{-n} is then below 2^-5770 and no
+    product scaled here exceeds 2^4150, so the result underflows anyway."""
+    n = round(min(4e3, x) / math.log(2.0))
+    return math.exp(n * _LN2_LO - (x - n * _LN2_HI)), n
+
+
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """mantissa 2^exponent, or inf where that is above the largest double."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 class SpectralDensity:
@@ -83,10 +101,11 @@ class PhononCutoff(SpectralDensity):
     omega <= 0.  Where beta |omega| is below the smallest normal double
     (subnormal or 0, where 1 - e^{-beta omega} keeps too few bits) it is
     the classical limit A omega^2 e^{-|omega|/cutoff} / beta, whose
-    relative error there is below 1e-308.  Where A omega^3
-    e^{-omega/cutoff} is inf or NaN, or an exponential factor is not a
-    normal double, the density is rescaled by powers of two (_rescaled);
-    elsewhere the formula is evaluated as written.
+    relative error there is below 1e-308.  Where omega^3, A omega^3
+    e^{-omega/cutoff} or an exponential factor is not a normal double, the
+    density is rescaled by powers of two (_rescaled); elsewhere the
+    formula is evaluated as written.  An array takes the formula
+    elementwise and defers every other point to that scalar selection.
     """
 
     coupling: float
@@ -103,64 +122,49 @@ class PhononCutoff(SpectralDensity):
             )
 
     def evaluate(self, omega):
-        if np.ndim(omega) > 0:  # the scalar branches below, elementwise
+        if np.ndim(omega) > 0:  # the plain formula, elsewhere the scalar case
             w = np.asarray(omega, dtype=float)
             u = np.abs(w)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                z = np.exp(-u / self.cutoff)
-                gamma = self.coupling * u**3 * z / -np.expm1(-self.beta * u)
-                absorbed = np.exp(-self.beta * u)
-                gamma = np.where(w < 0.0, absorbed * gamma, gamma)
-                plain = (z >= _TINY) & (gamma < math.inf)
-                plain &= (w > 0.0) | (absorbed >= _TINY)
-                classical = self.beta * u < _TINY
-            gamma[classical] = self._classical(u[classical])
-            zero = w <= 0.0 if math.isinf(self.beta) else w == 0.0
-            gamma[zero] = 0.0
-            for i in np.flatnonzero(~(plain | classical | zero)):
-                gamma.flat[i] = self._rescaled(float(u.flat[i]), w.flat[i] < 0.0)
+                beta_u, z = self.beta * u, np.exp(-u / self.cutoff)
+                absorbed = np.where(w < 0.0, np.exp(-beta_u), 1.0)
+                gamma = absorbed * (self.coupling * u**3 * z / -np.expm1(-beta_u))
+                # An overflowing u**3 shows as an inf or NaN gamma.
+                plain = (u > _CUBE_MIN) & (beta_u >= _TINY) & (gamma < math.inf)
+                plain &= (z >= _TINY) & (absorbed >= _TINY)
+            for i in np.flatnonzero(~plain):
+                gamma.flat[i] = self.evaluate(float(w.flat[i]))
             return gamma
         if omega == 0.0 or omega < 0.0 and math.isinf(self.beta):
             return 0.0
         u = abs(omega)
         beta_u = self.beta * u
-        if beta_u < _TINY:
-            return float(self._classical(u))
-        if u < 5e102:  # else u**3 overflows
+        if beta_u < _TINY:  # the classical limit, ordered so u^2 is never formed
+            return float(u / self.beta * u * self.coupling * np.exp(-u / self.cutoff))
+        if _CUBE_MIN < u < _CUBE_MAX:
             z = math.exp(-u / self.cutoff)
             gamma = self.coupling * u**3 * z / -math.expm1(-beta_u)
             # below zero, detailed balance; the division is by 1 at beta = inf
             absorbed = math.exp(-beta_u) if omega < 0.0 else 1.0
             if z >= _TINY and absorbed >= _TINY and gamma < math.inf:
                 return absorbed * gamma
-        # An exponential has underflowed, or the product is inf or NaN.
+        # u**3 or an exponential is not normal, or the product is inf or NaN.
         return self._rescaled(u, omega < 0.0)
 
     def _rescaled(self, u: float, absorbed: bool) -> float:
-        """gamma(u), times e^{-beta u} if absorbed, where the plain product
-        A u^3 e^{-u/cutoff} is inf or NaN or one of its exponentials is not
-        a normal double.
+        """gamma(u), times e^{-beta u} if absorbed, from powers of two.
 
         A u^3 / (1 - e^{-beta u}) is formed from frexp mantissas, each
-        exponential e^{-x} as e^{-r} 2^{-n} with r = x - n ln 2, and one
-        ldexp restores the powers of two, as in rate_perp_closed.  Past
-        x = 5e3 the result underflows whatever A, u and beta are.
+        exponential e^{-x} from _exp_split, and _ldexp restores the powers
+        of two, as in rate_perp_closed.
         """
         (coupling, a), (u_m, w) = math.frexp(self.coupling), math.frexp(u)
         shrink, s = math.frexp(-math.expm1(-self.beta * u))
         mantissa, exponent = coupling * u_m**3 / shrink, a + 3 * w - s
         for x in (u / self.cutoff, self.beta * u if absorbed else 0.0):
-            n = round(min(5e3, x) / math.log(2.0))  # a NaN x keeps 5e3
-            mantissa *= math.exp(n * _LN2_LO - (x - n * _LN2_HI))
-            exponent -= n
-        try:
-            return math.ldexp(mantissa, exponent)
-        except OverflowError:  # the density is above the largest double
-            return math.inf
-
-    def _classical(self, u):
-        """A u^2 e^{-u/cutoff} / beta, ordered so that u^2 is never formed."""
-        return u / self.beta * u * self.coupling * np.exp(-u / self.cutoff)
+            z, n = _exp_split(x)
+            mantissa, exponent = mantissa * z, exponent - n
+        return _ldexp(mantissa, exponent)
 
     def _peak(self) -> float:
         """Location u > 0 of the maximum of gamma(u).

@@ -214,7 +214,8 @@ def _longitudinal_model(config: _Reader):
 
     Free precession at detuning delta, pi/2-angle kicks about axis 1,
     environment coupled through axis 3 scaled by 1/sqrt(2), Lorentzian
-    spectral density.
+    spectral density.  Returns the model, its generator, the bath's
+    (t2, tau_c) and delta.
     """
     t2 = config.float("model", "t2")
     tau_c = config.float("model", "tau_c")
@@ -234,12 +235,11 @@ def _longitudinal_model(config: _Reader):
     generator = build_generator(
         harmonics, (Lorentzian(t2=t2, tau_c=tau_c),), rel_tol=rel_tol
     )
-    eta = rate_parallel_closed(period, t2, tau_c).eta
-    return model, generator, eta, delta
+    return model, generator, (t2, tau_c), delta
 
 
 def _trajectory(config: _Reader, seed: int, base: Path):
-    model, generator, eta, delta = _longitudinal_model(config)
+    model, generator, _, delta = _longitudinal_model(config)
     omega0 = config.float("model", "omega0")
     omega_ext = config.float("model", "omega_ext", omega0 - delta)
     x0 = [
@@ -295,7 +295,8 @@ def _echo(config: _Reader, seed: int, base: Path):
 
 
 def _generator_audit(config: _Reader, seed: int, base: Path):
-    _, generator, eta_closed, _ = _longitudinal_model(config)
+    model, generator, (t2, tau_c), _ = _longitudinal_model(config)
+    eta_closed = rate_parallel_closed(model.period, t2, tau_c).eta
     eta_generator = -generator.floquet_superop[1, 1].real
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     rng = np.random.default_rng(seed)
@@ -328,9 +329,9 @@ def _extract_tauc(config: _Reader, seed: int, base: Path):
     if not path.is_absolute():
         path = base / path
     measurements = read_rate_measurements(path)
-    if len(measurements) < 2:
+    if len(measurements) != 2:  # the inversion would ignore any other row
         raise InconsistentDataError(
-            f"need at least two (period, rate) rows, got {len(measurements)}"
+            f"need exactly two (period, rate) rows, got {len(measurements)}"
         )
     slow = max(measurements, key=lambda row: row[0])
     fast = min(measurements, key=lambda row: row[0])

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .bath import _LN2_HI, _LN2_LO, _TINY, SpectralDensity
+from .bath import _CUBE_MAX, _CUBE_MIN, _TINY, SpectralDensity, _exp_split, _ldexp
 from .errors import DimensionError, DomainError, TruncationError
 from .floquet import FloquetDecomposition, HarmonicDecomposition
 from .operators import vec
@@ -341,8 +341,8 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
     -expm1(-2x), which keeps its digits where omega << cutoff.  Where
     omega^3, A omega^3, z or (omega/cutoff)^2 would leave the normal
     double range, the same product is formed from the frexp mantissas of
-    A, omega and 1 - z^2, with z split as e^{-r} 2^{-n}, r = x - n ln 2,
-    and one ldexp restores the powers of two.  Where omega/cutoff itself
+    A, omega and 1 - z^2, with z = e^{-r} 2^{-n} from bath's _exp_split,
+    and its _ldexp restores the powers of two.  Where omega/cutoff itself
     underflows, 1 - z^2 is its limit omega/cutoff, the next term being
     omega/(2 cutoff) smaller.  A rate above the largest double is inf.
     """
@@ -354,25 +354,21 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
     shrink = math.expm1(-omega / cutoff)
     exponent = 0  # powers of two split off where an intermediate is not normal
     if not (
-        3e-103 < omega < 5e102 and shrink < -2e-154 and z >= _TINY
+        _CUBE_MIN < omega < _CUBE_MAX and shrink < -2e-154 and z >= _TINY
         and 1e-290 < coupling * omega**3 < math.inf
     ):
         if omega / cutoff < _TINY:  # then 1 - z^2 is omega/cutoff
             (omega_m, w), (cutoff_m, c) = math.frexp(omega), math.frexp(cutoff)
             shrink, exponent = -omega_m / cutoff_m, -2 * (w - c)
-        if z < _TINY:  # z = e^{-r} 2^{-n}; past x = 4e3 the rate underflows
-            n = round(min(x, 4e3) / math.log(2.0))
-            z, exponent = math.exp(n * _LN2_LO - (x - n * _LN2_HI)), exponent - n
+        if z < _TINY:
+            z, n = _exp_split(x)
+            exponent -= n
         (coupling, a), (omega, w), (shrink, s) = map(
             math.frexp, (coupling, omega, shrink)
         )
         exponent += a + 3 * w - 2 * s
     eta = coupling * omega**3 / (2.0 * math.pi**2) * z * (1.0 + z2) / shrink**2
-    try:
-        eta = math.ldexp(eta, exponent)
-    except OverflowError:  # the rate is above the largest double
-        eta = math.inf
-    return RateResult(eta=eta)
+    return RateResult(eta=_ldexp(eta, exponent))
 
 
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:

@@ -232,14 +232,16 @@ def _series_phonon_array(density, omega):
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-100, 1e-8, 0.37, 2.0, 50.0])
 def test_phonon_density_keeps_its_bits_where_beta_omega_is_normal(beta):
+    """Below omega = 3e-103 omega^3 is not a normal double, so the density
+    is rescaled there (see the mpmath test) and only the rest is pinned."""
     density = PhononCutoff(coupling=0.8, cutoff=1.5, beta=beta)
     rng = np.random.default_rng(17)
-    smallest = sys.float_info.min / beta
+    smallest = max(sys.float_info.min / beta, 3e-103)
     omegas = np.concatenate([
         [smallest, np.nextafter(smallest, math.inf)],
         np.exp(rng.uniform(math.log(smallest), math.log(40.0), 400)),
     ])
-    omegas = omegas[beta * omegas >= sys.float_info.min]
+    omegas = omegas[(beta * omegas >= sys.float_info.min) & (omegas > 3e-103)]
     assert len(omegas) >= 401
     omegas = np.concatenate([omegas, -omegas])
     for w in omegas.tolist():
@@ -323,9 +325,15 @@ def test_phonon_density_at_a_huge_coupling_matches_mpmath(beta, omegas):
 @pytest.mark.parametrize("cutoff", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("beta_cutoff", [math.inf, 2.0, 0.1])
 def test_phonon_density_matches_mpmath_across_its_range(coupling, cutoff, beta_cutoff):
-    """From the peak region to far tails where e^{-omega/cutoff} or the
+    """From below omega = 3e-103, where omega^3 is not a normal double, and
+    the peak region to far tails where e^{-omega/cutoff} or the
     detailed-balance factor leave the normal range, both signs."""
     density = PhononCutoff(coupling=coupling, cutoff=cutoff, beta=beta_cutoff / cutoff)
     scales = [0.37, 3.0, 40.0, 400.0, 707.0, 720.0, 745.5, 1200.0, 4000.0, 6000.0]
-    omegas = [sign * scale * cutoff for scale in scales for sign in (1.0, -1.0)]
+    tiny = [1e-300, 1e-200, 1.9547e-119, 1e-104, 2.9e-103]
+    omegas = [
+        sign * omega
+        for omega in tiny + [scale * cutoff for scale in scales]
+        for sign in (1.0, -1.0)
+    ]
     _assert_phonon_matches_mpmath(density, omegas)

@@ -1,5 +1,6 @@
 """End-to-end tests of the config-driven command line front end."""
 
+import hashlib
 import math
 import sys
 import textwrap
@@ -618,6 +619,15 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     assert cli.main([str(config)]) == 3
     assert "floqlind: numeric failure:" in capsys.readouterr().err
 
+    # The inversion reads two rows; a third is refused, even one that fits.
+    rows = [(p, rate_parallel_closed(p, 2.0, 1.0).eta) for p in (5000.0, 2.0, 0.37)]
+    config = _extract_config(tmp_path, rows)
+    assert cli.main([str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure:")
+    assert "need exactly two (period, rate) rows, got 3" in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
 
 @pytest.mark.parametrize(
     "body, message",
@@ -844,3 +854,90 @@ def test_benchmark_tables_keep_the_bytes_of_the_percent_row_writer(
     assert scenarios == ["rates-parallel", "rates-perp", "echo", "echo", "extract-tauc"]
     for scenario, written, reference in against_reference:
         assert written == reference, scenario
+
+
+# Every table this module's configs write, by name.  The extract config
+# reads the two-row measurement file that _written_tables puts beside it.
+PINNED_CONFIGS = {
+    "rates-parallel": PARALLEL_CONFIG,
+    "rates-perp": PERP_CONFIG,
+    "rates-perp-huge-coupling": PERP_CONFIG.replace(
+        "coupling = 1.0", "coupling = 1e300"
+    ).replace("stop = 12.0", "stop = 2000.0"),
+    "rates-perp-huge-cutoff": PERP_CONFIG.replace("cutoff = 1.0", "cutoff = 1e16"),
+    **{
+        f"trajectory-{frame}": TRAJECTORY_CONFIG.replace(
+            "x3_0 = 1.0", f"x3_0 = 1.0\n    frame = {frame}"
+        )
+        for frame in ("lab", "rotating", "interaction")
+    },
+    "echo": ECHO_CONFIG,
+    "echo-discrete": ECHO_DISCRETE_CONFIG,
+    **{
+        f"echo-marks-{kind}": ECHO_MARKS_CONFIG.format(
+            kind=kind, keys=ECHO_ENSEMBLES[kind][0]
+        )
+        for kind in sorted(ECHO_ENSEMBLES)
+    },
+    "generator-audit": AUDIT_CONFIG,
+    "extract-tauc": EXTRACT_CONFIG,
+}
+
+# SHA-256 of each table: the configs above, then the five cli-tables
+# configs at seeds 1-3.  Recomputed only by a change meant to move cells.
+TABLE_DIGESTS = {
+    "rates-parallel": "81b3d3cf613659f7690696451d86f0fa3d82a4761df8aa83b617c1f7ecdd7c75",
+    "rates-perp": "70f54cd0249b3763242fbb37830aefa841882ce85011812695db616aceb4e238",
+    "rates-perp-huge-coupling": "5c7f51b2b1524ff80b4abb7b63a461667a348a60c6eb0a806dcdf2d0081c0701",
+    "rates-perp-huge-cutoff": "4ac8ff387934ba13225c312c4ae2e0e7c0df947a929ed26901634a4923cc68d8",
+    "trajectory-lab": "5cc7948781698f1de0c1d318f9aeaf8c7484bb55f1da49c94ce805dc33e5e8e8",
+    "trajectory-rotating": "f2e6cd0bb0e68cfd173f7ecb67ffac3efd666d874017d8239403020633bd1467",
+    "trajectory-interaction": "278a5a4bee05ffdde36837f0e0c263b6536a7e29cfe2287d296e510a39eb1b8a",
+    "echo": "cfc9fa6614c8af201af23d0376883cc9c9faa3d98c9a896e20db2db46cd94cf4",
+    "echo-discrete": "f4249e065a3431efb87a8c8d5d49c7d08d5cde4c384d9ca21ababc6eb96e586b",
+    "echo-marks-discrete": "b5642ef5ad30eb4bee72fa88c0758d733d6288d4f3a774794dade1edd3d60b4d",
+    "echo-marks-gaussian": "4779dfb9d1733ba1973d55cbe498603ff18047b7c3ecc07563f00d161ab17de9",
+    "echo-marks-uniform": "c98d7ff6fa410335718989f447ebab9b2973b77014b068dbb03d3177c997bce0",
+    "generator-audit": "848bdcdcd305b0aec0509995abf0687b7a198ecc252fb244bfda40863bebfcd5",
+    "extract-tauc": "852437798fe14a473354599464081752f4f9e7f1b7de28bab8c5dd174e7f089f",
+    "cli-tables-1/parallel.tsv": "80078fdd7c2c39e37cb3a80c0083975d5c1a86dadde718ae6477f315fab96dee",
+    "cli-tables-1/perp.tsv": "d1b805af7150dce7f5c9ddedd32870b79ac727c651d1d78325c55d1abd7da4af",
+    "cli-tables-1/echo-discrete.tsv": "060c276acf9c4816c468792314f7060701b4930880cf5ca0cfc8eca1cded2751",
+    "cli-tables-1/echo-gaussian.tsv": "9b4514f275a158beac1957330c711ffa9a6c56b40efc766b6d06100eb2c65509",
+    "cli-tables-1/extract.tsv": "13bae643fd1d44676c145f1b44697569aa7d85f21e104a2567a097f68897c406",
+    "cli-tables-2/parallel.tsv": "f3092bddc9f8bc16d0355546bdce26a62b2fde9b5e1c640a19b906106185569c",
+    "cli-tables-2/perp.tsv": "af1fbc87a3f4e34d8bdab1b210bf6bae1a6b3f22fb579426e8437eb66e53754c",
+    "cli-tables-2/echo-discrete.tsv": "ad954a88e259b17c86e495fb19e2dab12c7bdd3315b1aa03c8e5e9a9e6927643",
+    "cli-tables-2/echo-gaussian.tsv": "3474e7a51a4e9c07474fd7d7a739db9b0ab271402f2b7d0b6a062c1041fd392b",
+    "cli-tables-2/extract.tsv": "5a73cc5f4ad4b533438327e0ad7e79d6d34b1a6a0642e5172545d072443d1adc",
+    "cli-tables-3/parallel.tsv": "5bc10afbd418b80a0f03ff699d9a9e2e1c6494c37c1a32a3350c3f2b652d31ca",
+    "cli-tables-3/perp.tsv": "29884b3268f6515fb62daef5610db12986ccc95acbf1bde8600afc1e1435c69f",
+    "cli-tables-3/echo-discrete.tsv": "477a2319c774c5994cd15eae3098333aceda39e4853c611ff376b99aa8179863",
+    "cli-tables-3/echo-gaussian.tsv": "ef55e3c6fe5077fbb53e61933521570e84d53c08c6902b3eeea66c05c4dac04a",
+    "cli-tables-3/extract.tsv": "dee5909dc31c8182a8dccb5df3688373aa062b2815da8216bd960844b6b56737",
+}
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _written_tables(tmp_path):
+    tables = {}
+    for name, body in PINNED_CONFIGS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        measured = workdir / "measured.txt"
+        measured.write_text("5000.0 0.5\n0.37 0.3\n", encoding="ascii")
+        tables[name] = _digest(cli.run(write_config(workdir, body)))
+    workload = WORKLOADS["cli-tables"]
+    for seed in (1, 2, 3):
+        workdir = tmp_path / f"cli-tables-{seed}"
+        workdir.mkdir()
+        for path in workload.task(workload.setup(seed, workdir)):
+            tables[f"cli-tables-{seed}/{path.name}"] = _digest(path)
+    return tables
+
+
+def test_every_table_keeps_its_pinned_bytes(tmp_path):
+    assert _written_tables(tmp_path) == TABLE_DIGESTS
