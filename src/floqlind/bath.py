@@ -101,10 +101,10 @@ class PhononCutoff(SpectralDensity):
     omega <= 0.  Where beta |omega| is below the smallest normal double
     (subnormal or 0, where 1 - e^{-beta omega} keeps too few bits) it is
     the classical limit A omega^2 e^{-|omega|/cutoff} / beta, whose
-    relative error there is below 1e-308.  Where omega^3, A omega^3
-    e^{-omega/cutoff} or an exponential factor is not a normal double, the
-    density is rescaled by powers of two (_rescaled); elsewhere the
-    formula is evaluated as written.  An array takes the formula
+    relative error there is below 1e-308.  There, and where omega^3,
+    A omega^3 e^{-omega/cutoff} or an exponential factor is not a normal
+    double, the density is rescaled by powers of two (_rescaled);
+    elsewhere the formula is evaluated as written.  An array takes the formula
     elementwise and defers every other point to that scalar selection.
     """
 
@@ -139,28 +139,32 @@ class PhononCutoff(SpectralDensity):
             return 0.0
         u = abs(omega)
         beta_u = self.beta * u
-        if beta_u < _TINY:  # the classical limit, ordered so u^2 is never formed
-            return float(u / self.beta * u * self.coupling * np.exp(-u / self.cutoff))
-        if _CUBE_MIN < u < _CUBE_MAX:
+        if beta_u >= _TINY and _CUBE_MIN < u < _CUBE_MAX:
             z = math.exp(-u / self.cutoff)
             gamma = self.coupling * u**3 * z / -math.expm1(-beta_u)
             # below zero, detailed balance; the division is by 1 at beta = inf
             absorbed = math.exp(-beta_u) if omega < 0.0 else 1.0
             if z >= _TINY and absorbed >= _TINY and gamma < math.inf:
                 return absorbed * gamma
-        # u**3 or an exponential is not normal, or the product is inf or NaN.
+        # The classical limit, u**3 or an exponential is not normal, or the
+        # product is inf or NaN.
         return self._rescaled(u, omega < 0.0)
 
     def _rescaled(self, u: float, absorbed: bool) -> float:
         """gamma(u), times e^{-beta u} if absorbed, from powers of two.
 
-        A u^3 / (1 - e^{-beta u}) is formed from frexp mantissas, each
-        exponential e^{-x} from _exp_split, and _ldexp restores the powers
-        of two, as in rate_perp_closed.
+        A u^3 / (1 - e^{-beta u}), or A u^2 / beta in the classical limit,
+        is formed from frexp mantissas, each exponential e^{-x} from
+        _exp_split, and _ldexp restores the powers of two, as in
+        rate_perp_closed.
         """
         (coupling, a), (u_m, w) = math.frexp(self.coupling), math.frexp(u)
-        shrink, s = math.frexp(-math.expm1(-self.beta * u))
-        mantissa, exponent = coupling * u_m**3 / shrink, a + 3 * w - s
+        if self.beta * u < _TINY:
+            beta_m, b = math.frexp(self.beta)
+            mantissa, exponent = coupling * u_m * u_m / beta_m, a + 2 * w - b
+        else:
+            shrink, s = math.frexp(-math.expm1(-self.beta * u))
+            mantissa, exponent = coupling * u_m**3 / shrink, a + 3 * w - s
         for x in (u / self.cutoff, self.beta * u if absorbed else 0.0):
             z, n = _exp_split(x)
             mantissa, exponent = mantissa * z, exponent - n

@@ -313,26 +313,23 @@ class HarmonicDecomposition:
         return _fourier_tensor(self.decomposition, list(self.couplings), q_values)
 
 
-def _fourier_tensor(
-    dec: FloquetDecomposition, couplings: list[np.ndarray], q_values: np.ndarray
-) -> np.ndarray:
-    """Closed-form Fourier coefficients of V† P(t)† S P(t) V.
+def _poles(
+    dec: FloquetDecomposition, couplings: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w[x, p, k] and poles z[p, k] of the coupling harmonics.
 
-    Expanding P(t) in the eigenbases of H0 and Hbar reduces each matrix
-    element to a sum of pure exponentials e^{i mu T x} over one period,
-    whose Fourier integrals are analytic:
+    Expanding P(t) in the eigenbases of H0 and Hbar reduces the
+    Floquet-basis element k = (k, l) of V† P(t)† S_x P(t) V to a sum of
+    pure exponentials over p = (a, b),
 
-        int_0^1 e^{i(mu T - 2 pi q) x} dx = e^{ic/2} sinc(c / 2 pi),
+        sum_p w[x, p, k] e^{2 pi i z[p, k] t / T},
 
-    c = mu T - 2 pi q.  This is exact for every q, unlike quadrature,
-    which struggles with the sawtooth discontinuity.
+    with z = mu T / 2 pi and mu = (E_a - E_b) + (eps_l - eps_k), so its
+    harmonic q is sum_p w[x, p, k] int_0^1 e^{2 pi i (z - q) x} dx.
     """
-    period = dec.model.period
     energies, h0_basis = dec.free_energies, dec.free_basis
     overlap = dec.basis.conj().T @ h0_basis  # overlap[k, a] = <phi_k | a>
     quasi = dec.quasienergies
-
-    # mu[(a, b), (k, l)] = (E_a - E_b) + (eps_l - eps_k)
     dim = len(energies)
     mu = (
         energies[:, None, None, None]
@@ -343,16 +340,49 @@ def _fourier_tensor(
     stacked = np.reshape(couplings, (len(couplings), dim, dim))
     s_h0 = h0_basis.conj().T @ stacked @ h0_basis
     weights = np.einsum("ka,xab,lb->xabkl", overlap, s_h0, overlap.conj())
-    weights = weights.reshape((len(couplings),) + mu.shape)
+    z = mu * (dec.model.period / (2.0 * math.pi))
+    return weights.reshape((len(couplings),) + mu.shape), z
+
+
+def _fourier_tensor(
+    dec: FloquetDecomposition, couplings: list[np.ndarray], q_values: np.ndarray
+) -> np.ndarray:
+    """Closed-form Fourier coefficients of V† P(t)† S P(t) V, in pole form.
+
+    With the weights and poles of ``_poles`` and z = n + r for an integer
+    n, each Fourier integral is
+
+        int_0^1 e^{2 pi i (z - q) x} dx = e^{i pi r} sin(pi r) / (pi (z - q)),
+
+    which is e^{i pi r} sinc(r) at q = n and, where r = 0, the Kronecker
+    delta of q and n.  Any integer n gives this identity; n = round(z)
+    keeps |r| <= 1/2, and r = z - n is exact.  So the phase and the sine
+    are taken once per pole, of an argument that carries no rounding
+    from q, and the phase is folded into the weights.  Each harmonic then
+    costs one real subtraction z - q and one division, each rounded once,
+    so the error does not grow with |q| (through c = mu T - 2 pi q, the
+    same integral e^{ic/2} sinc(c / 2 pi) carries c's rounding, which
+    does).  This is exact for every q, unlike quadrature, which struggles
+    with the sawtooth discontinuity.
+    """
+    weights, z = _poles(dec, couplings)
+    r = z - np.round(z)
+    weights = weights * np.exp(1j * math.pi * r)
+    # Real and imaginary parts stacked, so one real contraction per chunk.
+    # einsum sums each harmonic over p in order, whatever the chunk, so
+    # every q_values split gives the same bits.
+    parts = np.concatenate([weights.real, weights.imag])
+    sine = np.sin(math.pi * r) / math.pi
     # All harmonics at once, in chunks that bound the temporaries.
-    out = np.empty((len(couplings), len(q_values), dim * dim), dtype=complex)
-    step = max(1, _CHUNK_ELEMENTS // max(mu.size, 1))
+    out = np.empty((2, len(couplings), len(q_values), z.shape[1]))
+    sums = out.reshape(len(parts), len(q_values), z.shape[1])
+    step = max(1, _CHUNK_ELEMENTS // max(z.size, 1))
     for start in range(0, len(q_values), step):
-        q = q_values[start : start + step, None, None]
-        c = mu * period - 2.0 * math.pi * q
-        integral = np.exp(0.5j * c) * np.sinc(c / (2.0 * math.pi))
-        out[:, start : start + step] = np.einsum("xpk,qpk->xqk", weights, integral)
-    return out.reshape(out.shape[:2] + dec.basis.shape)
+        gap = z - q_values[start : start + step, None, None]
+        # gap is 0 only where z is an integer and q = z: the integral is 1.
+        pole = np.divide(sine, gap, out=np.ones_like(gap), where=gap != 0.0)
+        np.einsum("xpk,qpk->xqk", parts, pole, out=sums[:, start : start + step])
+    return (out[0] + 1j * out[1]).reshape(out.shape[1:3] + dec.basis.shape)
 
 
 def harmonic_decomposition(

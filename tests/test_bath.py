@@ -321,6 +321,19 @@ def test_phonon_density_at_a_huge_coupling_matches_mpmath(beta, omegas):
     _assert_phonon_matches_mpmath(density, omegas)
 
 
+@pytest.mark.parametrize(
+    "coupling, cutoff, beta, omega",
+    [(2.7e293, 1.5e19, 3.65e-127, 1.82e-235), (1e100, 1e-13, 1e-300, 1e-10)],
+)
+def test_phonon_classical_limit_keeps_a_normal_density(coupling, cutoff, beta, omega):
+    """beta omega below the smallest normal double, where u / beta * u
+    overflowed or underflowed before the coupling and e^{-u/cutoff} scaled
+    it back: these gave 0.0 (exact 2.47e-50) and NaN (exact 5.08e-55)."""
+    density = PhononCutoff(coupling=coupling, cutoff=cutoff, beta=beta)
+    assert beta * omega < sys.float_info.min
+    _assert_phonon_matches_mpmath(density, [omega, -omega])
+
+
 @pytest.mark.parametrize("coupling", [1e-10, 1.0, 1e300])
 @pytest.mark.parametrize("cutoff", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("beta_cutoff", [math.inf, 2.0, 0.1])

@@ -890,15 +890,15 @@ TABLE_DIGESTS = {
     "rates-perp": "70f54cd0249b3763242fbb37830aefa841882ce85011812695db616aceb4e238",
     "rates-perp-huge-coupling": "5c7f51b2b1524ff80b4abb7b63a461667a348a60c6eb0a806dcdf2d0081c0701",
     "rates-perp-huge-cutoff": "4ac8ff387934ba13225c312c4ae2e0e7c0df947a929ed26901634a4923cc68d8",
-    "trajectory-lab": "5cc7948781698f1de0c1d318f9aeaf8c7484bb55f1da49c94ce805dc33e5e8e8",
-    "trajectory-rotating": "f2e6cd0bb0e68cfd173f7ecb67ffac3efd666d874017d8239403020633bd1467",
-    "trajectory-interaction": "278a5a4bee05ffdde36837f0e0c263b6536a7e29cfe2287d296e510a39eb1b8a",
+    "trajectory-lab": "9ea71b1ccf168350b57a8f13d2b3234e4ade19d0824aefa7860f9e6b2d133931",
+    "trajectory-rotating": "1ab3c9237f7956db5ff6d6f953a0bbe7d9750d8fcfbce755b521c97e6f55e6bf",
+    "trajectory-interaction": "0e43b02d325d3109212fc87df1896151d64f860ca9c7fc1a4ce685abf0daf116",
     "echo": "cfc9fa6614c8af201af23d0376883cc9c9faa3d98c9a896e20db2db46cd94cf4",
     "echo-discrete": "f4249e065a3431efb87a8c8d5d49c7d08d5cde4c384d9ca21ababc6eb96e586b",
     "echo-marks-discrete": "b5642ef5ad30eb4bee72fa88c0758d733d6288d4f3a774794dade1edd3d60b4d",
     "echo-marks-gaussian": "4779dfb9d1733ba1973d55cbe498603ff18047b7c3ecc07563f00d161ab17de9",
     "echo-marks-uniform": "c98d7ff6fa410335718989f447ebab9b2973b77014b068dbb03d3177c997bce0",
-    "generator-audit": "848bdcdcd305b0aec0509995abf0687b7a198ecc252fb244bfda40863bebfcd5",
+    "generator-audit": "7fdd7e2e47c0f29f1f5880d74181d3d03e8ac301ed5480abeb9f988aaefd4995",
     "extract-tauc": "852437798fe14a473354599464081752f4f9e7f1b7de28bab8c5dd174e7f089f",
     "cli-tables-1/parallel.tsv": "80078fdd7c2c39e37cb3a80c0083975d5c1a86dadde718ae6477f315fab96dee",
     "cli-tables-1/perp.tsv": "d1b805af7150dce7f5c9ddedd32870b79ac727c651d1d78325c55d1abd7da4af",

@@ -25,6 +25,7 @@ from floqlind import oracle
 from floqlind.errors import DimensionError, DomainError, HermiticityError
 from floqlind.floquet import (
     KickedModel,
+    _poles,
     decompose,
     floor_frac,
     floquet_operator,
@@ -32,7 +33,7 @@ from floqlind.floquet import (
     propagator,
     propagator_left_limit,
 )
-from floqlind.operators import PAULI_Y, PAULI_Z, expm_general, expm_hermitian
+from floqlind.operators import PAULI_X, PAULI_Y, PAULI_Z, expm_general, expm_hermitian
 
 
 def random_model(rng, dim=3, period=0.9, strength=0.7):
@@ -463,24 +464,123 @@ def test_harmonics_reproduce_the_stored_coefficients():
     assert h.harmonics(np.arange(0)).shape == (1, 0, 2, 2)
 
 
-@pytest.mark.parametrize("dim", [3, 9])
+@pytest.mark.parametrize("dim", [2, 3, 9])
 def test_extended_matches_a_fresh_decomposition(dim):
     """The harmonics beyond q_max, as build_generator's doubling rounds
-    compute them, agree with a decomposition stored up to the larger q."""
+    compute them, carry the bits of a decomposition stored up to the
+    larger q."""
     rng = np.random.default_rng(43)
     m = random_model(rng, dim=dim)
     couplings = [rand_herm(rng, dim), rand_herm(rng, dim)]
     h = harmonic_decomposition(m, couplings, q_max=3)
-    new = np.arange(4, 12)
-    wider = h.harmonics(np.concatenate([-new[::-1], new]))
-    fresh = harmonic_decomposition(m, couplings, q_max=11)
-    assert wider.shape == (2, 16, dim, dim)
-    outer = np.r_[0:8, 15:23]  # |q| > 3 in the fresh q = -11..11 layout
-    np.testing.assert_allclose(
-        wider, fresh.coefficients[:, outer], rtol=0.0, atol=1e-15
-    )
+    fresh = harmonic_decomposition(m, couplings, q_max=2000)
+    np.testing.assert_array_equal(h.coefficients, fresh.coefficients[:, 1997:2004])
+    q_max = 3
+    while q_max < 2000:
+        new = np.arange(q_max + 1, min(2 * q_max, 2000) + 1)
+        wider = h.harmonics(np.concatenate([-new[::-1], new]))
+        assert wider.shape == (2, 2 * len(new), dim, dim)
+        # q sits at q + 2000 in the fresh layout
+        outer = np.concatenate([2000 - new[::-1], 2000 + new])
+        np.testing.assert_array_equal(wider, fresh.coefficients[:, outer])
+        q_max = int(new[-1])
     with pytest.raises(ValueError):
         fresh.coefficients[0, 0, 0, 0] = 1.0
+
+
+def _exact_harmonics(h, q_values):
+    """The harmonics as sums over the weights and poles of ``_poles``,
+    sum_p w_p I_p with I_p = int_0^1 e^{2 pi i (z_p - q) x} dx taken in
+    40-digit mpmath from its exponential form, and the scale
+    sum_p |w_p I_p| of each, indexed [x, q, k]."""
+    mpmath = pytest.importorskip("mpmath")
+    weights, z = _poles(h.decomposition, list(h.couplings))
+    exact = np.empty((len(weights), len(q_values), z.shape[1]), dtype=complex)
+    scale = np.empty(exact.shape)
+    with mpmath.workdps(40):
+
+        def integral(gap):
+            if gap == 0:
+                return mpmath.mpf(1)
+            return (mpmath.expjpi(2 * gap) - 1) / (2j * mpmath.pi * gap)
+
+        for j, q in enumerate(q_values.tolist()):
+            integrals = [
+                [integral(mpmath.mpf(pole) - q) for pole in row] for row in z.tolist()
+            ]
+            for (x, k), _ in np.ndenumerate(exact[:, j]):
+                terms = [
+                    mpmath.mpc(complex(weights[x, p, k])) * integrals[p][k]
+                    for p in range(len(z))
+                ]
+                exact[x, j, k] = complex(mpmath.fsum(terms))
+                scale[x, j, k] = float(mpmath.fsum(abs(t) for t in terms))
+    return exact, scale
+
+
+def _integer_pole_model():
+    """H0 levels 0 and 100 at T = 2 pi, where T / 2 pi is 1.0 exactly: z is
+    exactly +-100 for the pairs of distinct levels, and the integral there
+    is the Kronecker delta of q and z."""
+    return KickedModel(
+        h0=np.diag([0.0, 100.0]), kick=PAULI_X, strength=0.8, period=2.0 * math.pi
+    )
+
+
+@pytest.mark.parametrize(
+    "model, coupling",
+    [
+        (magic_model(0.6, 1.3), PAULI_Z / math.sqrt(2.0)),
+        (
+            random_model(np.random.default_rng(5)),
+            rand_herm(np.random.default_rng(6), 3),
+        ),
+        # The zone-edge TLS, h0 = pi sigma_z at T = 1 split by a kick of
+        # 1e-13: every z within 3.2e-14 of an integer.
+        (
+            KickedModel(h0=math.pi * PAULI_Z, kick=PAULI_X, strength=1e-13, period=1.0),
+            (PAULI_X + PAULI_Z) / 2.0,
+        ),
+        (_integer_pole_model(), PAULI_X + 0.3 * PAULI_Z),
+    ],
+    ids=["tls", "qutrit", "zone-edge", "integer-pole"],
+)
+def test_harmonics_match_mpmath_at_every_q(model, coupling):
+    """Each coefficient lies within 1e-14 sum_p |w_p I_p| of the same sum in
+    40-digit mpmath, at small and large |q| and where z is an integer.
+    Taken through c = mu T - 2 pi q, the integrals carried c's rounding:
+    the qutrit missed by 3.9 times that bound at q = +-100 and 370 times
+    at +-8192, and coefficients that are exactly 0 at q != 0 (the TLS's,
+    for one) came out nonzero."""
+    h = harmonic_decomposition(model, [coupling], q_max=1)
+    q_values = np.array([0, 1, -1, 100, -100, 4096, -4096, 8192, -8192])
+    exact, scale = _exact_harmonics(h, q_values)
+    got = h.harmonics(q_values).reshape(exact.shape)
+    assert np.all(np.abs(got - exact) <= 1e-14 * scale)
+
+
+def test_harmonics_take_no_transcendental_per_harmonic(monkeypatch):
+    """Counted, not timed: the phase and the sine are taken once per pole,
+    so the elements passed to exp, sin, cos and sinc do not grow with the
+    number of harmonics."""
+    rng = np.random.default_rng(3)
+    h = harmonic_decomposition(random_model(rng), [rand_herm(rng, 3)], q_max=1)
+    counted = []
+    for name in ("exp", "sin", "cos", "sinc"):
+        original = getattr(np, name)
+
+        def counting(x, *args, _original=original, **kwargs):
+            counted.append(np.size(x))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+
+    def elements(harmonics):
+        counted.clear()
+        h.harmonics(np.arange(harmonics))
+        return sum(counted)
+
+    assert elements(10) == elements(4000) > 0
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 7), (3, 7)])
