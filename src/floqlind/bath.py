@@ -83,7 +83,10 @@ class Lorentzian(SpectralDensity):
             raise ValueError("t2 and tau_c must be finite and positive")
 
     def evaluate(self, omega):
-        return (2.0 / self.t2) / (1.0 + (self.tau_c * omega) ** 2)
+        # x * x, not x ** 2: a float's ** is libm pow, which can round
+        # otherwise than numpy's array square and raises OverflowError.
+        x = self.tau_c * omega
+        return (2.0 / self.t2) / (1.0 + x * x)
 
     def tail_supremum(self, threshold: float) -> float:
         # Even and decreasing in |omega|: the tail peaks at its edge.

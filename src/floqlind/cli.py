@@ -194,7 +194,7 @@ def _rates_parallel(config: _Reader, seed: int, base: Path):
     omegas = _sweep_grid(config, "omega")
     periods = 2.0 * math.pi / omegas
     etas = [rate_parallel_closed(period, t2, tau_c).eta for period in periods]
-    return omegas, periods, etas, [density.evaluate(omega) for omega in omegas]
+    return omegas, periods, etas, density.evaluate(omegas)
 
 
 def _rates_perp(config: _Reader, seed: int, base: Path):
@@ -298,6 +298,11 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
     model, generator, (t2, tau_c), _ = _longitudinal_model(config)
     eta_closed = rate_parallel_closed(model.period, t2, tau_c).eta
     eta_generator = -generator.floquet_superop[1, 1].real
+    if eta_closed == 0.0:
+        raise FloatingPointError(
+            "generator-audit: eta_closed is 0 (underflow), so rel_residual "
+            "is undefined; no table written"
+        )
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, 5.0 / eta_closed, size=20)

@@ -194,12 +194,6 @@ def decompose(m: KickedModel) -> FloquetDecomposition:
     )
 
 
-def _as_decomposition(m: KickedModel | FloquetDecomposition) -> FloquetDecomposition:
-    if isinstance(m, FloquetDecomposition):
-        return m
-    return decompose(m)
-
-
 def _unitary(dec: FloquetDecomposition, n, frac) -> np.ndarray:
     """(W e^{-i E T frac} W†)(V e^{-i eps T n} V†): n kicks, then frac of a period.
 
@@ -220,25 +214,19 @@ def _before_kicks(n, frac):
     return np.where(at_kick, n - 1, n), np.where(at_kick, 1.0, frac), at_kick
 
 
-def propagator(m: KickedModel | FloquetDecomposition, t: float) -> np.ndarray:
-    """Exact propagator U(t) of the kicked model, right-continuous at kicks.
-
-    Accepts either a model or a precomputed decomposition (the latter
-    avoids rediagonalizing in time loops).
-    """
+def propagator(dec: FloquetDecomposition, t: float) -> np.ndarray:
+    """Exact propagator U(t) of the decomposed model, right-continuous at
+    kicks; ``decompose(m)`` gives ``dec`` for a model m."""
     if t < 0.0:
         raise DomainError(f"propagator defined for t >= 0, got {t}")
-    dec = _as_decomposition(m)
     return _unitary(dec, *floor_frac(t, dec.model.period))
 
 
-def propagator_left_limit(
-    m: KickedModel | FloquetDecomposition, t: float
-) -> np.ndarray:
-    """Limit of U(s) as s -> t from below; differs from U(t) only at kicks."""
+def propagator_left_limit(dec: FloquetDecomposition, t: float) -> np.ndarray:
+    """Limit of U(s) as s -> t from below for the decomposed model; differs
+    from U(t) only at kicks."""
     if t < 0.0:
         raise DomainError(f"propagator defined for t >= 0, got {t}")
-    dec = _as_decomposition(m)
     n, frac, _ = _before_kicks(*floor_frac(t, dec.model.period))
     return _unitary(dec, n, frac)
 
@@ -247,27 +235,27 @@ def _cluster_frequencies(quasienergies, omega: float) -> tuple[np.ndarray, np.nd
     """Group all pairwise quasienergy differences into clusters.
 
     Returns (representatives, index) where index[k, l] labels the cluster
-    of eps_k - eps_l and representatives holds the cluster means.
-    Differences closer than the Bohr-cluster tolerance share a label.
+    of eps_k - eps_l and representatives holds the cluster means.  One
+    numpy pass over the sorted differences: each gap above the
+    Bohr-cluster tolerance starts a new cluster, so differences chained
+    by closer neighbours share a label.  Each mean is the cluster's
+    ``np.add.reduceat`` sum over its size.  A 0.0 leads every cluster's
+    segment: ``reduceat`` starts a sum from its segment's first value,
+    ``np.add.reduce`` (so ``np.mean``) from 0.0, and with the lead the
+    pairwise summation groups the members as ``np.mean`` does.
     """
-    tol = _BOHR_TOL * omega
     d = len(quasienergies)
-    diffs = quasienergies[:, None] - quasienergies[None, :]
-    flat = diffs.reshape(-1)
+    flat = (quasienergies[:, None] - quasienergies[None, :]).reshape(-1)
     order = np.argsort(flat)
+    ordered = flat[order]
+    starts = np.ones(d * d, dtype=bool)
+    starts[1:] = np.diff(ordered) > _BOHR_TOL * omega
     labels = np.empty(d * d, dtype=int)
-    reps: list[float] = []
-    members: list[float] = []
-    for pos in order:
-        value = flat[pos]
-        if members and value - members[-1] > tol:
-            reps.append(float(np.mean(members)))
-            members = []
-        members.append(value)
-        labels[pos] = len(reps)
-    if members:
-        reps.append(float(np.mean(members)))
-    return np.asarray(reps), labels.reshape(d, d)
+    labels[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    led = np.insert(ordered, first, 0.0)
+    sums = np.add.reduceat(led, first + np.arange(len(first)))
+    return sums / np.diff(first, append=d * d), labels.reshape(d, d)
 
 
 @dataclass(frozen=True)

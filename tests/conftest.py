@@ -230,6 +230,30 @@ def reference_floor_frac(t, period):
     return n, frac
 
 
+def reference_cluster_frequencies(quasienergies, omega):
+    """Loop reference for ``floquet._cluster_frequencies``: walk the sorted
+    differences, start a cluster at each gap above the tolerance, and take
+    each cluster's ``np.mean``."""
+    tol = floquet._BOHR_TOL * omega
+    d = len(quasienergies)
+    diffs = quasienergies[:, None] - quasienergies[None, :]
+    flat = diffs.reshape(-1)
+    order = np.argsort(flat)
+    labels = np.empty(d * d, dtype=int)
+    reps: list[float] = []
+    members: list[float] = []
+    for pos in order:
+        value = flat[pos]
+        if members and value - members[-1] > tol:
+            reps.append(float(np.mean(members)))
+            members = []
+        members.append(value)
+        labels[pos] = len(reps)
+    if members:
+        reps.append(float(np.mean(members)))
+    return np.asarray(reps), labels.reshape(d, d)
+
+
 def _reference_decay(eta, t, n):
     """(slow, fast) = ((-1)^n e^{-eta t}, e^{-2 eta t})."""
     return (-1.0) ** n * math.exp(-eta * t), math.exp(-2.0 * eta * t)

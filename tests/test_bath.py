@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 from conftest import kms_ratio
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqlind.bath import Lorentzian, PhononCutoff
 
@@ -109,6 +111,39 @@ def test_lorentzian_tail_supremum_is_the_edge_value():
     for w in (0.0, 0.5, 3.0, 100.0):
         assert density.tail_supremum(w) == pytest.approx(density.evaluate(w))
     assert density.tail_supremum(0.0) == pytest.approx(density.evaluate(0.0))
+
+
+positive = st.floats(1e-300, 1e300)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    t2=positive,
+    tau_c=positive,
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.floats(allow_nan=False), max_size=20),
+)
+def test_lorentzian_scalar_and_array_values_are_byte_equal(t2, tau_c, seed, extra):
+    """One arithmetic for a float and for an array, even where tau_c omega
+    squared overflows (the density is then 0)."""
+    rng = np.random.default_rng(seed)
+    omegas = np.concatenate([
+        rng.standard_normal(2000) * 10.0 ** rng.uniform(-3.0, 3.0, 2000) / tau_c,
+        rng.standard_normal(200) * 10.0 ** rng.uniform(-300.0, 300.0, 200),
+        extra,
+    ])
+    density = Lorentzian(t2=t2, tau_c=tau_c)
+    with np.errstate(over="ignore", under="ignore"):
+        batched = density.evaluate(omegas)
+    scalar = np.array([density.evaluate(w) for w in omegas.tolist()])
+    assert batched.tobytes() == scalar.tobytes()
+
+
+def test_lorentzian_tail_bound_is_finite_at_a_huge_correlation_time():
+    # tau_c omega squared is far above the largest double: the bound is 0.
+    assert Lorentzian(t2=2.0, tau_c=1e300).tail_supremum(4.8) == 0.0
+    assert Lorentzian(t2=2.0, tau_c=1e300).tail_supremum(0.0) == 1.0
+    assert Lorentzian(t2=2.0, tau_c=1e100).tail_supremum(1e60) == 0.0
 
 
 @pytest.mark.parametrize(

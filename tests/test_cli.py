@@ -677,6 +677,28 @@ def test_generator_audit_never_prints_a_non_finite_value(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.tsv")) == []
 
 
+def test_a_trajectory_at_a_huge_correlation_time_is_written(tmp_path):
+    """tau_c = 1e300 puts every tail bound at 0 and the rate at 0; the
+    Bloch vector then only precesses."""
+    body = TRAJECTORY_CONFIG.replace("tau_c = 3.0", "tau_c = 1e300")
+    assert cli.main([str(write_config(tmp_path, body))]) == 0
+    _, rows = read_table(tmp_path / "traj.tsv")
+    assert len(rows) == 5
+    for row in rows:
+        assert math.fsum(float(x) ** 2 for x in row[1:4]) == pytest.approx(1.0)
+
+
+def test_generator_audit_with_a_zero_closed_rate_is_a_numeric_failure(
+    tmp_path, capsys
+):
+    body = AUDIT_CONFIG.replace("tau_c = 3.0", "tau_c = 1e300")
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: generator-audit: ")
+    assert "eta_closed is 0" in err and "rel_residual is undefined" in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
 def test_rates_perp_at_a_huge_coupling_prints_the_density_mpmath_gives(tmp_path):
     """coupling omega^3 overflows from omega ~ 565 and e^{-omega} underflows
     from 745, yet the density stays a double up to omega ~ 1100."""

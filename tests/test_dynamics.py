@@ -223,7 +223,7 @@ def test_frames_are_unitarily_related(longitudinal):
     rotating = evolve(m, g, rho0, times, frame="rotating")
     lab = evolve(m, g, rho0, times, frame="lab", omega_ext=omega_ext)
     for i, t in enumerate(times):
-        u = propagator(m, float(t))
+        u = propagator(floquet.decompose(m), float(t))
         dressed = u @ interaction.states[i] @ u.conj().T
         np.testing.assert_allclose(rotating.states[i], dressed, atol=1e-12)
         half = 0.5 * omega_ext * float(t)

@@ -1,8 +1,13 @@
 """Floquet analysis tests: stroboscopic algebra, gauge, harmonics."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +17,18 @@ from conftest import (
     analytic_floquet_pair,
     averaged_hamiltonian,
     component,
+    degenerate_model,
     frequency_label,
     magic_model,
     parseval_weight,
     rand_herm,
     reconstruct_heisenberg,
+    reference_cluster_frequencies,
     reference_floor_frac,
     zone_edge_h0,
 )
 
-from floqlind import oracle
+from floqlind import floquet, oracle
 from floqlind.errors import DimensionError, DomainError, HermiticityError
 from floqlind.floquet import (
     KickedModel,
@@ -210,6 +217,161 @@ def test_averaged_hamiltonian_regenerates_floquet_operator():
     regenerated = expm_general(-1j * hbar, m.period)
     np.testing.assert_allclose(regenerated, floquet_operator(m), atol=1e-12)
     np.testing.assert_allclose(hbar, hbar.conj().T, atol=1e-13)
+
+
+# ------------------------------------------------------------ Bohr clusters
+
+def _cluster_family_model(family, rng, dim, period):
+    """Models whose Bohr clusters differ in kind: kicked two-level systems,
+    a degenerate qutrit, random models, near-degenerate diagonal H0 with
+    weak kicks, levels a multiple of Omega apart (one cluster of up to
+    dim^2 distinct differences) and a qutrit pair on the zone edge."""
+    omega = 2.0 * math.pi / period
+    if family == "kicked-tls":
+        strength = math.pi / float(rng.choice([4, 2, 1]))
+        return KickedModel(0.5 * rng.uniform(-3.0, 3.0) * PAULI_Z, PAULI_X,
+                           strength, period)
+    if family == "degenerate":
+        return degenerate_model(rng)
+    if family == "random":
+        return random_model(rng, dim, period, rng.uniform(-3.0, 3.0))
+    if family == "near-degenerate":
+        levels = 0.5 * rng.integers(-2, 3, dim) + rng.uniform(-1e-12, 1e-12, dim)
+        return KickedModel(np.diag(levels).astype(complex), rand_herm(rng, dim),
+                           1e-3, period)
+    if family == "folded":
+        levels = omega * rng.integers(-3, 4, dim) + rng.uniform(-1e-11, 1e-11, dim)
+        strength = float(rng.choice([0.0, 1e-13]))
+        return KickedModel(np.diag(levels).astype(complex), rand_herm(rng, dim),
+                           strength, period)
+    strength = float(rng.choice([0.0, 1e-13, 1e-11, 1e-9]))
+    return KickedModel(zone_edge_h0(rng), rand_herm(rng, 3), strength, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    family=st.sampled_from(["kicked-tls", "degenerate", "random",
+                            "near-degenerate", "folded", "zone-edge"]),
+    dim=st.integers(2, 8),
+    period=st.sampled_from([1.0, math.pi, 2.0 * math.pi]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bohr_clusters_keep_the_bytes_of_the_loop(family, dim, period, seed):
+    m = _cluster_family_model(family, np.random.default_rng(seed), dim, period)
+    dec = decompose(m)
+    frequencies, cluster_index = reference_cluster_frequencies(
+        np.array(dec.quasienergies), m.omega
+    )
+    assert dec.frequencies.dtype == frequencies.dtype
+    assert dec.frequencies.tobytes() == frequencies.tobytes()
+    assert dec.cluster_index.dtype == cluster_index.dtype
+    assert dec.cluster_index.tobytes() == cluster_index.tobytes()
+
+
+def test_a_cluster_of_many_distinct_members_keeps_the_mean_of_np_mean():
+    """Eight levels Omega apart up to 1e-11: all 64 differences are one
+    cluster, which np.mean sums with numpy's pairwise (eight-way) blocks."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m = _cluster_family_model("folded", rng, 8, math.pi)
+        dec = decompose(m)
+        labels = dec.cluster_index.ravel()
+        largest = labels == np.bincount(labels).argmax()
+        differences = (dec.quasienergies[:, None] - dec.quasienergies).ravel()
+        assert len(np.unique(differences[largest])) >= 8
+        frequencies, cluster_index = reference_cluster_frequencies(
+            np.array(dec.quasienergies), m.omega
+        )
+        assert dec.frequencies.tobytes() == frequencies.tobytes()
+        assert dec.cluster_index.tobytes() == cluster_index.tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_clusters_of_an_empty_and_a_one_level_model_match_the_loop(dim):
+    quasi = np.full(dim, 0.25)
+    got = floquet._cluster_frequencies(quasi, 2.0 * math.pi)
+    want = reference_cluster_frequencies(quasi, 2.0 * math.pi)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class _CountingNumpy:
+    """Stands in for numpy inside a module and counts each call made
+    through it by dotted name (``add.reduceat`` included)."""
+
+    def __init__(self, target, counts, name=""):
+        self._target, self._counts, self._name = target, counts, name
+
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        if not callable(value) or isinstance(value, type):
+            return value
+        name = f"{self._name}.{attr}" if self._name else attr
+        return _CountingNumpy(value, self._counts, name)
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._target(*args, **kwargs)
+
+
+def test_clustering_makes_no_call_per_difference(monkeypatch):
+    """Counted, not timed: no np.mean, and the same numpy calls at d = 8 as
+    at d = 2."""
+    counts = Counter()
+    monkeypatch.setattr(floquet, "np", _CountingNumpy(np, counts))
+    calls = {}
+    rng = np.random.default_rng(8)
+    for dim in (2, 8):
+        quasi = np.sort(rng.uniform(-1.0, 1.0, dim))[::-1]
+        counts.clear()
+        floquet._cluster_frequencies(quasi, 2.0 * math.pi)
+        calls[dim] = dict(counts)
+    assert "mean" not in calls[2] and "mean" not in calls[8]
+    assert "add.reduceat" in calls[8]
+    assert calls[2] == calls[8]
+
+
+def test_the_floquet_frame_does_not_depend_on_numpys_simd_level():
+    """Reruns decompose with numpy's AVX-512 kernels switched off (as on an
+    AVX2 host) and compares bytes.  quasienergies and frequencies are left
+    out: np.angle's SIMD kernels round otherwise than the scalar phase, so
+    they move by an ulp on some models (ROADMAP item 3).  On a host
+    without AVX-512 both runs take the same kernels."""
+    script = textwrap.dedent("""
+        import hashlib, math
+        import numpy as np
+        from floqlind.floquet import KickedModel, decompose, floquet_operator
+        from floqlind.operators import PAULI_X, PAULI_Z
+        rng = np.random.default_rng(3)
+        def herm(d):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return (a + a.conj().T) / 2
+        for i in range(60):
+            d = int(rng.integers(2, 9))
+            m = KickedModel(herm(d), herm(d), rng.uniform(-3, 3), rng.uniform(0.2, 5))
+            dec = decompose(m)
+            for a in (floquet_operator(m), dec.basis, dec.cluster_index):
+                print(hashlib.sha256(a.tobytes()).hexdigest())
+        for i in range(30):
+            strength = math.pi / float(rng.choice([4, 2, 1]))
+            h0 = 0.5 * rng.uniform(-3, 3) * PAULI_Z
+            m = KickedModel(h0, PAULI_X, strength, rng.uniform(0.2, 5))
+            dec = decompose(m)
+            for a in (floquet_operator(m), dec.basis, dec.cluster_index):
+                print(hashlib.sha256(a.tobytes()).hexdigest())
+    """)
+    src = str(Path(floquet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    runs = [
+        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True,
+                       text=True, check=True, timeout=120).stdout.split()
+        for e in (env, emulated)
+    ]
+    assert len(runs[0]) == 3 * 90
+    assert runs[0] == runs[1]
 
 
 # --------------------------------------------------------------- propagator
@@ -439,7 +601,7 @@ def test_partial_sums_reconstruct_the_heisenberg_coupling():
     h_small = harmonic_decomposition(m, [PAULI_Z], q_max=50)
     h_large = harmonic_decomposition(m, [PAULI_Z], q_max=200)
     t = 0.37 * m.period
-    u = propagator(m, t)
+    u = propagator(decompose(m), t)
     exact = u.conj().T @ PAULI_Z @ u
     err_small = np.max(np.abs(reconstruct_heisenberg(h_small, t) - exact))
     err_large = np.max(np.abs(reconstruct_heisenberg(h_large, t) - exact))
