@@ -22,6 +22,7 @@ below its positive one at every temperature.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,6 +54,19 @@ def _ldexp(mantissa: float, exponent: int) -> float:
         return math.ldexp(mantissa, exponent)
     except OverflowError:
         return math.inf
+
+
+def _math_map(function, x, *args) -> np.ndarray:
+    """function(value, *args) at each value of x, shaped like x.
+
+    For the math module's functions and the float power, whose bits are
+    libm's: numpy's exp, expm1, tanh and power round otherwise on some
+    arguments, and differently at each of its SIMD levels.  The map runs
+    in C, with no Python call per value.
+    """
+    x = np.asarray(x, dtype=float)
+    values = map(function, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, count=x.size).reshape(x.shape)
 
 
 class SpectralDensity:

@@ -193,7 +193,7 @@ def _rates_parallel(config: _Reader, seed: int, base: Path):
     density = Lorentzian(t2=t2, tau_c=tau_c)
     omegas = _sweep_grid(config, "omega")
     periods = 2.0 * math.pi / omegas
-    etas = [rate_parallel_closed(period, t2, tau_c).eta for period in periods]
+    etas = rate_parallel_closed(periods, t2, tau_c).eta
     return omegas, periods, etas, density.evaluate(omegas)
 
 
@@ -204,7 +204,7 @@ def _rates_perp(config: _Reader, seed: int, base: Path):
     omegas = _sweep_grid(config, "omega")
     return (
         omegas,
-        [rate_perp_closed(omega, coupling, cutoff).eta for omega in omegas],
+        rate_perp_closed(omegas, coupling, cutoff).eta,
         [density.evaluate(omega) for omega in omegas],
     )
 

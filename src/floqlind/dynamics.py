@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _math_map
 from .errors import (
     DomainError,
     UnsupportedFrameError,
@@ -180,21 +181,14 @@ def _echo_offset(period, frac):
     return period * (frac - 0.5)
 
 
-def _math_exp(x) -> np.ndarray:
-    """math.exp elementwise, for a scalar or an array.  numpy's exp differs
-    from it in the last bit, and the printed cells must not move."""
-    x = np.asarray(x, dtype=float)
-    return np.array(list(map(math.exp, x.ravel().tolist()))).reshape(x.shape)
-
-
 def _kicked_motion(eta: float, t, n, cos_phi, sin_phi, x0):
     """Bloch vector at times t after n kicks, elementwise over arrays.  x0's
     transverse part is taken along and across the echo phase phi, given by
     (cos, sin) phi or their ensemble averages: e^{-2 eta t} along,
     (-1)^n e^{-eta t} across and x3."""
     t = np.asarray(t)
-    slow = (1.0 - 2.0 * (np.asarray(n) % 2)) * _math_exp(-eta * t)
-    fast = _math_exp(-2.0 * eta * t)
+    slow = (1.0 - 2.0 * (np.asarray(n) % 2)) * _math_map(math.exp, -eta * t)
+    fast = _math_map(math.exp, -2.0 * eta * t)
     return (
         fast * cos_phi * x0[0] - slow * sin_phi * x0[1],
         fast * sin_phi * x0[0] + slow * cos_phi * x0[1],

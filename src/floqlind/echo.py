@@ -11,10 +11,11 @@ the echo.  ``echo_signal`` has no per-time loop: one ``floor_frac`` call
 splits all its times, each characteristic function takes the whole array
 of offsets u, and the carrier e^{i omega_ext t} is one complex exp.  The
 printed cells must not move, so the arithmetic keeps the bits of the
-per-time formulas: real decay factors come from math.exp (numpy's exp
-differs from it in the last bit), and complex products are formed in
-real arithmetic (numpy's vectorised complex multiply rounds differently
-from its scalar one).
+per-time formulas: real decay factors and the Gaussian characteristic
+function come from the math module and the float power, mapped over the
+array (numpy's exp and power differ from them in the last bit, and by
+host), and complex products are formed in real arithmetic (numpy's
+vectorised complex multiply rounds differently from its scalar one).
 
 ``extract_tau_c`` inverts the kicked dephasing rate: measuring the decay
 rate at one slow and one fast kicking period determines both the bare
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _math_map
 from .dynamics import TLSParams, _echo_offset, _kicked_motion
 from .errors import DomainError, InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
@@ -45,10 +47,12 @@ class GaussianDetuning:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
     def characteristic_function(self, u):
-        """e^{-(sigma u)^2 / 2}, each through math.exp."""
+        """e^{-(sigma u)^2 / 2}, with the square a float power and the
+        exponential math.exp, as for one float u."""
         u = np.asarray(u, dtype=float)
-        values = [math.exp(-0.5 * (self.sigma * x) ** 2) for x in u.ravel().tolist()]
-        return _complex_like(u, values)
+        with np.errstate(over="ignore"):  # an inf sigma u, as for a float
+            square = _math_map(pow, self.sigma * u, 2.0)
+        return _complex_like(u, _math_map(math.exp, -0.5 * square))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)

@@ -270,7 +270,9 @@ class HarmonicDecomposition:
     the kick frequency Omega.  ``coefficients[alpha, q + q_max, k, l]``
     stores the Floquet-basis matrix elements; the (omega, q) component
     matrices are slices of this tensor masked by the decomposition's
-    ``cluster_index``.
+    ``cluster_index``; left out, they are the harmonics |q| <= q_max.
+    ``harmonics`` gives any others from the weights and poles of
+    ``_poles``, formed once per decomposition.
     Components obey S(omega, q)† = S(-omega, -q) and
     [Hbar, S(omega, q)] = omega S(omega, q).
     """
@@ -278,7 +280,13 @@ class HarmonicDecomposition:
     decomposition: FloquetDecomposition
     couplings: tuple[np.ndarray, ...]
     q_max: int
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.coefficients is None:
+            coefficients = self.harmonics(np.arange(-self.q_max, self.q_max + 1))
+            coefficients.flags.writeable = False
+            object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def model(self) -> KickedModel:
@@ -296,9 +304,14 @@ class HarmonicDecomposition:
         """Squared Frobenius norm of the coupling (basis independent)."""
         return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
 
+    @cached_property
+    def _weighted_poles(self) -> tuple[np.ndarray, np.ndarray]:
+        return _poles(self.decomposition, list(self.couplings))
+
     def harmonics(self, q_values: np.ndarray) -> np.ndarray:
         """Coefficients like ``coefficients``, at the harmonics ``q_values``."""
-        return _fourier_tensor(self.decomposition, list(self.couplings), q_values)
+        values = _fourier_tensor(*self._weighted_poles, q_values)
+        return values.reshape(values.shape[:2] + (self.dim, self.dim))
 
 
 def _poles(
@@ -333,9 +346,10 @@ def _poles(
 
 
 def _fourier_tensor(
-    dec: FloquetDecomposition, couplings: list[np.ndarray], q_values: np.ndarray
+    weights: np.ndarray, z: np.ndarray, q_values: np.ndarray
 ) -> np.ndarray:
-    """Closed-form Fourier coefficients of V† P(t)† S P(t) V, in pole form.
+    """Closed-form Fourier coefficients of V† P(t)† S P(t) V, in pole form,
+    indexed [x, q, k] with k the flattened Floquet-basis element.
 
     With the weights and poles of ``_poles`` and z = n + r for an integer
     n, each Fourier integral is
@@ -353,7 +367,6 @@ def _fourier_tensor(
     does).  This is exact for every q, unlike quadrature, which struggles
     with the sawtooth discontinuity.
     """
-    weights, z = _poles(dec, couplings)
     r = z - np.round(z)
     weights = weights * np.exp(1j * math.pi * r)
     # Real and imaginary parts stacked, so one real contraction per chunk.
@@ -362,7 +375,7 @@ def _fourier_tensor(
     parts = np.concatenate([weights.real, weights.imag])
     sine = np.sin(math.pi * r) / math.pi
     # All harmonics at once, in chunks that bound the temporaries.
-    out = np.empty((2, len(couplings), len(q_values), z.shape[1]))
+    out = np.empty((2, len(weights), len(q_values), z.shape[1]))
     sums = out.reshape(len(parts), len(q_values), z.shape[1])
     step = max(1, _CHUNK_ELEMENTS // max(z.size, 1))
     for start in range(0, len(q_values), step):
@@ -370,7 +383,7 @@ def _fourier_tensor(
         # gap is 0 only where z is an integer and q = z: the integral is 1.
         pole = np.divide(sine, gap, out=np.ones_like(gap), where=gap != 0.0)
         np.einsum("xpk,qpk->xqk", parts, pole, out=sums[:, start : start + step])
-    return (out[0] + 1j * out[1]).reshape(out.shape[1:3] + dec.basis.shape)
+    return out[0] + 1j * out[1]
 
 
 def harmonic_decomposition(
@@ -395,12 +408,6 @@ def harmonic_decomposition(
             raise DimensionError(
                 f"coupling shape {s.shape} does not match model dimension {m.dim}"
             )
-    dec = decompose(m)
-    coefficients = _fourier_tensor(dec, validated, np.arange(-q_max, q_max + 1))
-    coefficients.flags.writeable = False
     return HarmonicDecomposition(
-        decomposition=dec,
-        couplings=tuple(validated),
-        q_max=q_max,
-        coefficients=coefficients,
+        decomposition=decompose(m), couplings=tuple(validated), q_max=q_max
     )

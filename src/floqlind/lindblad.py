@@ -36,7 +36,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .bath import _CUBE_MAX, _CUBE_MIN, _TINY, SpectralDensity, _exp_split, _ldexp
+from .bath import (
+    _CUBE_MAX,
+    _CUBE_MIN,
+    _TINY,
+    SpectralDensity,
+    _exp_split,
+    _ldexp,
+    _math_map,
+)
 from .errors import DimensionError, DomainError, TruncationError
 from .floquet import FloquetDecomposition, HarmonicDecomposition
 from .operators import vec
@@ -190,19 +198,26 @@ class LindbladGenerator:
 
 @dataclass(frozen=True)
 class RateResult:
-    """A nonnegative decay rate.
+    """A nonnegative decay rate, or an array of them.
 
     NaN can only come from arithmetic (an overflowed intermediate times
-    zero), never from valid inputs, so it is a numeric failure.
+    zero), never from valid inputs, so it is a numeric failure.  An array
+    is checked as its rates would be one at a time: the first that is NaN
+    or negative raises.
     """
 
-    eta: float
+    eta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if math.isnan(self.eta):
-            raise FloatingPointError("decay rate is NaN: an intermediate overflowed")
-        if not self.eta >= 0.0:
-            raise ValueError(f"decay rate must be nonnegative, got {self.eta}")
+        eta = np.asarray(self.eta)
+        bad = np.flatnonzero(~(eta >= 0.0))  # NaN fails the comparison too
+        if bad.size:
+            value = eta.flat[bad[0]].item()
+            if math.isnan(value):
+                raise FloatingPointError(
+                    "decay rate is NaN: an intermediate overflowed"
+                )
+            raise ValueError(f"decay rate must be nonnegative, got {value}")
 
 
 def _dissipator(pairs: np.ndarray, dim: int) -> np.ndarray:
@@ -304,34 +319,46 @@ def build_generator(
         q_max = int(new[-1])
 
 
-def _suppression_factor(x: float) -> float:
-    """1 - tanh(x)/x, stable near x = 0.
+def _suppression_factor(x):
+    """1 - tanh(x)/x, stable near x = 0; elementwise for an array.
 
     The direct form loses six digits to cancellation at small x; the
     series takes over below 0.05 with error far under 1e-15 relative.
+    tanh is math.tanh, so an array holds the bits of the float calls.
     """
-    if x < 0.05:
-        x2 = x * x
-        return x2 * (
-            1.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 * (17.0 / 315.0 - x2 * 62.0 / 2835.0))
-        )
-    return 1.0 - math.tanh(x) / x
+    x = np.asarray(x, dtype=float)
+    factor = np.empty_like(x)
+    small = x < 0.05
+    x2 = x[small] * x[small]
+    factor[small] = x2 * (
+        1.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 * (17.0 / 315.0 - x2 * 62.0 / 2835.0))
+    )
+    direct = x[~small]
+    factor[~small] = 1.0 - _math_map(math.tanh, direct) / direct
+    return factor if factor.ndim else float(factor)
 
 
-def rate_parallel_closed(period: float, t2: float, tau_c: float) -> RateResult:
+def rate_parallel_closed(period, t2: float, tau_c: float) -> RateResult:
     """Coherence decay rate for kicked dephasing with a Lorentzian bath.
 
     eta = (1/t2) [1 - (2 tau_c / period) tanh(period / (2 tau_c))].
     Monotone in the kick rate: frequent kicks (period << tau_c) suppress
     the rate as period^2/(12 tau_c^2 t2); rare kicks leave 1/t2.
+
+    ``period`` is a float or an array of periods, and ``eta`` is then a
+    float or an array of rates.  Each rate has the bits of its float call
+    on every host: tanh is the math module's, and the rest is IEEE
+    arithmetic, in the same order.
     """
-    if not (period > 0.0 and t2 > 0.0 and tau_c > 0.0):
+    period = np.asarray(period, dtype=float)
+    if not (np.all(period > 0.0) and t2 > 0.0 and tau_c > 0.0):
         raise ValueError("period, t2, tau_c must all be positive")
-    eta = _suppression_factor(period / (2.0 * tau_c)) / t2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as for floats
+        eta = _suppression_factor(period / (2.0 * tau_c)) / t2
     return RateResult(eta=eta)
 
 
-def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult:
+def rate_perp_closed(omega, coupling: float, cutoff: float) -> RateResult:
     """Decay rate for resonant transverse coupling to a zero-temperature
     cubic-cutoff bath, as a function of the kick frequency omega.
 
@@ -345,30 +372,62 @@ def rate_perp_closed(omega: float, coupling: float, cutoff: float) -> RateResult
     and its _ldexp restores the powers of two.  Where omega/cutoff itself
     underflows, 1 - z^2 is its limit omega/cutoff, the next term being
     omega/(2 cutoff) smaller.  A rate above the largest double is inf.
+
+    ``omega`` is a float or an array of frequencies, and ``eta`` is then a
+    float or an array of rates.  Each rate has the bits of its float call
+    on every host: exp, expm1 and the powers are the math module's and
+    the float power, and the rest is IEEE arithmetic, in the same order.
+    Only the points to rescale take a Python step each.
     """
-    if not (omega > 0.0 and coupling > 0.0 and cutoff > 0.0):
+    shape = np.shape(omega)
+    omega = np.asarray(omega, dtype=float).ravel()
+    if not (np.all(omega > 0.0) and coupling > 0.0 and cutoff > 0.0):
         raise ValueError("omega, coupling, cutoff must all be positive")
-    x = omega / (2.0 * cutoff)
-    z = math.exp(-x)
-    z2 = z * z
-    shrink = math.expm1(-omega / cutoff)
-    exponent = 0  # powers of two split off where an intermediate is not normal
-    if not (
-        _CUBE_MIN < omega < _CUBE_MAX and shrink < -2e-154 and z >= _TINY
-        and 1e-290 < coupling * omega**3 < math.inf
-    ):
-        if omega / cutoff < _TINY:  # then 1 - z^2 is omega/cutoff
-            (omega_m, w), (cutoff_m, c) = math.frexp(omega), math.frexp(cutoff)
-            shrink, exponent = -omega_m / cutoff_m, -2 * (w - c)
-        if z < _TINY:
-            z, n = _exp_split(x)
-            exponent -= n
-        (coupling, a), (omega, w), (shrink, s) = map(
-            math.frexp, (coupling, omega, shrink)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as for floats
+        x = omega / (2.0 * cutoff)
+        z = _math_map(math.exp, -x)
+        z2 = z * z
+        shrink = _math_map(math.expm1, -omega / cutoff)
+        # The product's factors: coupling and omega^3 as they are, or their
+        # mantissas where an intermediate is not a normal double.
+        scale, cube = np.full_like(omega, coupling), np.zeros_like(omega)
+        normal = (_CUBE_MIN < omega) & (omega < _CUBE_MAX)
+        normal &= (shrink < -2e-154) & (z >= _TINY)
+        cube[normal] = _math_map(pow, omega[normal], 3.0)
+        normal &= (1e-290 < coupling * cube) & (coupling * cube < math.inf)
+        rescaled = np.flatnonzero(~normal).tolist()
+        exponents = []
+        for i in rescaled:
+            scale[i], cube[i], shrink[i], z[i], exponent = _perp_mantissas(
+                omega[i].item(), coupling, cutoff, shrink[i].item(), z[i].item()
+            )
+            exponents.append(exponent)
+        eta = (
+            scale * cube / (2.0 * math.pi**2) * z * (1.0 + z2)
+            / _math_map(pow, shrink, 2.0)
         )
-        exponent += a + 3 * w - 2 * s
-    eta = coupling * omega**3 / (2.0 * math.pi**2) * z * (1.0 + z2) / shrink**2
-    return RateResult(eta=_ldexp(eta, exponent))
+    for i, exponent in zip(rescaled, exponents):
+        eta[i] = _ldexp(eta[i].item(), exponent)
+    return RateResult(eta=eta.reshape(shape) if shape else eta[0].item())
+
+
+def _perp_mantissas(
+    omega: float, coupling: float, cutoff: float, shrink: float, z: float
+) -> tuple[float, float, float, float, int]:
+    """(coupling, omega^3, 1 - z^2, z, n) for rate_perp_closed's product
+    at one point, from frexp mantissas and _exp_split, so that the rate is
+    the product times 2^n."""
+    exponent = 0
+    if omega / cutoff < _TINY:  # then 1 - z^2 is omega/cutoff
+        (omega_m, w), (cutoff_m, c) = math.frexp(omega), math.frexp(cutoff)
+        shrink, exponent = -omega_m / cutoff_m, -2 * (w - c)
+    if z < _TINY:
+        z, n = _exp_split(omega / (2.0 * cutoff))
+        exponent -= n
+    (coupling, a), (omega, w), (shrink, s) = map(
+        math.frexp, (coupling, omega, shrink)
+    )
+    return coupling, omega**3, shrink, z, exponent + a + 3 * w - 2 * s
 
 
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from floqlind import cli, floquet, lindblad
+from floqlind import bath, cli, floquet, lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
 from floqlind.echo import GaussianDetuning, UniformDetuning
 from floqlind.errors import DomainError
@@ -252,6 +252,58 @@ def reference_cluster_frequencies(quasienergies, omega):
     if members:
         reps.append(float(np.mean(members)))
     return np.asarray(reps), labels.reshape(d, d)
+
+
+def _reference_rate(eta):
+    """The per-float check of ``lindblad.RateResult``: eta, or its error."""
+    if math.isnan(eta):
+        raise FloatingPointError("decay rate is NaN: an intermediate overflowed")
+    if not eta >= 0.0:
+        raise ValueError(f"decay rate must be nonnegative, got {eta}")
+    return eta
+
+
+def reference_rate_parallel_closed(period, t2, tau_c):
+    """Float reference for ``lindblad.rate_parallel_closed(...).eta``."""
+    if not (period > 0.0 and t2 > 0.0 and tau_c > 0.0):
+        raise ValueError("period, t2, tau_c must all be positive")
+    x = period / (2.0 * tau_c)
+    if x < 0.05:
+        x2 = x * x
+        factor = x2 * (
+            1.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 * (17.0 / 315.0 - x2 * 62.0 / 2835.0))
+        )
+    else:
+        factor = 1.0 - math.tanh(x) / x
+    return _reference_rate(factor / t2)
+
+
+def reference_rate_perp_closed(omega, coupling, cutoff):
+    """Float reference for ``lindblad.rate_perp_closed(...).eta``: the
+    guard, the frexp rescaling and the formula, one point at a time."""
+    if not (omega > 0.0 and coupling > 0.0 and cutoff > 0.0):
+        raise ValueError("omega, coupling, cutoff must all be positive")
+    x = omega / (2.0 * cutoff)
+    z = math.exp(-x)
+    z2 = z * z
+    shrink = math.expm1(-omega / cutoff)
+    exponent = 0
+    if not (
+        bath._CUBE_MIN < omega < bath._CUBE_MAX and shrink < -2e-154
+        and z >= bath._TINY and 1e-290 < coupling * omega**3 < math.inf
+    ):
+        if omega / cutoff < bath._TINY:
+            (omega_m, w), (cutoff_m, c) = math.frexp(omega), math.frexp(cutoff)
+            shrink, exponent = -omega_m / cutoff_m, -2 * (w - c)
+        if z < bath._TINY:
+            z, n = bath._exp_split(x)
+            exponent -= n
+        (coupling, a), (omega, w), (shrink, s) = map(
+            math.frexp, (coupling, omega, shrink)
+        )
+        exponent += a + 3 * w - 2 * s
+    eta = coupling * omega**3 / (2.0 * math.pi**2) * z * (1.0 + z2) / shrink**2
+    return _reference_rate(bath._ldexp(eta, exponent))
 
 
 def _reference_decay(eta, t, n):

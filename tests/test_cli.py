@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import textwrap
 
@@ -327,6 +328,31 @@ def _calls(write):
     finally:
         sys.setprofile(None)
     return len(calls)
+
+
+@pytest.mark.parametrize(
+    "body", [PARALLEL_CONFIG, ECHO_CONFIG], ids=["rates-parallel", "echo-gaussian"]
+)
+def test_a_batched_table_makes_no_call_per_point(tmp_path, body):
+    """Counted, not timed: the rates and the Gaussian characteristic
+    function take the whole sweep in one call."""
+
+    def calls(points):
+        sized = re.sub(r"points = \d+", f"points = {points}", body)
+        config = write_config(tmp_path, sized)
+        return _calls(lambda: cli.run(config))
+
+    calls(1)  # first-use imports
+    assert calls(4000) == calls(10)
+
+
+def test_perp_rates_of_an_array_make_no_call_per_point():
+    def calls(points):
+        omegas = np.linspace(0.1, 20.0, points)
+        return _calls(lambda: rate_perp_closed(omegas, 0.8, 1.3))
+
+    calls(1)
+    assert calls(4000) == calls(10)
 
 
 def test_writing_a_mixed_table_makes_no_call_per_cell(tmp_path):

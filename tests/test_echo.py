@@ -1,10 +1,13 @@
 """Detuning-ensemble averaging and rate-inversion tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import reference_characteristic_function, reference_echo_signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqlind import echo
 from floqlind.dynamics import TLSParams, closed_form_parallel
@@ -96,6 +99,31 @@ def test_characteristic_functions_take_arrays_like_scalars(ensemble):
         ensemble.characteristic_function(grid), values[:12].reshape(3, 4)
     )
     assert ensemble.characteristic_function(u[:0]).shape == (0,)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    sigma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e) | st.just(0.0),
+    u=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+)
+def test_gaussian_characteristic_function_of_an_array_is_the_float_calls(sigma, u):
+    e = GaussianDetuning(sigma)
+    assert np.array_equal(
+        e.characteristic_function(np.array(u)),
+        [reference_characteristic_function(e, x) for x in u],
+    )
+
+
+def test_gaussian_characteristic_function_overflows_as_the_float_calls_do():
+    """(sigma u)^2 above the double range raises the float power's
+    OverflowError at the first such u; an inf sigma u gives 0."""
+    e = GaussianDetuning(1e300)
+    assert np.array_equal(e.characteristic_function(np.array([0.0, 1e10])), [1.0, 0.0])
+    with pytest.raises(OverflowError) as scalar:
+        reference_characteristic_function(e, 1e-100)
+    message = f"^{re.escape(str(scalar.value))}$"
+    with pytest.raises(OverflowError, match=message):
+        e.characteristic_function(np.array([0.0, 1e-100, 1e10]))
 
 
 def test_every_ensemble_is_normalized_at_zero():

@@ -31,6 +31,7 @@ from conftest import (
 from floqlind import floquet, oracle
 from floqlind.errors import DimensionError, DomainError, HermiticityError
 from floqlind.floquet import (
+    HarmonicDecomposition,
     KickedModel,
     _poles,
     decompose,
@@ -648,6 +649,28 @@ def test_extended_matches_a_fresh_decomposition(dim):
         q_max = int(new[-1])
     with pytest.raises(ValueError):
         fresh.coefficients[0, 0, 0, 0] = 1.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    dim=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    q_values=st.lists(st.integers(-9000, 9000), max_size=300),
+    cuts=st.lists(st.integers(0, 300), max_size=6),
+)
+def test_harmonics_keep_their_bits_for_any_split(dim, seed, q_values, cuts):
+    """However q_values is split into calls, and whether the weights and
+    poles are formed by the call or were cached before it, every harmonic
+    has the same bits."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, dim=dim)
+    h = harmonic_decomposition(m, [rand_herm(rng, dim), rand_herm(rng, dim)], q_max=1)
+    q = np.array(q_values, dtype=int)
+    uncached = HarmonicDecomposition(h.decomposition, h.couplings, 1, h.coefficients)
+    whole = uncached.harmonics(q)
+    bounds = [0, *sorted(c for c in cuts if c <= len(q)), len(q)]
+    pieces = [h.harmonics(q[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces, axis=1), whole)
 
 
 def _exact_harmonics(h, q_values):

@@ -1,7 +1,12 @@
 """Generator assembly and closed-form rate tests."""
 
 import math
+import os
+import re
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +19,15 @@ from conftest import (
     rand_density,
     rand_herm,
     reference_generator,
+    reference_rate_parallel_closed,
+    reference_rate_perp_closed,
     vectorize,
     zone_edge_h0,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqlind import lindblad
+from floqlind import floquet, lindblad
 from floqlind.bath import Lorentzian, PhononCutoff
 from floqlind.dynamics import evolve
 from floqlind.errors import DimensionError, DomainError, TruncationError
@@ -170,7 +177,156 @@ def test_a_perp_rate_above_the_double_range_is_inf():
     assert rate_perp_closed(1e-200, 1e300, 1e200).eta == math.inf
 
 
+def _assert_the_float_calls(rate, reference, points, *args):
+    """rate(array) gives each float call's bits, or raises the exception,
+    type and message, of the first point whose float call raises; each
+    float call gives a float."""
+    expected = []
+    for point in points:
+        try:
+            expected.append(reference(point, *args))
+        except (FloatingPointError, ValueError) as exc:
+            for call in (np.array(points), point):
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    rate(call, *args)
+            return
+    eta = rate(np.array(points), *args).eta
+    assert isinstance(eta, np.ndarray) and np.array_equal(eta, expected)
+    for point, want in zip(points, expected):
+        eta = rate(point, *args).eta
+        assert type(eta) is float and eta == want
+
+
+_LOG_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    ratios=st.lists(_LOG_SCALE, min_size=1, max_size=40),
+    near_switch=st.lists(st.integers(-6, 6), max_size=8),
+    t2=_LOG_SCALE,
+    tau_c=_LOG_SCALE,
+)
+def test_parallel_rates_of_an_array_are_the_float_rates(ratios, near_switch, t2, tau_c):
+    """period/tau_c from 1e-3 to 1e3, and periods a few ulps either side of
+    x = period/(2 tau_c) = 0.05, where the series takes over."""
+    periods = [tau_c * ratio for ratio in ratios]
+    periods += [0.1 * tau_c * (1.0 + k * 2.0**-52) for k in near_switch]
+    _assert_the_float_calls(
+        rate_parallel_closed, reference_rate_parallel_closed, periods, t2, tau_c
+    )
+
+
+# Where the float call rescales: omega^3 leaves the normal range, and
+# omega/cutoff is below the smallest normal double for a huge cutoff.
+_PERP_EDGES = [2.9e-103, 3e-103, 3.1e-103, 4.9e102, 5e102, 5.1e102, 1e-320, 5e-324]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    log_omegas=st.lists(st.floats(-323.0, 307.0), min_size=1, max_size=40),
+    edges=st.lists(st.sampled_from(_PERP_EDGES), max_size=4),
+    coupling=st.sampled_from([1e-300, 1e-10, 0.8, 1.0, 1e10, 1e300])
+    | st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    cutoff=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+def test_perp_rates_of_an_array_are_the_float_rates(
+    log_omegas, edges, coupling, cutoff
+):
+    omegas = [10.0**e for e in log_omegas] + edges
+    _assert_the_float_calls(
+        rate_perp_closed, reference_rate_perp_closed, omegas, coupling, cutoff
+    )
+
+
+@pytest.mark.parametrize(
+    "omegas, coupling, cutoff",
+    [
+        ([1e-3, 1.0, 700.0, 1000.0, 2000.0, 1e104], 1e300, 1.0),
+        ([1e-200, 1e-100, 1.0, 1e100], 1.0, 1e200),
+        ([1e-300, 1e-103, 1e102, 1e104], 0.8, 1e103),
+        (np.linspace(0.1, 20.0, 101).tolist(), 0.8, 1.3),
+    ],
+    ids=["huge-coupling", "huge-cutoff", "cube-edges", "sweep"],
+)
+def test_perp_rates_at_the_rescaled_edges_are_the_float_rates(omegas, coupling, cutoff):
+    _assert_the_float_calls(
+        rate_perp_closed, reference_rate_perp_closed, omegas, coupling, cutoff
+    )
+
+
+def test_an_array_of_rates_fails_as_its_first_failing_float_would():
+    """NaN from arithmetic raises FloatingPointError and a negative rate
+    ValueError, with the float call's message."""
+    _assert_the_float_calls(
+        rate_perp_closed, reference_rate_perp_closed, [1.0, math.inf, 2.0], 0.8, 1.0
+    )
+    _assert_the_float_calls(
+        rate_parallel_closed, reference_rate_parallel_closed,
+        [1.0, math.inf], 2.0, math.inf,
+    )
+    for rates, first in (
+        ([0.1, -0.5, math.nan], -0.5),
+        ([0.2, math.nan, -1.0], math.nan),
+    ):
+        with pytest.raises((FloatingPointError, ValueError)) as scalar:
+            RateResult(eta=first)
+        message = f"^{re.escape(str(scalar.value))}$"
+        with pytest.raises(type(scalar.value), match=message):
+            RateResult(eta=np.array(rates))
+    assert np.array_equal(RateResult(eta=np.array([0.0, 1.5])).eta, [0.0, 1.5])
+
+
+def test_batched_rates_do_not_depend_on_numpys_simd_level():
+    """Hashes the array rates and the Gaussian characteristic function with
+    numpy's AVX-512 kernels on and off.  numpy's exp, tanh and power change
+    bits between the two on these grids; the math module does not.  The
+    grids are np.linspace, whose bits do not depend on the SIMD level."""
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from floqlind.echo import GaussianDetuning
+        from floqlind.lindblad import rate_parallel_closed, rate_perp_closed
+        grid = np.linspace(0.01, 40.0, 200_001)
+        for a in (
+            rate_parallel_closed(grid, 2.0, 0.7).eta,
+            rate_perp_closed(grid, 0.8, 1.3).eta,
+            GaussianDetuning(2.3).characteristic_function(grid - 20.0),
+        ):
+            print(hashlib.sha256(a.tobytes()).hexdigest())
+    """)
+    src = str(Path(lindblad.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    runs = [
+        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True,
+                       text=True, check=True, timeout=120).stdout.split()
+        for e in (env, emulated)
+    ]
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------- generator assembly
+
+
+def test_the_poles_are_formed_once_per_build(monkeypatch):
+    """harmonic_decomposition forms the weights and poles, and every
+    doubling round of build_generator reuses them."""
+    calls = []
+
+    def counting(*args, _original=floquet._poles):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(floquet, "_poles", counting)
+    rng = np.random.default_rng(5)
+    m = KickedModel(rand_herm(rng, 3), rand_herm(rng, 3), 0.7, 0.9)
+    h = harmonic_decomposition(m, [rand_herm(rng, 3)], q_max=2)
+    g = build_generator(h, (Lorentzian(t2=2.0, tau_c=3.0),), rel_tol=1e-10)
+    assert g.truncation.q_max_used >= 16  # three or more doubling rounds
+    assert len(calls) == 1
 
 
 def test_generator_matches_closed_form_rate_dephasing(longitudinal):
