@@ -30,7 +30,8 @@ Scenarios and their columns:
 
 Cells follow the dtype of their column: a float prints as %.12e, an int
 or str as it is.  The floats of a table are printed by numpy, in blocks
-of rows, and their bytes equal Python's ``b"%.12e" % value``.
+of rows laid out in one buffer each, and their bytes equal Python's
+``b"%.12e" % value``.
 
 Exit codes: 0 success, 2 malformed or incomplete config, or a value
 outside its domain (a nonpositive bath parameter or rel_tol, a sweep
@@ -374,84 +375,113 @@ _SCENARIOS = {
 }
 
 _TAB, _NEWLINE = b"\t\n"  # byte values of the separators
-# Table cells formatted at a time.  Their temporaries, about 60 bytes a
-# cell, stay in the malloc heap once freed, so this bounds the memory a
-# table adds to the process.
+# Table cells laid out at a time.  A block's buffer and temporaries, at
+# most about 75 bytes a cell, stay in the malloc heap once freed, so this
+# bounds the memory a table adds to the process.
 _BLOCK_CELLS = 20_480
-_CELL = 20  # bytes of the widest %.12e cell, -1.234567890123e-308
-# A cell _scientific prints itself: sign, leading digit and point; twelve
-# digits in groups of three; exponent.  A head without sign and an
-# exponent of two digits end in NUL.
-_CELL_LAYOUT = np.dtype([("head", "V3"), ("digits", "V3", (4,)), ("exponent", "V5")])
-# Tables indexed by the lead digit (+10 if negative), by 0..999 and by the
-# decimal exponent k + _EXP; the powers 10^k are parsed, so correctly rounded.
-_EXP = 300
+# A float cell is _SLOTS uint32 slots, 24 bytes: sign, lead digit and
+# point; the twelve digits in three groups of four; the exponent in two
+# slots, written as one uint64 whose last byte stays NUL for a table's
+# separator.  A plus sign and the unused bytes of a slot are NUL, and the
+# writer drops every NUL.
+_SLOTS = 6
+# Tables indexed by the lead digit (+11 if negative; a lead of 10 is a
+# carry and prints 1), by 0..9999 and by the decimal exponent k + _EXP.
+# _SCALES[k + _EXP] = 10^(12-k) is parsed, so correctly rounded; _EXP
+# keeps every scale finite and covers the exponents of (1e-280, 1e280).
+_EXP = 290
 _HEADS = np.array(
-    [sign + b"%d." % lead for sign in (b"", b"-") for lead in range(10)], dtype="S3"
-).view("V3")
-_DIGITS = np.array([b"%03d" % group for group in range(1000)]).view("V3")
+    [sign + b"%d." % lead for sign in (b"\0", b"-") for lead in [*range(10), 1]], "S4"
+).view(np.uint32)
+_DIGITS = np.stack(  # every four digits, in the order of their values
+    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij",
+                copy=False),
+    axis=-1,
+).view(np.uint32).ravel()
 _EXPONENTS = np.array(
-    [b"e%+03d" % k for k in range(-_EXP, _EXP + 1)], dtype="S5"
-).view("V5")
-_POWERS = np.array([float(f"1e{k}") for k in range(-_EXP, _EXP + 1)])
+    [b"e%+03d" % k for k in range(-_EXP, _EXP + 1)], "S8"
+).view(np.uint64)
+_SCALES = np.array([float(f"1e{12 - k}") for k in range(-_EXP, _EXP + 1)])
 
 
-def _scientific(values) -> np.ndarray:
-    """``b"%.12e" % v`` for every float v, NUL-padded to _CELL bytes: an
-    array of dtype S20 and the shape of ``values``.
+def _scientific(values, cells=None) -> np.ndarray:
+    """``b"%.12e" % v`` for every float v, NUL-padded: the bytes of
+    ``cells``, uint32 of shape ``values.shape + (_SLOTS,)`` (new if None,
+    else written in place), as an array shaped like ``values``.
 
     With e = floor(log10|v|), stepped once where the product leaves
     [1e12, 1e13), the 13 significant digits are the integer nearest
-    m = |v| 10^(12-e); they are split by 1000s and printed through tables.
-    10^(12-e) is correctly rounded and m < 2^44, so m is within
-    1e13 2^-53 + 2^-10 < 2.2e-3 of the exact |v| 10^(12-e): one rounding
-    in the power, one in the product.  Rounding m to the nearest integer
-    therefore gives the digits %e gives unless m lies within 0.01 of a
-    half-integer.  Those cells, zeros (-0.0 too) and magnitudes outside
-    (1e-280, 1e280) are printed by ``%`` itself, about 2% of the cells of
-    a table of arbitrary values.
+    m = |v| 10^(12-e); they are split into groups of four and printed
+    through tables.  10^(12-e) is correctly rounded and m < 2^44, so m is
+    within 1e13 2^-53 + 2^-10 < 2.2e-3 of the exact x = |v| 10^(12-e): one
+    rounding in the power, one in the product.  Where |m - rint(m)| <
+    0.495, x is within 0.4972 of the integer rint(m), so %e's correct
+    rounding of x gives rint(m); the 0.005 left to a half-integer is more
+    than twice the error bound, and a tie x (a half-integer) never passes.
+    Other cells, zeros (-0.0 too) and magnitudes outside (1e-280, 1e280)
+    are printed by ``%`` itself, about 1% of the cells of a table of
+    arbitrary values.
     """
     values = np.asarray(values, dtype=float)
+    if cells is None:
+        cells = np.empty(values.shape + (_SLOTS,), np.uint32)
     magnitude = np.abs(values)
     fast = (magnitude > 1e-280) & (magnitude < 1e280)
-    magnitude[~fast] = 1.0
+    # Zeros and huge magnitudes get a stand-in in range; % prints them.
+    np.minimum(np.maximum(magnitude, 1e-280, out=magnitude), 1e280, out=magnitude)
     exponent = np.log10(magnitude)
-    exponent = np.floor(exponent, out=exponent).astype(np.int16)
-    scaled = _POWERS[_EXP + 12 - exponent] * magnitude
+    exponent = np.floor(exponent, out=exponent).astype(np.intp)
+    exponent += _EXP
+    scaled = _SCALES[exponent] * magnitude
     exponent += scaled >= 1e13
     exponent -= scaled < 1e12
-    np.multiply(_POWERS[_EXP + 12 - exponent], magnitude, out=scaled)
+    np.multiply(_SCALES[exponent], magnitude, out=scaled)
     digits = np.rint(scaled, out=magnitude)
     scaled -= digits
-    fast &= (np.abs(scaled, out=scaled) < 0.49) & (digits >= 1e12) & (digits <= 1e13)
-    slow = ~fast
-    carry = digits == 1e13  # 9.9999999999995 rounds up to 1.000000000000e+01
-    exponent += carry
-    digits[carry | slow] = 1e12  # a slow cell is printed by % below
-    digits[values < 0.0] += 10e12  # the lead digit indexes _HEADS
-    groups = scaled.view(np.int64)  # the digits as integers, in place
+    fast &= (np.abs(scaled, out=scaled) < 0.495) & (digits >= 1e12) & (digits <= 1e13)
+    exponent += digits == 1e13  # 9.9999999999995 rounds up to 1.000000000000e+01
+    digits += (values < 0.0) * 11e12  # the lead digit indexes _HEADS
+    groups = scaled.view(np.intp)  # the digits as integers, in place
     groups[...] = digits
     del magnitude, digits  # freed before the cells are laid out
-    cells = np.empty(values.shape, f"S{_CELL}")
-    fields = cells.view(_CELL_LAYOUT)
-    fields["exponent"] = _EXPONENTS[_EXP + exponent]
-    for i in (3, 2, 1, 0):  # floor division by a scalar is the fast one
-        rest = groups // 1000
-        groups -= 1000 * rest
-        fields["digits"][..., i] = _DIGITS[groups]
+    # Clipped, a slow cell's indices stay in the tables; % rewrites it below.
+    _EXPONENTS.take(exponent, out=cells[..., 4:].view(np.uint64)[..., 0], mode="clip")
+    for slot in (3, 2, 1):  # floor division by a scalar is the fast one
+        rest = groups // 10_000
+        groups -= 10_000 * rest
+        _DIGITS.take(groups, out=cells[..., slot], mode="clip")
         groups = rest
-    fields["head"] = _HEADS[groups]
+    _HEADS.take(groups, out=cells[..., 0], mode="clip")
+    text = cells.view(f"S{4 * _SLOTS}")[..., 0]
+    slow = ~fast
     # Taken also when empty, so the calls made do not depend on the data.
-    cells[slow] = [b"%.12e" % value for value in values[slow].tolist()]
+    text[slow] = [b"%.12e" % value for value in values[slow].tolist()]
+    return text
+
+
+def _table_block(columns, rows: slice, runs, texts, width: int) -> np.ndarray:
+    """The cells of some rows of a table, one uint32 buffer: per cell
+    ``width`` bytes, NUL-padded, its last byte the separator.
+    _scientific formats each run of adjacent float columns in place."""
+    cells = np.empty((len(columns[0][rows]), len(columns), width // 4), np.uint32)
+    cells[:, :, _SLOTS:] = 0  # a float cell's padding, if any
+    for run in runs:  # the values row by row, as the cells lie
+        values = np.array([column[rows] for column in columns[run]]).T.copy()
+        _scientific(values, cells[:, run, :_SLOTS])
+    layout = cells.view(np.uint8)
+    for j in texts:
+        layout[:, j, :-1].view(f"S{width - 1}")[:, 0] = columns[j][rows]
+    layout[:, :, -1] = _TAB
+    layout[:, -1, -1] = _NEWLINE
     return cells
 
 
 def _write_table(path: Path, scenario: str, names, columns, resolved) -> None:
     """Header, then one line per row.  A float cell prints as %.12e, an
-    int or str cell as it is.  Each block of rows is laid out as one array
-    of NUL-padded cells, each with room for its separator, its float
-    columns formatted by one _scientific call, and written with the NUL
-    padding dropped."""
+    int or str cell as it is.  Every cell of a table has the same width:
+    a float cell's _SLOTS slots, widened by whole uint64s where a text cell
+    needs more.  Each block of rows is one buffer of cells, written with
+    every NUL dropped."""
     header = [
         f"# schema_version = {SCHEMA_VERSION}",
         f"# scenario = {scenario}",
@@ -461,28 +491,24 @@ def _write_table(path: Path, scenario: str, names, columns, resolved) -> None:
     header.append("# columns: " + " ".join(names) + "\n")
     header = "\n".join(header).encode("ascii")
     columns = [np.asarray(column) for column in columns]
-    floats, texts, width = [], [], _CELL
+    runs, texts, width = [], [], 4 * _SLOTS
     for j, column in enumerate(columns):
-        if column.dtype.kind == "f":
-            floats += [j]
-        else:
+        if column.dtype.kind != "f":
             texts += [j]
-            width = max(width, column.astype("S").itemsize)
-    rows = len(columns[0])
+            width = max(width, column.astype("S").itemsize + 1)
+        elif runs and runs[-1].stop == j:
+            runs[-1] = slice(runs[-1].start, j + 1)
+        else:
+            runs += [slice(j, j + 1)]
+    width = -(-width // 8) * 8  # whole uint64s keep the exponents aligned
     step = _BLOCK_CELLS // len(columns) + 1  # rows per block, at least one
     with open(path, "wb") as handle:
         handle.write(header)
-        for start in range(0, rows, step):
-            block = slice(start, start + step)
-            values = np.array([columns[j][block] for j in floats]).T
-            table = np.empty((len(columns[0][block]), len(columns)), f"S{width + 1}")
-            table[:, floats] = _scientific(values)
-            for j in texts:
-                table[:, j] = columns[j][block]
-            layout = table.view(np.uint8).reshape(table.shape + (width + 1,))
-            layout[:, :, width] = _TAB
-            layout[:, -1, width] = _NEWLINE
-            handle.write(table.tobytes().translate(None, b"\0"))
+        for start in range(0, len(columns[0]), step):
+            rows = slice(start, start + step)
+            cells = _table_block(columns, rows, runs, texts, width)
+            handle.write(cells.tobytes().translate(None, b"\0"))
+            del cells  # freed before the next block is laid out
 
 
 def run(config_path: Path) -> Path:

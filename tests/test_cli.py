@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +438,103 @@ def test_scientific_rounds_decimal_half_way_points_as_percent_does():
     near = [float(f"{lead}5e{k}") for lead in leads[:100] for k in range(-290, 280, 37)]
     values = np.array(ties + near)
     _assert_prints_as_percent(np.concatenate([values, -values]))
+
+
+def _table_columns(rng, kinds, rows):
+    """One column per kind: "f" floats, half of them random bit patterns
+    (zeros of both signs where not finite) and half standard normals; "i"
+    signed ints; "s" ASCII text of 0 to 40 characters, wider than a float
+    cell."""
+    columns = []
+    for kind in kinds:
+        if kind == "f":
+            bits = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+            bits = np.where(np.isfinite(bits), bits, np.copysign(0.0, bits))
+            normals = rng.standard_normal(rows)
+            columns.append(np.where(rng.random(rows) < 0.5, bits, normals))
+        elif kind == "i":
+            columns.append(rng.integers(-10**15, 10**15, rows))
+        else:
+            columns.append(np.array(["x" * (k % 41) for k in range(rows)]))
+    return columns
+
+
+# Row counts around the block size: (blocks, extra rows) per table.
+BLOCK_EDGES = pytest.mark.parametrize(
+    "blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["step-1", "step", "step+1", "2*step+1"],
+)
+
+
+def _assert_writes_as_reference(tmp_path, kinds, blocks, extra):
+    step = cli._BLOCK_CELLS // len(kinds) + 1  # rows per block
+    rows = blocks * step + extra
+    columns = _table_columns(np.random.default_rng(rows), kinds, rows)
+    names = tuple(f"c{j}" for j in range(len(kinds)))
+    row_format = "\t".join({"f": "%.12e", "i": "%d", "s": "%s"}[k] for k in kinds)
+    path, reference = tmp_path / "table.tsv", tmp_path / "reference.tsv"
+    resolved = {"run.seed": "1"}
+    cli._write_table(path, "edges", names, columns, resolved)
+    reference_write_table(reference, "edges", names, row_format, columns, resolved)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@BLOCK_EDGES
+@pytest.mark.parametrize("kinds", ["f", "fff", "ffff", "fffff"])
+def test_a_float_table_is_written_as_the_reference_at_block_edges(
+    tmp_path, kinds, blocks, extra
+):
+    _assert_writes_as_reference(tmp_path, kinds, blocks, extra)
+
+
+@BLOCK_EDGES
+@pytest.mark.parametrize(
+    "kinds",
+    ["fffi", "ss", "fsif", "sfff"],
+    ids=["extract-tauc", "generator-audit", "float-text-int-float", "text-first"],
+)
+def test_a_mixed_table_is_written_as_the_reference_at_block_edges(
+    tmp_path, kinds, blocks, extra
+):
+    """Int columns, and text wider than a float cell, which widens every
+    cell of the table; floats on both sides of a text column."""
+    _assert_writes_as_reference(tmp_path, kinds, blocks, extra)
+
+
+def test_the_writer_does_not_depend_on_numpys_simd_level(tmp_path):
+    """Hashes what _write_table writes for random bit patterns with numpy's
+    AVX-512 kernels on and off.  log10, floor and rint are dispatched by
+    SIMD level, so the printed digits must come only from the correctly
+    rounded power and one IEEE product.  On a host without AVX-512 both
+    runs take the same kernels."""
+    script = textwrap.dedent("""
+        import hashlib, sys
+        from pathlib import Path
+        import numpy as np
+        from floqlind import cli
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 2**64, (50_000, 5), dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = 0.0
+        # ldexp is exact, so these inputs do not depend on the SIMD level.
+        scales = rng.integers(-100, 100, (50_000, 5))
+        scaled = np.ldexp(rng.standard_normal((50_000, 5)), scales)
+        path = Path(sys.argv[1])
+        for table in (values, scaled):
+            cli._write_table(path, "echo", "abcde", list(table.T), {})
+            print(hashlib.sha256(path.read_bytes()).hexdigest())
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    runs = [
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / f"{i}.tsv")],
+                       env=e, capture_output=True, text=True, check=True,
+                       timeout=120).stdout.split()
+        for i, e in enumerate((env, emulated))
+    ]
+    assert len(runs[0]) == 2
+    assert runs[0] == runs[1]
 
 
 AUDIT_CONFIG = """
