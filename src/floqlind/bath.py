@@ -59,10 +59,11 @@ def _ldexp(mantissa: float, exponent: int) -> float:
 def _math_map(function, x, *args) -> np.ndarray:
     """function(value, *args) at each value of x, shaped like x.
 
-    For the math module's functions and the float power, whose bits are
-    libm's: numpy's exp, expm1, tanh and power round otherwise on some
-    arguments, and differently at each of its SIMD levels.  The map runs
-    in C, with no Python call per value.
+    For functions of a Python float whose bits are libm's, such as the
+    math module's, the float power and PhononCutoff.evaluate: numpy's
+    exp, expm1, tanh and power round otherwise on some arguments, and
+    differently at each of its SIMD levels.  The map runs in C, so a
+    builtin function makes no Python call per value.
     """
     x = np.asarray(x, dtype=float)
     values = map(function, x.ravel().tolist(), *map(itertools.repeat, args))
@@ -73,7 +74,12 @@ class SpectralDensity:
     """Shared behavior of all spectral-density variants."""
 
     def evaluate(self, omega):
-        """gamma(omega): a float for a scalar, elementwise for an ndarray."""
+        """gamma(omega): a float for a scalar, elementwise for an ndarray.
+
+        A float (np.float64 included), an int or a 0-d array is a scalar.
+        PhononCutoff takes a float to its scalar case without a numpy
+        call, and a list elementwise like an ndarray.
+        """
         raise NotImplementedError
 
     def tail_supremum(self, threshold: float) -> float:
@@ -139,7 +145,10 @@ class PhononCutoff(SpectralDensity):
             )
 
     def evaluate(self, omega):
-        if np.ndim(omega) > 0:  # the plain formula, elsewhere the scalar case
+        # An array takes the plain formula, elsewhere the scalar case.  A
+        # float (np.float64 too) is a scalar without asking numpy: np.ndim
+        # wraps it in an array, which costs more than the formula.
+        if not isinstance(omega, float) and np.ndim(omega) > 0:
             w = np.asarray(omega, dtype=float)
             u = np.abs(w)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import Lorentzian, PhononCutoff
+from .bath import Lorentzian, PhononCutoff, _math_map
 from .dynamics import TLSParams, evolve
 from .echo import (
     DiscreteDetuning,
@@ -206,7 +206,9 @@ def _rates_perp(config: _Reader, seed: int, base: Path):
     return (
         omegas,
         rate_perp_closed(omegas, coupling, cutoff).eta,
-        [density.evaluate(omega) for omega in omegas],
+        # One scalar call per Python float: its bits are libm's, which an
+        # array call through numpy's exp, expm1 and power would not keep.
+        _math_map(density.evaluate, omegas),
     )
 
 

@@ -35,6 +35,10 @@ from .errors import DomainError, InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
 
+# x^2 is a finite double for |x| below this and above the double range
+# from it on.
+_SQUARE_OVERFLOW = 2.0**512
+
 
 @dataclass(frozen=True)
 class GaussianDetuning:
@@ -48,10 +52,14 @@ class GaussianDetuning:
 
     def characteristic_function(self, u):
         """e^{-(sigma u)^2 / 2}, with the square a float power and the
-        exponential math.exp, as for one float u."""
+        exponential math.exp, as for one float u.  Where the square is
+        above the double range (|sigma u| >= 2^512, where the float power
+        raises OverflowError) the value is 0.0, as at an inf sigma u."""
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):  # an inf sigma u, as for a float
-            square = _math_map(pow, self.sigma * u, 2.0)
+            x = self.sigma * u
+        x = np.where(np.abs(x) >= _SQUARE_OVERFLOW, math.inf, x)
+        square = _math_map(pow, x, 2.0)
         return _complex_like(u, _math_map(math.exp, -0.5 * square))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:

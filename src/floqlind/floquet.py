@@ -272,7 +272,8 @@ class HarmonicDecomposition:
     matrices are slices of this tensor masked by the decomposition's
     ``cluster_index``; left out, they are the harmonics |q| <= q_max.
     ``harmonics`` gives any others from the weights and poles of
-    ``_poles``, formed once per decomposition.
+    ``_poles`` and their phases and sines (``_pole_form``), all formed
+    once per decomposition.
     Components obey S(omega, q)† = S(-omega, -q) and
     [Hbar, S(omega, q)] = omega S(omega, q).
     """
@@ -305,8 +306,8 @@ class HarmonicDecomposition:
         return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
 
     @cached_property
-    def _weighted_poles(self) -> tuple[np.ndarray, np.ndarray]:
-        return _poles(self.decomposition, list(self.couplings))
+    def _weighted_poles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _pole_form(*_poles(self.decomposition, list(self.couplings)))
 
     def harmonics(self, q_values: np.ndarray) -> np.ndarray:
         """Coefficients like ``coefficients``, at the harmonics ``q_values``."""
@@ -345,11 +346,10 @@ def _poles(
     return weights.reshape((len(couplings),) + mu.shape), z
 
 
-def _fourier_tensor(
-    weights: np.ndarray, z: np.ndarray, q_values: np.ndarray
-) -> np.ndarray:
-    """Closed-form Fourier coefficients of V† P(t)† S P(t) V, in pole form,
-    indexed [x, q, k] with k the flattened Floquet-basis element.
+def _pole_form(
+    weights: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-pole factors of ``_fourier_tensor``: (parts, sine, z).
 
     With the weights and poles of ``_poles`` and z = n + r for an integer
     n, each Fourier integral is
@@ -360,22 +360,34 @@ def _fourier_tensor(
     delta of q and n.  Any integer n gives this identity; n = round(z)
     keeps |r| <= 1/2, and r = z - n is exact.  So the phase and the sine
     are taken once per pole, of an argument that carries no rounding
-    from q, and the phase is folded into the weights.  Each harmonic then
-    costs one real subtraction z - q and one division, each rounded once,
-    so the error does not grow with |q| (through c = mu T - 2 pi q, the
-    same integral e^{ic/2} sinc(c / 2 pi) carries c's rounding, which
-    does).  This is exact for every q, unlike quadrature, which struggles
-    with the sawtooth discontinuity.
+    from q.  The phase is folded into the weights, whose real and
+    imaginary parts are stacked in ``parts`` [2x, p, k], and ``sine`` is
+    sin(pi r) / pi.
     """
     r = z - np.round(z)
     weights = weights * np.exp(1j * math.pi * r)
-    # Real and imaginary parts stacked, so one real contraction per chunk.
-    # einsum sums each harmonic over p in order, whatever the chunk, so
-    # every q_values split gives the same bits.
     parts = np.concatenate([weights.real, weights.imag])
-    sine = np.sin(math.pi * r) / math.pi
-    # All harmonics at once, in chunks that bound the temporaries.
-    out = np.empty((2, len(weights), len(q_values), z.shape[1]))
+    return parts, np.sin(math.pi * r) / math.pi, z
+
+
+def _fourier_tensor(
+    parts: np.ndarray, sine: np.ndarray, z: np.ndarray, q_values: np.ndarray
+) -> np.ndarray:
+    """Closed-form Fourier coefficients of V† P(t)† S P(t) V, in pole form,
+    indexed [x, q, k] with k the flattened Floquet-basis element.
+
+    From the factors of ``_pole_form``, each harmonic costs one real
+    subtraction z - q and one division, each rounded once, so the error
+    does not grow with |q| (through c = mu T - 2 pi q, the same integral
+    e^{ic/2} sinc(c / 2 pi) carries c's rounding, which does).  This is
+    exact for every q, unlike quadrature, which struggles with the
+    sawtooth discontinuity.
+    """
+    # One real contraction per chunk, over the stacked parts.  einsum sums
+    # each harmonic over p in order, whatever the chunk, so every q_values
+    # split gives the same bits.  All harmonics at once, in chunks that
+    # bound the temporaries.
+    out = np.empty((2, len(parts) // 2, len(q_values), z.shape[1]))
     sums = out.reshape(len(parts), len(q_values), z.shape[1])
     step = max(1, _CHUNK_ELEMENTS // max(z.size, 1))
     for start in range(0, len(q_values), step):

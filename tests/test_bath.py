@@ -2,13 +2,16 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import kms_ratio
+from conftest import CountingNumpy, kms_ratio
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import PERP_CONFIG, write_config
 
+from floqlind import bath, cli
 from floqlind.bath import Lorentzian, PhononCutoff
 
 
@@ -309,6 +312,74 @@ def test_array_evaluation_matches_scalar_evaluation(density):
     # build_generator evaluates an empty array when no component is live.
     assert density.evaluate(np.array([])).shape == (0,)
 
+
+def test_the_rates_perp_gamma_column_makes_no_numpy_call_per_point(
+    tmp_path, monkeypatch
+):
+    """Counted, not timed: the gamma column is one evaluate call per Python
+    float, and a float takes the scalar case without asking numpy."""
+    counts = Counter()
+    monkeypatch.setattr(bath, "np", CountingNumpy(np, counts))
+
+    def calls(points):
+        counts.clear()
+        body = PERP_CONFIG.replace("points = 9", f"points = {points}")
+        cli.run(write_config(tmp_path, body))
+        return dict(counts)
+
+    assert calls(4000) == calls(10)
+
+
+SCALAR_DENSITIES = pytest.mark.parametrize(
+    "density",
+    [
+        PhononCutoff(coupling=0.8, cutoff=1.5),
+        PhononCutoff(coupling=0.05, cutoff=1.5, beta=2.0),
+    ],
+    ids=["cold", "warm"],
+)
+
+
+@SCALAR_DENSITIES
+def test_a_float_takes_the_scalar_case_without_numpy(density, monkeypatch):
+    """A float and an np.float64 give the float call's bits, the formula's
+    where it is evaluated as written, and make no numpy call."""
+    plain = [0.7, -0.7, 3.0, -3.0, 40.0]
+    omegas = [0.0, -0.0, 1e-300, 1e-200, *plain, 900.0, -900.0]
+    counts = Counter()
+    monkeypatch.setattr(bath, "np", CountingNumpy(np, counts))
+    floats = [density.evaluate(w) for w in omegas]
+    wrapped = [density.evaluate(np.float64(w)) for w in omegas]
+    assert counts == {}
+    assert all(type(value) is float for value in floats)
+    assert np.array(wrapped).tobytes() == np.array(floats).tobytes()
+    for w in plain:
+        assert density.evaluate(w) == _series_phonon(density, w)
+
+
+@SCALAR_DENSITIES
+def test_an_int_or_a_0d_array_still_takes_the_scalar_case(density, monkeypatch):
+    """Each asks np.ndim once, and both give the float call's bits."""
+    counts = Counter()
+    monkeypatch.setattr(bath, "np", CountingNumpy(np, counts))
+    for w in (0, 1, 2, -3, 7):
+        for scalar in (w, np.array(float(w))):
+            counts.clear()
+            value = density.evaluate(scalar)
+            assert counts == {"ndim": 1}
+            assert np.ndim(value) == 0
+            expected = density.evaluate(float(w))
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+@SCALAR_DENSITIES
+def test_a_list_or_an_array_is_taken_elementwise(density):
+    omegas = np.linspace(-6.0, 6.0, 12)
+    values = density.evaluate(omegas)
+    for x in (omegas.tolist(), omegas.reshape(3, 4), omegas[:0], []):
+        got = density.evaluate(x)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+        assert np.array_equal(got.reshape(-1), values[: got.size])
 
 
 def _exact_phonon(density, omega):

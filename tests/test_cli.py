@@ -814,6 +814,27 @@ def test_a_trajectory_at_a_huge_correlation_time_is_written(tmp_path):
         assert math.fsum(float(x) ** 2 for x in row[1:4]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e200, 1e300])
+def test_an_echo_at_a_huge_detuning_width_is_written(tmp_path, capsys, sigma):
+    """(sigma u)^2 is above the double range wherever u is not 0, so
+    C(u) = 0 there: every row is the per-point reference, whose echoes
+    alone keep a nonzero average."""
+    keys = f"sigma = {sigma!r}"
+    body = ECHO_MARKS_CONFIG.format(kind="gaussian", keys=keys)
+    assert cli.main([str(write_config(tmp_path, body))]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_table(tmp_path / "echo.tsv")
+    times = np.linspace(0.0, 25.987, 2000)
+    eta = rate_parallel_closed(1.3, 2.0, 3.0).eta
+    params = TLSParams(omega0=5.0, omega_ext=5.0 - 0.2, period=1.3, eta=eta)
+    avg_cos, avg_sin, transverse = reference_echo_signal(
+        GaussianDetuning(sigma), params, (0.6, -0.3), times
+    )
+    assert 0 < np.count_nonzero(avg_cos) < 100
+    expected = zip(times, avg_cos, avg_sin, *transverse.T)
+    assert rows == [["%.12e" % cell for cell in row] for row in expected]
+
+
 def test_generator_audit_with_a_zero_closed_rate_is_a_numeric_failure(
     tmp_path, capsys
 ):
@@ -1089,3 +1110,40 @@ def _written_tables(tmp_path):
 
 def test_every_table_keeps_its_pinned_bytes(tmp_path):
     assert _written_tables(tmp_path) == TABLE_DIGESTS
+
+
+def test_the_perp_tables_do_not_depend_on_numpys_simd_level(tmp_path):
+    """Writes the rates-perp tables with numpy's AVX-512 kernels on and off
+    and checks both against their pinned digests.  The gamma column is one
+    scalar density call per point, whose bits are libm's: numpy's exp,
+    expm1 and power would move some of its cells, and differently at each
+    SIMD level.  On a host without AVX-512 both runs take the same
+    kernels."""
+    configs = {}
+    for name in ("rates-perp", "rates-perp-huge-coupling", "rates-perp-huge-cutoff"):
+        (tmp_path / name).mkdir()
+        configs[name] = write_config(tmp_path / name, PINNED_CONFIGS[name])
+    workload = WORKLOADS["cli-tables"]
+    for seed in (1, 2, 3):
+        workdir = tmp_path / f"cli-tables-{seed}"
+        workdir.mkdir()
+        workload.setup(seed, workdir)
+        configs[f"cli-tables-{seed}/perp.tsv"] = workdir / "perp.ini"
+    script = textwrap.dedent("""
+        import hashlib, sys
+        from pathlib import Path
+        from floqlind import cli
+        for config in sys.argv[1:]:
+            print(hashlib.sha256(cli.run(Path(config)).read_bytes()).hexdigest())
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    pinned = {name: TABLE_DIGESTS[name] for name in configs}
+    for e in (env, emulated):
+        digests = subprocess.run(
+            [sys.executable, "-c", script, *map(str, configs.values())],
+            env=e, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        assert dict(zip(configs, digests)) == pinned

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    CountingNumpy,
     analytic_floquet_pair,
     averaged_hamiltonian,
     component,
@@ -297,30 +298,11 @@ def test_clusters_of_an_empty_and_a_one_level_model_match_the_loop(dim):
         assert a.tobytes() == b.tobytes()
 
 
-class _CountingNumpy:
-    """Stands in for numpy inside a module and counts each call made
-    through it by dotted name (``add.reduceat`` included)."""
-
-    def __init__(self, target, counts, name=""):
-        self._target, self._counts, self._name = target, counts, name
-
-    def __getattr__(self, attr):
-        value = getattr(self._target, attr)
-        if not callable(value) or isinstance(value, type):
-            return value
-        name = f"{self._name}.{attr}" if self._name else attr
-        return _CountingNumpy(value, self._counts, name)
-
-    def __call__(self, *args, **kwargs):
-        self._counts[self._name] += 1
-        return self._target(*args, **kwargs)
-
-
 def test_clustering_makes_no_call_per_difference(monkeypatch):
     """Counted, not timed: no np.mean, and the same numpy calls at d = 8 as
     at d = 2."""
     counts = Counter()
-    monkeypatch.setattr(floquet, "np", _CountingNumpy(np, counts))
+    monkeypatch.setattr(floquet, "np", CountingNumpy(np, counts))
     calls = {}
     rng = np.random.default_rng(8)
     for dim in (2, 8):
@@ -746,8 +728,8 @@ def test_harmonics_match_mpmath_at_every_q(model, coupling):
 
 def test_harmonics_take_no_transcendental_per_harmonic(monkeypatch):
     """Counted, not timed: the phase and the sine are taken once per pole,
-    so the elements passed to exp, sin, cos and sinc do not grow with the
-    number of harmonics."""
+    when a decomposition is built, so the elements passed to exp, sin, cos
+    and sinc do not grow with q_max, and later harmonics take none."""
     rng = np.random.default_rng(3)
     h = harmonic_decomposition(random_model(rng), [rand_herm(rng, 3)], q_max=1)
     counted = []
@@ -760,12 +742,16 @@ def test_harmonics_take_no_transcendental_per_harmonic(monkeypatch):
 
         monkeypatch.setattr(np, name, counting)
 
-    def elements(harmonics):
+    def elements(build):
         counted.clear()
-        h.harmonics(np.arange(harmonics))
+        build()
         return sum(counted)
 
-    assert elements(10) == elements(4000) > 0
+    def fresh(q_max):
+        return lambda: HarmonicDecomposition(h.decomposition, h.couplings, q_max)
+
+    assert elements(fresh(10)) == elements(fresh(4000)) > 0
+    assert elements(lambda: h.harmonics(np.arange(4000))) == 0
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 7), (3, 7)])
