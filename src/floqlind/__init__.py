@@ -22,7 +22,6 @@ from .echo import (
     ExtractionResult,
     GaussianDetuning,
     UniformDetuning,
-    averaged_phase,
     echo_signal,
     extract_tau_c,
     read_rate_measurements,
@@ -48,8 +47,6 @@ from .floquet import (
     floor_frac,
     floquet_operator,
     harmonic_decomposition,
-    propagator,
-    propagator_left_limit,
 )
 from .lindblad import (
     CPTPReport,
@@ -118,7 +115,6 @@ __all__ = [
     "UniformDetuning",
     "UnsupportedFrameError",
     "UnsupportedRegimeError",
-    "averaged_phase",
     "bloch_from_density",
     "build_generator",
     "choi_matrix",
@@ -133,8 +129,6 @@ __all__ = [
     "floquet_operator",
     "harmonic_decomposition",
     "integrate_master_equation",
-    "propagator",
-    "propagator_left_limit",
     "quadrature_harmonics",
     "rate_parallel_closed",
     "rate_perp_closed",

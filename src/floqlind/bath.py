@@ -161,6 +161,7 @@ class PhononCutoff(SpectralDensity):
             for i in np.flatnonzero(~plain):
                 gamma.flat[i] = self.evaluate(float(w.flat[i]))
             return gamma
+        omega = float(omega)  # an np.float64 would warn where A u^3 overflows
         if omega == 0.0 or omega < 0.0 and math.isinf(self.beta):
             return 0.0
         u = abs(omega)

@@ -37,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import _math_map
-from .errors import (
-    DomainError,
-    UnsupportedFrameError,
-    UnsupportedRegimeError,
-)
+from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, _unitary, floor_frac
 from .lindblad import LindbladGenerator
 from .operators import as_densities, as_density, bloch_from_density, vec
@@ -137,9 +133,7 @@ def evolve(
         if omega_ext is None:
             raise ValueError("lab frame requires omega_ext")
     rho0 = as_density(rho0)
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & np.isfinite(times)):
-        raise DomainError("evolution times must be finite and nonnegative")
+    n, frac = floor_frac(times, dec.model.period)
     times = _sample_times(times)
 
     # e^{tL} rho0 in the Floquet basis, then back to the computational one.
@@ -154,7 +148,6 @@ def evolve(
         return Trajectory(times=times, states=states, frame=frame,
                           left_states=left_states)
 
-    n, frac = floor_frac(times, dec.model.period)
     # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
     carrier = np.ones((len(times), 1, 1))
     if frame == "lab":
@@ -204,10 +197,8 @@ def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray
     an e^{-eta t} channel flips sign with each kick; the longitudinal
     component follows (-1)^n e^{-eta t}.
     """
-    if t < 0.0:
-        raise DomainError(f"closed form defined for t >= 0, got {t}")
-    x = bloch_from_density(as_density(rho0))
     n, frac = floor_frac(t, p.period)
+    x = bloch_from_density(as_density(rho0))
     phi = p.omega_ext * t + p.delta * _echo_offset(p.period, frac)
     start = p.delta * _echo_offset(p.period, 0.0)  # the echo phase at t = 0
     cos_0, sin_0 = math.cos(start), math.sin(start)

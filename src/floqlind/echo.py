@@ -31,7 +31,7 @@ import numpy as np
 
 from .bath import _math_map
 from .dynamics import TLSParams, _echo_offset, _kicked_motion
-from .errors import DomainError, InconsistentDataError, OutOfRangeError
+from .errors import InconsistentDataError, OutOfRangeError
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
 
@@ -150,8 +150,6 @@ def averaged_phase(
     sampled.  At t = (n + 1/2) T the argument vanishes, C = 1, and the
     phase coherence is fully restored.  Defined for t >= 0 only.
     """
-    if t < 0.0:
-        raise DomainError(f"echo phase defined for t >= 0, got {t}")
     _, avg_cos, avg_sin = _ensemble_phase(e, p, np.array([t], dtype=float))
     return float(avg_cos[0]), float(avg_sin[0])
 
@@ -195,8 +193,6 @@ def echo_signal(
     if x0.shape not in ((2,), (3,)) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be 2 or 3 finite Bloch components, got {x0}")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise DomainError(f"echo phase defined for t >= 0, got {np.min(times)}")
     n, avg_cos, avg_sin = _ensemble_phase(e, p, times)
     x1, x2, _ = _kicked_motion(
         p.eta, times, n, avg_cos, avg_sin, (*x0[:2].tolist(), 0.0)

@@ -43,15 +43,22 @@ def floor_frac(t, period: float) -> tuple[np.ndarray, np.ndarray]:
     exact multiples of the period land on the "just after the kick" branch
     (n, 0.0): values of t/period within 1e-9 below an integer snap up to
     it, and so does anything within two ulps of t/period on either side,
-    the rounding t/period itself carries at long horizons.  Raises
-    DomainError when any t/period is not finite.
+    the rounding t/period itself carries at long horizons.  This is the
+    one check of the time domain: raises DomainError when any t is
+    negative or not finite, or any t/period is not finite; -0.0 is a
+    valid time.
     """
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # an inf ratio raises below; an inf ulp snaps
-        raw = np.asarray(t, dtype=float) / period
+        raw = t / period
         fuzz = 2.0 * np.spacing(np.abs(raw))
-    bad = raw[~np.isfinite(raw)]
+    # Test t itself, not the ratio: -5e-324 / 2 rounds to -0.0.
+    bad = t[~((t >= 0.0) & np.isfinite(raw))]
     if bad.size:
-        raise DomainError(f"time must be finite, got t/period = {bad[0]}")
+        raise DomainError(
+            f"time must be >= 0 with t/period finite, got t = {bad[0]} "
+            f"at period {period}"
+        )
     n = np.floor(raw)
     frac = raw - n
     up = frac > 1.0 - np.maximum(_PERIOD_SNAP, fuzz)
@@ -160,9 +167,12 @@ def decompose(m: KickedModel) -> FloquetDecomposition:
     eigenvalues = np.diag(schur_t)
 
     omega = m.omega
-    quasi = -np.angle(eigenvalues) / m.period
-    # np.angle returns (-pi, pi], so quasi sits in [-Omega/2, Omega/2);
-    # move the lower edge to the upper to get the zone (-Omega/2, Omega/2].
+    # The phase is libm's atan2(imag, real), as in cmath.phase: np.angle's
+    # bits depend on numpy's SIMD level.  It lies in [-pi, pi], so quasi
+    # sits in [-Omega/2, Omega/2]; the lower edge moves to the upper for
+    # the zone (-Omega/2, Omega/2].
+    phases = map(math.atan2, eigenvalues.imag.tolist(), eigenvalues.real.tolist())
+    quasi = -np.fromiter(phases, float) / m.period
     quasi = np.where(quasi <= -0.5 * omega, quasi + omega, quasi)
     order = np.argsort(-quasi, kind="stable")
     quasi = quasi[order]
@@ -217,16 +227,12 @@ def _before_kicks(n, frac):
 def propagator(dec: FloquetDecomposition, t: float) -> np.ndarray:
     """Exact propagator U(t) of the decomposed model, right-continuous at
     kicks; ``decompose(m)`` gives ``dec`` for a model m."""
-    if t < 0.0:
-        raise DomainError(f"propagator defined for t >= 0, got {t}")
     return _unitary(dec, *floor_frac(t, dec.model.period))
 
 
 def propagator_left_limit(dec: FloquetDecomposition, t: float) -> np.ndarray:
     """Limit of U(s) as s -> t from below for the decomposed model; differs
     from U(t) only at kicks."""
-    if t < 0.0:
-        raise DomainError(f"propagator defined for t >= 0, got {t}")
     n, frac, _ = _before_kicks(*floor_frac(t, dec.model.period))
     return _unitary(dec, n, frac)
 

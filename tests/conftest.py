@@ -218,8 +218,10 @@ def reference_evolve(m, g, rho0, times, frame="rotating", omega_ext=None,
 def reference_floor_frac(t, period):
     """Scalar reference for ``floquet.floor_frac``: (int n, float frac)."""
     raw = t / period
-    if not math.isfinite(raw):
-        raise DomainError(f"time must be finite, got t/period = {raw}")
+    if not (t >= 0.0 and math.isfinite(raw)):
+        raise DomainError(
+            f"time must be >= 0 with t/period finite, got t = {t} at period {period}"
+        )
     n = math.floor(raw)
     frac = raw - n
     fuzz = 2.0 * math.ulp(raw)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -355,6 +356,22 @@ def test_a_float_takes_the_scalar_case_without_numpy(density, monkeypatch):
     assert np.array(wrapped).tobytes() == np.array(floats).tobytes()
     for w in plain:
         assert density.evaluate(w) == _series_phonon(density, w)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 0.01])
+def test_an_np_float64_where_the_product_overflows_is_silent_as_a_float(beta):
+    """A u^3 overflows at coupling 1e300: the scalar case must not do that
+    arithmetic on numpy scalars, which warn (an error under -W error)."""
+    density = PhononCutoff(coupling=1e300, cutoff=1.0, beta=beta)
+    omegas = [900.0, -900.0, 1e5, 3e102]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = [density.evaluate(w) for w in omegas]
+        wrapped = [density.evaluate(np.float64(w)) for w in omegas]
+    assert all(type(value) is float for value in floats + wrapped)
+    assert np.array(wrapped).tobytes() == np.array(floats).tobytes()
+    if beta == math.inf:
+        assert floats[0] == 9.947038878145827e-83
 
 
 @SCALAR_DENSITIES

@@ -901,6 +901,15 @@ def test_a_trajectory_run_decomposes_once(tmp_path, decompose_calls, frame):
     assert len(decompose_calls) == 1
 
 
+def test_main_rejects_a_trajectory_that_starts_before_zero(tmp_path, capsys):
+    body = TRAJECTORY_CONFIG.replace("start = 0.0", "start = -1.0")
+    assert cli.main([str(write_config(tmp_path, body))]) == 2
+    err = capsys.readouterr().err
+    assert "floqlind: config error:" in err
+    assert "time must be >= 0" in err
+    assert not (tmp_path / "traj.tsv").exists()
+
+
 def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):
     outside = TRAJECTORY_CONFIG.replace("x1_0 = 0.0", "x1_0 = 0.8")
     config = write_config(tmp_path, outside)

@@ -1,6 +1,7 @@
 """Trajectory engine and closed-form solution tests."""
 
 import math
+import re
 import sys
 from collections import Counter
 
@@ -32,6 +33,7 @@ from floqlind.dynamics import (
     closed_form_perp,
     evolve,
 )
+from floqlind.echo import GaussianDetuning, averaged_phase, echo_signal
 from floqlind.errors import (
     DimensionError,
     DomainError,
@@ -116,6 +118,49 @@ def test_evolve_rejects_a_model_other_than_the_generators(longitudinal):
     for other in (twin, magic_model(0.0, m.period)):
         with pytest.raises(ValueError, match="not the model the generator"):
             evolve(other, g, np.eye(2) / 2, [0.0, 1.0], frame="interaction")
+
+
+_TIME_ENTRY_POINTS = [
+    "evolve-interaction", "evolve-rotating", "evolve-lab", "closed_form_parallel",
+    "closed_form_perp", "echo_signal", "averaged_phase", "propagator",
+    "propagator_left_limit", "floor_frac",
+]
+
+
+def _time_entry_point(name, transverse):
+    """The entry point as a function of one time, returning an array."""
+    m, g = transverse.model, transverse.generator
+    p = TLSParams(omega0=4.4, omega_ext=4.4, period=m.period, eta=0.05)
+    rho0, ensemble = np.eye(2) / 2, GaussianDetuning(sigma=1.0)
+    if name.startswith("evolve-"):
+        frame = name.removeprefix("evolve-")
+        return lambda t: evolve(m, g, rho0, [t], frame=frame, omega_ext=4.4).states
+    return {
+        "closed_form_parallel": lambda t: closed_form_parallel(p, rho0, t),
+        "closed_form_perp": lambda t: closed_form_perp(p, rho0, t),
+        "echo_signal": lambda t: echo_signal(ensemble, p, (1.0, 0.0), [t]).transverse,
+        "averaged_phase": lambda t: np.array(averaged_phase(ensemble, p, t)),
+        "propagator": lambda t: floquet.propagator(g.decomposition, t),
+        "propagator_left_limit": lambda t: floquet.propagator_left_limit(
+            g.decomposition, t),
+        "floor_frac": lambda t: np.array(floquet.floor_frac(t, m.period)),
+    }[name]
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _TIME_ENTRY_POINTS)
+def test_every_time_argument_meets_the_one_floor_frac_guard(transverse, name, bad):
+    """-5e-324 / pi rounds to -0.0, so the guard must test t, not t/T."""
+    at = _time_entry_point(name, transverse)
+    message = f"time must be >= 0 with t/period finite, got t = {bad} at period"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        at(bad)
+
+
+@pytest.mark.parametrize("name", _TIME_ENTRY_POINTS)
+def test_every_time_argument_accepts_both_zeros(transverse, name):
+    at = _time_entry_point(name, transverse)
+    assert np.array_equal(at(-0.0), at(0.0))
 
 
 def test_one_decomposition_per_run(decompose_calls):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -114,6 +115,17 @@ def test_floor_frac_splits_arrays_like_the_scalar_reference():
             assert pair == (want_n[i], want_frac[i])
         checked += len(times)
     assert checked > 50_000
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_the_reference_split_keeps_the_time_domain_of_floor_frac(bad):
+    """At a period of 2 or more, -5e-324 / period rounds to -0.0."""
+    for period in (1.3, 2.0, math.pi):
+        message = f"got t = {bad} at period {period}"
+        for split in (floor_frac, reference_floor_frac):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                split(bad, period)
+        assert floor_frac(-0.0, period) == reference_floor_frac(-0.0, period)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -317,10 +329,10 @@ def test_clustering_makes_no_call_per_difference(monkeypatch):
 
 def test_the_floquet_frame_does_not_depend_on_numpys_simd_level():
     """Reruns decompose with numpy's AVX-512 kernels switched off (as on an
-    AVX2 host) and compares bytes.  quasienergies and frequencies are left
-    out: np.angle's SIMD kernels round otherwise than the scalar phase, so
-    they move by an ulp on some models (ROADMAP item 3).  On a host
-    without AVX-512 both runs take the same kernels."""
+    AVX2 host) and compares bytes, quasienergies and frequencies included:
+    np.angle's SIMD kernels round otherwise than libm's atan2, and moved
+    them by an ulp on some models.  On a host without AVX-512 both runs
+    take the same kernels."""
     script = textwrap.dedent("""
         import hashlib, math
         import numpy as np
@@ -334,14 +346,16 @@ def test_the_floquet_frame_does_not_depend_on_numpys_simd_level():
             d = int(rng.integers(2, 9))
             m = KickedModel(herm(d), herm(d), rng.uniform(-3, 3), rng.uniform(0.2, 5))
             dec = decompose(m)
-            for a in (floquet_operator(m), dec.basis, dec.cluster_index):
+            for a in (floquet_operator(m), dec.basis, dec.cluster_index,
+                      dec.quasienergies, dec.frequencies):
                 print(hashlib.sha256(a.tobytes()).hexdigest())
         for i in range(30):
             strength = math.pi / float(rng.choice([4, 2, 1]))
             h0 = 0.5 * rng.uniform(-3, 3) * PAULI_Z
             m = KickedModel(h0, PAULI_X, strength, rng.uniform(0.2, 5))
             dec = decompose(m)
-            for a in (floquet_operator(m), dec.basis, dec.cluster_index):
+            for a in (floquet_operator(m), dec.basis, dec.cluster_index,
+                      dec.quasienergies, dec.frequencies):
                 print(hashlib.sha256(a.tobytes()).hexdigest())
     """)
     src = str(Path(floquet.__file__).resolve().parent.parent)
@@ -353,7 +367,7 @@ def test_the_floquet_frame_does_not_depend_on_numpys_simd_level():
                        text=True, check=True, timeout=120).stdout.split()
         for e in (env, emulated)
     ]
-    assert len(runs[0]) == 3 * 90
+    assert len(runs[0]) == 5 * 90
     assert runs[0] == runs[1]
 
 
