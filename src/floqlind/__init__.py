@@ -71,7 +71,6 @@ from .operators import (
     unvec,
 )
 from .oracle import (
-    RegularizationSpec,
     SeriesRate,
     integrate_master_equation,
     quadrature_harmonics,
@@ -104,7 +103,6 @@ __all__ = [
     "PAULI_Z",
     "PhononCutoff",
     "RateResult",
-    "RegularizationSpec",
     "SeriesRate",
     "SpectralDensity",
     "StabilityError",

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from pathlib import Path
@@ -142,7 +143,7 @@ class _Reader:
     def float(self, section: str, key: str, default: float | None = None) -> float:
         return self._read(section, key, default, _parse_float, repr)
 
-    def int(self, section: str, key: str, default: int) -> int:
+    def int(self, section: str, key: str, default: int | None = None) -> int:
         return self._read(section, key, default, _parse_int, str)
 
     def floats(self, section: str, key: str) -> list[float]:
@@ -175,7 +176,7 @@ def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
         )
     start = config.float("sweep", "start")
     stop = config.float("sweep", "stop")
-    points = config.int("sweep", "points", 0)
+    points = config.int("sweep", "points")
     spacing = config.text("sweep", "spacing", "linear")
     if points < 1:
         raise ConfigError(f"[sweep] points must be at least 1, got {points}")
@@ -184,7 +185,15 @@ def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
     if spacing == "log":
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("[sweep] log spacing needs positive start and stop")
-        return np.geomspace(start, stop, points)
+        # np.geomspace's power rounds differently at each numpy SIMD
+        # level; the float power per point is libm's, so the grid is the
+        # same on every host.  The endpoints are pinned, as geomspace does.
+        exponents = np.linspace(math.log10(start), math.log10(stop), points)
+        grid = _math_map(functools.partial(pow, 10.0), exponents)
+        grid[0] = start
+        if points > 1:
+            grid[-1] = stop
+        return grid
     raise ConfigError(f"[sweep] spacing must be 'linear' or 'log', got {spacing!r}")
 
 

@@ -274,12 +274,12 @@ class HarmonicDecomposition:
 
     where omega runs over quasienergy differences and q over harmonics of
     the kick frequency Omega.  ``coefficients[alpha, q + q_max, k, l]``
-    stores the Floquet-basis matrix elements; the (omega, q) component
-    matrices are slices of this tensor masked by the decomposition's
-    ``cluster_index``; left out, they are the harmonics |q| <= q_max.
-    ``harmonics`` gives any others from the weights and poles of
-    ``_poles`` and their phases and sines (``_pole_form``), all formed
-    once per decomposition.
+    holds the Floquet-basis matrix elements of the harmonics |q| <= q_max;
+    the (omega, q) component matrices are slices of this tensor masked by
+    the decomposition's ``cluster_index``.  ``harmonics`` gives any q from
+    the weights and poles of ``_poles`` and their phases and sines
+    (``_pole_form``), and ``coefficients`` is its value at |q| <= q_max.
+    Both are formed on first read, not at construction, and kept.
     Components obey S(omega, q)† = S(-omega, -q) and
     [Hbar, S(omega, q)] = omega S(omega, q).
     """
@@ -287,13 +287,6 @@ class HarmonicDecomposition:
     decomposition: FloquetDecomposition
     couplings: tuple[np.ndarray, ...]
     q_max: int
-    coefficients: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.coefficients is None:
-            coefficients = self.harmonics(np.arange(-self.q_max, self.q_max + 1))
-            coefficients.flags.writeable = False
-            object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def model(self) -> KickedModel:
@@ -310,6 +303,13 @@ class HarmonicDecomposition:
     def coupling_weight(self, alpha: int) -> float:
         """Squared Frobenius norm of the coupling (basis independent)."""
         return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Read-only ``harmonics`` at q = -q_max .. q_max."""
+        coefficients = self.harmonics(np.arange(-self.q_max, self.q_max + 1))
+        coefficients.flags.writeable = False
+        return coefficients
 
     @cached_property
     def _weighted_poles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,58 +16,44 @@ documented derived values can be regenerated by users.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import StabilityError, TruncationError
-from .floquet import HarmonicDecomposition, KickedModel, decompose
+from .errors import DimensionError, StabilityError, TruncationError
+from .floquet import KickedModel, decompose
 from .lindblad import LindbladGenerator
 from .operators import as_density, expm_hermitian, require_hermitian, unvec, vec
 
 
-@dataclass(frozen=True)
-class RegularizationSpec:
-    """Rectangular-pulse stand-in for the delta kicks.
-
-    Each kick becomes a pulse of width ``pulse_width`` and height
-    strength/width, finishing exactly at the period boundary.  Segment
-    counts keep the stepping honest even though each segment Hamiltonian
-    is constant.
-    """
-
-    pulse_width: float
-    steps_per_pulse: int = 10
-    steps_per_free_segment: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.pulse_width > 0.0:
-            raise ValueError("pulse_width must be positive")
-        if self.steps_per_pulse < 10:
-            raise ValueError("steps_per_pulse must be at least 10")
-        if self.steps_per_free_segment < 100:
-            raise ValueError("steps_per_free_segment must be at least 100")
+# Steps per segment of the regularized train.  Each segment Hamiltonian
+# is constant, so the counts only keep the stepping honest.
+_STEPS_PER_PULSE = 10
+_STEPS_PER_FREE_SEGMENT = 100
 
 
 def regularized_propagator(
-    m: KickedModel, t: float, r: RegularizationSpec
+    m: KickedModel, t: float, pulse_width: float
 ) -> np.ndarray:
     """Propagator with the delta train replaced by finite pulses.
 
-    The pulse occupies [kT - eps, kT), so the state at t = nT has felt n
-    complete kicks, matching the analytic propagator's right-continuous
-    convention.  Converges to it at first order in eps.
+    Each kick becomes a rectangular pulse of width ``pulse_width`` and
+    height strength/width over [kT - width, kT), so the state at t = nT
+    has felt n complete kicks, matching the analytic propagator's
+    right-continuous convention.  Converges to it at first order in the
+    width, which must be positive and at most period/100.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if r.pulse_width > m.period / 100.0:
+    if not pulse_width > 0.0:
+        raise ValueError(f"pulse_width must be positive, got {pulse_width}")
+    if pulse_width > m.period / 100.0:
         raise ValueError(
-            f"pulse width {r.pulse_width} too coarse; need <= period/100"
+            f"pulse width {pulse_width} too coarse; need <= period/100"
         )
     pulse_h = np.asarray(m.h0, dtype=complex) + (
-        m.strength / r.pulse_width
+        m.strength / pulse_width
     ) * np.asarray(m.kick, dtype=complex)
 
     def stepped(h: np.ndarray, duration: float, steps: int) -> np.ndarray:
@@ -81,38 +67,44 @@ def regularized_propagator(
     elapsed = 0.0
     period_index = 1
     while elapsed < t - 1e-15 * m.period:
-        free_end = period_index * m.period - r.pulse_width
+        free_end = period_index * m.period - pulse_width
         pulse_end = period_index * m.period
         if elapsed < free_end:
             span = min(free_end, t) - elapsed
-            u = stepped(m.h0, span, r.steps_per_free_segment) @ u
+            u = stepped(m.h0, span, _STEPS_PER_FREE_SEGMENT) @ u
             elapsed += span
             continue
         if t >= pulse_end:
-            u = stepped(pulse_h, pulse_end - elapsed, r.steps_per_pulse) @ u
+            u = stepped(pulse_h, pulse_end - elapsed, _STEPS_PER_PULSE) @ u
             elapsed = pulse_end
             period_index += 1
         else:
-            u = stepped(pulse_h, t - elapsed, r.steps_per_pulse) @ u
+            u = stepped(pulse_h, t - elapsed, _STEPS_PER_PULSE) @ u
             elapsed = t
     return u
 
 
 def quadrature_harmonics(
     m: KickedModel, coupling: np.ndarray, q_max: int, n_samples: int
-) -> HarmonicDecomposition:
-    """Harmonic decomposition by midpoint quadrature over one period.
+) -> np.ndarray:
+    """Harmonics of one coupling by midpoint quadrature over one period.
 
     Samples the periodic part of the Heisenberg coupling on the open grid
     t_j = (j + 1/2) T / n, which never touches the kick discontinuity,
     and takes plain Riemann-Fourier sums.  The sums are evaluated in one
     FFT pass so very fine grids stay cheap; the estimator itself is still
-    the unweighted midpoint rule.  Returns the same container as the
-    closed-form path so the tensors compare entrywise.
+    the unweighted midpoint rule.  Returns the Floquet-basis tensor
+    indexed [q + q_max, k, l], laid out like one coupling's slice of
+    ``HarmonicDecomposition.coefficients`` so the two compare entrywise.
     """
     if n_samples < max(1, 8 * q_max):
         raise ValueError("need n_samples >= 8 * q_max for trustworthy sums")
     coupling = require_hermitian(coupling)
+    if coupling.shape != m.h0.shape:
+        raise DimensionError(
+            f"coupling shape {coupling.shape} does not match model shape "
+            f"{m.h0.shape}"
+        )
     dec = decompose(m)
     v = dec.basis
     times = (np.arange(n_samples) + 0.5) * (m.period / n_samples)
@@ -134,15 +126,7 @@ def quadrature_harmonics(
     q_values = np.arange(-q_max, q_max + 1)
     spectrum = np.fft.fft(sampled, axis=0)
     correction = np.exp(-1j * np.pi * q_values / n_samples) / n_samples
-    coefficients = np.empty((1, len(q_values), m.dim, m.dim), dtype=complex)
-    coefficients[0] = spectrum[q_values % n_samples] * correction[:, None, None]
-
-    return HarmonicDecomposition(
-        decomposition=dec,
-        couplings=(coupling,),
-        q_max=q_max,
-        coefficients=coefficients,
-    )
+    return spectrum[q_values % n_samples] * correction[:, None, None]
 
 
 def integrate_master_equation(
@@ -176,6 +160,9 @@ def integrate_master_equation(
     return unvec(state)
 
 
+_SERIES_REL_TOL = 1e-10
+
+
 class SeriesRate(NamedTuple):
     eta: float
     tail_bound: float
@@ -187,7 +174,6 @@ def series_rate_parallel(
     t2: float,
     tau_c: float,
     q_max: int | None = None,
-    rel_tol: float = 1e-10,
 ) -> SeriesRate:
     """Kicked dephasing rate by direct summation over odd harmonics.
 
@@ -195,7 +181,7 @@ def series_rate_parallel(
     where each q >= 0 term carries both of the paired components at
     +-(q + 1/2) Omega (the Lorentzian is even).  Terms decay like q^-4,
     so modest q_max suffices; with q_max = None the sum extends itself
-    until a rigorous tail bound drops below rel_tol of the total.
+    until a rigorous tail bound drops below _SERIES_REL_TOL of the total.
     """
     if not (period > 0.0 and t2 > 0.0 and tau_c > 0.0):
         raise ValueError("period, t2, tau_c must all be positive")
@@ -231,7 +217,7 @@ def series_rate_parallel(
     while True:
         total = partial(q_hi)
         bound = tail(q_hi)
-        if bound <= rel_tol * total:
+        if bound <= _SERIES_REL_TOL * total:
             return SeriesRate(eta=total, tail_bound=bound, q_max_used=q_hi)
         if q_hi >= 1 << 26:
             raise TruncationError(

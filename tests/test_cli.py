@@ -668,6 +668,47 @@ def test_main_rejects_bad_configs(tmp_path, capsys, mutation):
     assert "floqlind: config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "base, old, new, message",
+    [
+        (PARALLEL_CONFIG, "t2 = 2.0", "t2 = inf", "[model] t2 must be finite, got 'inf'"),
+        (
+            PARALLEL_CONFIG,
+            "points = 12",
+            "points = 2.5",
+            "[sweep] points = '2.5' is not an integer",
+        ),
+        (
+            PARALLEL_CONFIG,
+            "    points = 12\n",
+            "",
+            "missing required key 'points' in section [sweep]",
+        ),
+        (
+            ECHO_DISCRETE_CONFIG,
+            "deltas = 0.0 0.5",
+            "deltas = 0.0 half",
+            "[ensemble] deltas must be a list of numbers, got '0.0 half'",
+        ),
+        (
+            ECHO_DISCRETE_CONFIG,
+            "kind = discrete",
+            "kind = lorentzian",
+            "[ensemble] kind must be gaussian, uniform, or discrete, "
+            "got 'lorentzian'",
+        ),
+    ],
+    ids=["non-finite", "fractional-points", "missing-points", "non-numeric-list",
+         "unknown-ensemble"],
+)
+def test_main_names_the_malformed_value(tmp_path, capsys, base, old, new, message):
+    assert old in base
+    config = write_config(tmp_path, base.replace(old, new))
+    assert cli.main([str(config)]) == 2
+    assert capsys.readouterr().err == f"floqlind: config error: {message}\n"
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
 def test_main_names_every_unread_key(tmp_path, capsys):
     body = PARALLEL_CONFIG.replace("t2 = 2.0", "t2 = 2.0\n    T2_ = 1.0").replace(
         "[sweep]", "[sweeep]\n    points = 3\n\n    [sweep]"
@@ -744,6 +785,11 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     config = _extract_config(tmp_path, [(5000.0, 0.5), (0.37, 5e-10)])
     assert cli.main([str(config)]) == 3
     assert "floqlind: numeric failure:" in capsys.readouterr().err
+
+    config = _extract_config(tmp_path, [(0.37, 0.5), (0.37, 0.3)])
+    assert cli.main([str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == "floqlind: numeric failure: need two distinct kick periods\n"
 
     # The inversion reads two rows; a third is refused, even one that fits.
     rows = [(p, rate_parallel_closed(p, 2.0, 1.0).eta) for p in (5000.0, 2.0, 0.37)]
@@ -1078,17 +1124,17 @@ TABLE_DIGESTS = {
     "echo-marks-uniform": "c98d7ff6fa410335718989f447ebab9b2973b77014b068dbb03d3177c997bce0",
     "generator-audit": "7fdd7e2e47c0f29f1f5880d74181d3d03e8ac301ed5480abeb9f988aaefd4995",
     "extract-tauc": "852437798fe14a473354599464081752f4f9e7f1b7de28bab8c5dd174e7f089f",
-    "cli-tables-1/parallel.tsv": "80078fdd7c2c39e37cb3a80c0083975d5c1a86dadde718ae6477f315fab96dee",
+    "cli-tables-1/parallel.tsv": "49f670f4b59519e2c011da354119f83dda8c4d3611a5bd2bcf0ef7b28734758e",
     "cli-tables-1/perp.tsv": "d1b805af7150dce7f5c9ddedd32870b79ac727c651d1d78325c55d1abd7da4af",
     "cli-tables-1/echo-discrete.tsv": "060c276acf9c4816c468792314f7060701b4930880cf5ca0cfc8eca1cded2751",
     "cli-tables-1/echo-gaussian.tsv": "9b4514f275a158beac1957330c711ffa9a6c56b40efc766b6d06100eb2c65509",
     "cli-tables-1/extract.tsv": "13bae643fd1d44676c145f1b44697569aa7d85f21e104a2567a097f68897c406",
-    "cli-tables-2/parallel.tsv": "f3092bddc9f8bc16d0355546bdce26a62b2fde9b5e1c640a19b906106185569c",
+    "cli-tables-2/parallel.tsv": "3cad7f63afc0856e8be82ab14a99b824be2a62a466bd6b73fe25816549502743",
     "cli-tables-2/perp.tsv": "af1fbc87a3f4e34d8bdab1b210bf6bae1a6b3f22fb579426e8437eb66e53754c",
     "cli-tables-2/echo-discrete.tsv": "ad954a88e259b17c86e495fb19e2dab12c7bdd3315b1aa03c8e5e9a9e6927643",
     "cli-tables-2/echo-gaussian.tsv": "3474e7a51a4e9c07474fd7d7a739db9b0ab271402f2b7d0b6a062c1041fd392b",
     "cli-tables-2/extract.tsv": "5a73cc5f4ad4b533438327e0ad7e79d6d34b1a6a0642e5172545d072443d1adc",
-    "cli-tables-3/parallel.tsv": "5bc10afbd418b80a0f03ff699d9a9e2e1c6494c37c1a32a3350c3f2b652d31ca",
+    "cli-tables-3/parallel.tsv": "6e64294da20a832b85a2cbe66f6e2df823578a4330a93fed9d17b86a84154d09",
     "cli-tables-3/perp.tsv": "29884b3268f6515fb62daef5610db12986ccc95acbf1bde8600afc1e1435c69f",
     "cli-tables-3/echo-discrete.tsv": "477a2319c774c5994cd15eae3098333aceda39e4853c611ff376b99aa8179863",
     "cli-tables-3/echo-gaussian.tsv": "ef55e3c6fe5077fbb53e61933521570e84d53c08c6902b3eeea66c05c4dac04a",
@@ -1122,14 +1168,18 @@ def test_every_table_keeps_its_pinned_bytes(tmp_path):
 
 
 def test_the_perp_tables_do_not_depend_on_numpys_simd_level(tmp_path):
-    """Writes the rates-perp tables with numpy's AVX-512 kernels on and off
-    and checks both against their pinned digests.  The gamma column is one
-    scalar density call per point, whose bits are libm's: numpy's exp,
-    expm1 and power would move some of its cells, and differently at each
-    SIMD level.  On a host without AVX-512 both runs take the same
-    kernels."""
+    """Writes the rates-perp and rates-parallel tables with numpy's AVX-512
+    kernels on and off and checks both against their pinned digests.  The
+    perp gamma column is one scalar density call per point, and a log
+    sweep one float power per point, whose bits are libm's: numpy's exp,
+    expm1 and power (np.geomspace's too) would move some of their cells,
+    and differently at each SIMD level.  On a host without AVX-512 both
+    runs take the same kernels."""
     configs = {}
-    for name in ("rates-perp", "rates-perp-huge-coupling", "rates-perp-huge-cutoff"):
+    for name in (
+        "rates-perp", "rates-perp-huge-coupling", "rates-perp-huge-cutoff",
+        "rates-parallel",
+    ):
         (tmp_path / name).mkdir()
         configs[name] = write_config(tmp_path / name, PINNED_CONFIGS[name])
     workload = WORKLOADS["cli-tables"]
@@ -1137,7 +1187,8 @@ def test_the_perp_tables_do_not_depend_on_numpys_simd_level(tmp_path):
         workdir = tmp_path / f"cli-tables-{seed}"
         workdir.mkdir()
         workload.setup(seed, workdir)
-        configs[f"cli-tables-{seed}/perp.tsv"] = workdir / "perp.ini"
+        for table in ("perp", "parallel"):
+            configs[f"cli-tables-{seed}/{table}.tsv"] = workdir / f"{table}.ini"
     script = textwrap.dedent("""
         import hashlib, sys
         from pathlib import Path
