@@ -40,7 +40,9 @@ from .bath import _math_map
 from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, _unitary, floor_frac
 from .lindblad import LindbladGenerator
-from .operators import as_densities, as_density, bloch_from_density, vec
+from .operators import (
+    as_densities, as_density, bloch_from_density, density_from_bloch, vec,
+)
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,8 @@ def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray
     start = p.delta * _echo_offset(p.period, 0.0)  # the echo phase at t = 0
     cos_0, sin_0 = math.cos(start), math.sin(start)
     x0 = (cos_0 * x[0] + sin_0 * x[1], cos_0 * x[1] - sin_0 * x[0], x[2])
-    x1, x2, x3 = map(
-        float, _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)
-    )
-    coherence = 0.5 * (x1 + 1j * x2)  # rho[1, 0]
-    return np.array(
-        [[0.5 * (1.0 + x3), np.conj(coherence)], [coherence, 0.5 * (1.0 - x3)]]
-    )
+    motion = _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)
+    return density_from_bloch(np.array(motion, dtype=float))
 
 
 def closed_form_perp(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -25,6 +25,7 @@ dephasing time and the bath correlation time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +237,12 @@ def extract_tau_c(
     1.4% and 0.14%.  Fitting with both periods would move the cli-tables
     benchmark's extract tables, whose gate requires t2 == 1/eta_slow, so
     it waits for a change to that benchmark.
+
+    t_fast must be positive and finite (ValueError).  A tau_c that is
+    not a normal double, as at t_fast = 1e-310, raises OutOfRangeError.
     """
-    if not t_fast > 0.0:
-        raise ValueError(f"t_fast must be positive, got {t_fast}")
+    if not 0.0 < t_fast < math.inf:
+        raise ValueError(f"t_fast must be positive and finite, got {t_fast}")
     if not (eta_slow > 0.0 and eta_fast > 0.0):
         raise InconsistentDataError("measured rates must be positive")
     if eta_fast >= eta_slow:
@@ -251,7 +255,10 @@ def extract_tau_c(
 
     def misfit(log_tau: float) -> float:
         tau = math.exp(log_tau) * t_fast
-        return _suppression_factor(t_fast / (2.0 * tau)) - target
+        if 0.0 < 2.0 * tau < math.inf:
+            return _suppression_factor(t_fast / (2.0 * tau)) - target
+        # 2 tau left the double range; t_fast / (2 tau) is still 0.5 e^-log_tau.
+        return _suppression_factor(0.5 / math.exp(log_tau)) - target
 
     lo, hi = math.log(_TAU_LO), math.log(_TAU_HI)
     if misfit(hi) > 0.0:
@@ -263,6 +270,10 @@ def extract_tau_c(
 
     log_tau = scipy.optimize.brentq(misfit, lo, hi, xtol=1e-15, rtol=1e-15)
     tau_c = math.exp(log_tau) * t_fast
+    if not sys.float_info.min <= tau_c <= sys.float_info.max:
+        raise OutOfRangeError(
+            f"tau_c = {tau_c!r} at t_fast = {t_fast!r} is not a normal double"
+        )
     residual = abs(misfit(log_tau))
     return ExtractionResult(
         t2=t2,

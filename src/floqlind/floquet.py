@@ -80,7 +80,7 @@ class KickedModel:
     strength : float
         Integrated kick strength lam (radians).
     period : float
-        Kick period T > 0.
+        Kick period T > 0, finite, with 2 pi / T finite too.
     """
 
     h0: np.ndarray
@@ -97,6 +97,11 @@ class KickedModel:
             )
         if not (self.period > 0.0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive and finite, got {self.period}")
+        if math.isinf(self.omega):
+            raise ValueError(
+                f"period {self.period!r} is too small: the kick frequency "
+                "2 pi / period overflows"
+            )
         if not math.isfinite(self.strength):
             raise ValueError(f"strength must be finite, got {self.strength}")
         h0.flags.writeable = False

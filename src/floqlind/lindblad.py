@@ -264,41 +264,37 @@ def build_generator(
         )
     dim, dec = h.dim, h.decomposition
     cluster = dec.cluster_index.reshape(-1)
-    members = (cluster[:, None] == np.arange(len(dec.frequencies))).astype(float)
     pairs = np.zeros((dim * dim, dim * dim), dtype=complex)
-    held, scale = [0.0] * len(densities), 0.0  # Parseval, retained rate weight
+    held = [0.0] * len(densities)  # Parseval weight retained per coupling
     quasi = dec.quasienergies
     spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
     q_max, coefficients = h.q_max, h.coefficients
     q_values = np.arange(-q_max, q_max + 1)
     while True:
-        frequencies = dec.frequencies[None, :] + q_values[:, None] * h.model.omega
+        # The elements of a cluster share its frequencies omega + q Omega.
+        frequencies = dec.frequencies + q_values[:, None] * h.model.omega
+        # Smallest |omega + q Omega| over the discarded harmonics |q| > q_max.
+        tail_start = (q_max + 1) * h.model.omega - spread
+        tail_bound = 0.0
         for alpha, density in enumerate(densities):
             flat = coefficients[alpha].reshape(len(q_values), dim * dim)
             power = np.abs(flat) ** 2
             held[alpha] += float(np.sum(power))
-            weight = power @ members
-            live = weight != 0.0
-            rate = np.zeros_like(weight)
-            rate[live] = density.evaluate(frequencies[live])
-            scale += float(np.sum(rate * weight))
-            # T += C† (r ∘ C); r[q, (k,l)] is the rate of (k,l)'s cluster.
-            pairs += (flat.conj() * rate[:, cluster]).T @ flat
-        tail_bound = 0.0
-        # Smallest |omega + q Omega| over the discarded harmonics |q| > q_max.
-        tail_start = (q_max + 1) * h.model.omega - spread
-        for alpha, density in enumerate(densities):
+            # r[q, (k,l)] = gamma(omega(k,l) + q Omega) where C[q, (k,l)] != 0.
+            gamma = density.evaluate(frequencies)[:, cluster]
+            rate = np.where(power != 0.0, gamma, 0.0)
+            pairs += (flat.conj() * rate).T @ flat  # T += C† (r ∘ C)
             total = h.coupling_weight(alpha)
             leftover = max(total - held[alpha], 0.0)
-            if leftover <= _PARSEVAL_FLOOR * total:
-                continue
-            tail_bound += leftover * density.tail_supremum(tail_start)
+            if leftover > _PARSEVAL_FLOOR * total:
+                tail_bound += leftover * density.tail_supremum(tail_start)
         if math.isinf(tail_bound) or math.isnan(tail_bound):
             raise TruncationError(
                 "spectral density admits no finite bound over the harmonic "
                 "tail; the generator series cannot be certified to converge"
             )
-        if tail_bound <= rel_tol * scale + 1e-300:
+        # tr T = sum r |C|^2 is the retained rate weight.
+        if tail_bound <= rel_tol * np.trace(pairs).real + 1e-300:
             # Secular: no element is coupled across frequency clusters.
             label = dec.cluster_index.reshape(1, -1, order="F")
             superop_f = np.where(label.T == label, _dissipator(pairs, dim), 0.0)

@@ -124,14 +124,15 @@ def density_from_bloch(x: np.ndarray) -> np.ndarray:
     Raises
     ------
     InvalidStateError
-        If |x| exceeds 1 beyond tolerance (the point lies outside the
-        Bloch ball).
+        If |x| exceeds 1 + 2 PSD_ATOL (the point lies outside the Bloch
+        ball): the lowest eigenvalue (1 - |x|)/2 is then below -PSD_ATOL,
+        where :func:`as_density` rejects the matrix.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DimensionError(f"Bloch vector must have 3 components, got shape {x.shape}")
     norm_sq = float(np.dot(x, x))
-    if norm_sq > 1.0 + 1e-12:
+    if norm_sq > (1.0 + 2.0 * PSD_ATOL) ** 2:
         raise InvalidStateError(f"Bloch vector has norm {np.sqrt(norm_sq):.6f} > 1")
     return 0.5 * (IDENTITY_2 + x[0] * PAULI_X + x[1] * PAULI_Y + x[2] * PAULI_Z)
 
@@ -140,11 +141,19 @@ def expm_hermitian(h: np.ndarray, s: float) -> np.ndarray:
     """Unitary e^{i s H} for Hermitian H, via eigendecomposition.
 
     Exact spectral calculus keeps the result unitary to rounding even for
-    large |s|, where scaling-and-squaring would accumulate error.
+    large |s|, where scaling-and-squaring would accumulate error.  Raises
+    FloatingPointError where some s * eigenvalue overflows.
     """
     mat = require_hermitian(h)
     evals, evecs = scipy.linalg.eigh(mat)
-    phases = np.exp(1j * s * evals)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        phases = np.exp(1j * s * evals)
+    if not np.all(np.isfinite(phases)):
+        largest = float(np.max(np.abs(evals)))
+        raise FloatingPointError(
+            f"e^{{i s H}} overflows: s = {s!r} times an eigenvalue of H, up to "
+            f"{largest!r} in magnitude, leaves the double range"
+        )
     return (evecs * phases) @ evecs.conj().T
 
 

@@ -801,6 +801,18 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     assert list(tmp_path.glob("*.tsv")) == []
 
 
+@pytest.mark.parametrize("t_fast", [5e-324, 1e-310])
+def test_main_reports_a_bath_time_below_the_normal_doubles_as_numeric(
+    tmp_path, capsys, t_fast
+):
+    config = _extract_config(tmp_path, [(5000.0, 0.5), (t_fast, 0.3)])
+    assert cli.main([str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: tau_c = ")
+    assert f"at t_fast = {t_fast!r} is not a normal double" in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -947,6 +959,32 @@ def test_a_trajectory_run_decomposes_once(tmp_path, decompose_calls, frame):
     assert len(decompose_calls) == 1
 
 
+@pytest.mark.parametrize(
+    "keys, code, message",
+    [
+        # delta T = 1e310: the Floquet frame's phases overflow.
+        (
+            "period = 1e10\n    delta = 1e300",
+            3,
+            "floqlind: numeric failure: e^{i s H} overflows: s = -10000000000.0",
+        ),
+        # 2 pi / T = inf: no kick frequency.
+        (
+            "period = 1e-310",
+            2,
+            "floqlind: config error: period 1e-310 is too small: the kick "
+            "frequency 2 pi / period overflows",
+        ),
+    ],
+    ids=["frame", "kick-frequency"],
+)
+def test_main_sorts_an_overflowing_kicked_model(tmp_path, capsys, keys, code, message):
+    body = TRAJECTORY_CONFIG.replace("period = 1.3", keys)
+    assert cli.main([str(write_config(tmp_path, body))]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "traj.tsv").exists()
+
+
 def test_main_rejects_a_trajectory_that_starts_before_zero(tmp_path, capsys):
     body = TRAJECTORY_CONFIG.replace("start = 0.0", "start = -1.0")
     assert cli.main([str(write_config(tmp_path, body))]) == 2
@@ -1081,7 +1119,7 @@ def test_benchmark_tables_keep_the_bytes_of_the_percent_row_writer(
 
 
 # Every table this module's configs write, by name.  The extract config
-# reads the two-row measurement file that _written_tables puts beside it.
+# reads the two-row measurement file that _table_configs puts beside it.
 PINNED_CONFIGS = {
     "rates-parallel": PARALLEL_CONFIG,
     "rates-perp": PERP_CONFIG,
@@ -1146,49 +1184,39 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _written_tables(tmp_path):
-    tables = {}
+def _table_configs(tmp_path):
+    """The config of every pinned table, by name, each in its own directory."""
+    configs = {}
     for name, body in PINNED_CONFIGS.items():
         workdir = tmp_path / name
         workdir.mkdir()
         measured = workdir / "measured.txt"
         measured.write_text("5000.0 0.5\n0.37 0.3\n", encoding="ascii")
-        tables[name] = _digest(cli.run(write_config(workdir, body)))
+        configs[name] = write_config(workdir, body)
     workload = WORKLOADS["cli-tables"]
     for seed in (1, 2, 3):
         workdir = tmp_path / f"cli-tables-{seed}"
         workdir.mkdir()
-        for path in workload.task(workload.setup(seed, workdir)):
-            tables[f"cli-tables-{seed}/{path.name}"] = _digest(path)
-    return tables
+        for config in workload.setup(seed, workdir).configs:
+            configs[f"cli-tables-{seed}/{config.stem}.tsv"] = config
+    return configs
 
 
 def test_every_table_keeps_its_pinned_bytes(tmp_path):
-    assert _written_tables(tmp_path) == TABLE_DIGESTS
+    configs = _table_configs(tmp_path)
+    tables = {name: _digest(cli.run(config)) for name, config in configs.items()}
+    assert tables == TABLE_DIGESTS
 
 
-def test_the_perp_tables_do_not_depend_on_numpys_simd_level(tmp_path):
-    """Writes the rates-perp and rates-parallel tables with numpy's AVX-512
-    kernels on and off and checks both against their pinned digests.  The
-    perp gamma column is one scalar density call per point, and a log
-    sweep one float power per point, whose bits are libm's: numpy's exp,
-    expm1 and power (np.geomspace's too) would move some of their cells,
-    and differently at each SIMD level.  On a host without AVX-512 both
-    runs take the same kernels."""
-    configs = {}
-    for name in (
-        "rates-perp", "rates-perp-huge-coupling", "rates-perp-huge-cutoff",
-        "rates-parallel",
-    ):
-        (tmp_path / name).mkdir()
-        configs[name] = write_config(tmp_path / name, PINNED_CONFIGS[name])
-    workload = WORKLOADS["cli-tables"]
-    for seed in (1, 2, 3):
-        workdir = tmp_path / f"cli-tables-{seed}"
-        workdir.mkdir()
-        workload.setup(seed, workdir)
-        for table in ("perp", "parallel"):
-            configs[f"cli-tables-{seed}/{table}.tsv"] = workdir / f"{table}.ini"
+def test_every_table_keeps_its_pinned_bytes_at_both_numpy_simd_levels(tmp_path):
+    """Writes every pinned table with numpy's AVX-512 kernels on and off
+    and checks both against TABLE_DIGESTS.  Cells whose bits must be
+    libm's (the perp gamma column, log sweeps, the Floquet phases, the
+    echo's decay factors) are formed from float calls: numpy's exp,
+    expm1, power and angle would move some of them, and differently at
+    each SIMD level.  On a host without AVX-512 both runs take the same
+    kernels."""
+    configs = _table_configs(tmp_path)
     script = textwrap.dedent("""
         import hashlib, sys
         from pathlib import Path
@@ -1200,10 +1228,9 @@ def test_the_perp_tables_do_not_depend_on_numpys_simd_level(tmp_path):
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    pinned = {name: TABLE_DIGESTS[name] for name in configs}
     for e in (env, emulated):
         digests = subprocess.run(
             [sys.executable, "-c", script, *map(str, configs.values())],
-            env=e, capture_output=True, text=True, check=True, timeout=120,
+            env=e, capture_output=True, text=True, check=True, timeout=300,
         ).stdout.split()
-        assert dict(zip(configs, digests)) == pinned
+        assert dict(zip(configs, digests)) == TABLE_DIGESTS

@@ -537,6 +537,14 @@ def test_dephasing_closed_form_reproduces_any_initial_state_at_zero():
         )
 
 
+def test_dephasing_closed_form_takes_a_state_at_the_positivity_tolerance():
+    """as_density takes a lowest eigenvalue down to -PSD_ATOL, whose Bloch
+    vector is longer than 1; at t = 0 the closed form gives it back."""
+    p = TLSParams(omega0=5.0, omega_ext=4.4, period=1.3, eta=0.05)
+    rho0 = np.diag([1.0 + 5e-13, -5e-13]).astype(complex)
+    np.testing.assert_allclose(closed_form_parallel(p, rho0, 0.0), rho0, atol=1e-15)
+
+
 def test_transverse_closed_form_pins():
     p = TLSParams(omega0=2.2, omega_ext=2.2, period=math.pi, eta=0.03)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # +x

@@ -413,6 +413,41 @@ def test_extraction_errors():
         extract_tau_c(1.0, 1e-9, t_fast=1.0)
 
 
+def test_extraction_refuses_an_infinite_fast_period():
+    with pytest.raises(ValueError, match="t_fast must be positive and finite"):
+        extract_tau_c(1.0, 0.5, t_fast=math.inf)
+
+
+@pytest.mark.parametrize(
+    "ratio, t_fast, message",
+    [
+        (0.5, 5e-324, "tau_c = 0.0 at t_fast = 5e-324 is not a normal double"),
+        (0.5, 1e-310, "at t_fast = 1e-310 is not a normal double"),
+        (1e-6, 1e307, r"tau_c = inf at t_fast = 1e\+307 is not a normal double"),
+    ],
+)
+def test_a_bath_time_outside_the_normal_doubles_is_out_of_range(
+    ratio, t_fast, message
+):
+    with pytest.raises(OutOfRangeError, match=message):
+        extract_tau_c(1.0, ratio, t_fast=t_fast)
+
+
+@pytest.mark.parametrize("ratio, t_fast", [(1e-6, 1e-310), (0.5, 1.7e308)])
+def test_a_fit_whose_search_leaves_the_double_range_scales_with_t_fast(
+    ratio, t_fast
+):
+    """The search window tau = 1e-18 .. 1e3 t_fast underflows to 0 or
+    overflows here, where t_fast / (2 tau) is taken as 0.5 e^{-log tau}.
+    So the fit is the one at t_fast = 1, scaled: a 0 tau no longer
+    divides by zero, and a tau whose double is inf no longer gives a
+    factor of 0."""
+    reference = extract_tau_c(1.0, ratio, t_fast=1.0)
+    result = extract_tau_c(1.0, ratio, t_fast=t_fast)
+    assert result.tau_c == pytest.approx(reference.tau_c * t_fast, rel=1e-14)
+    assert result.residual == pytest.approx(reference.residual, abs=1e-15)
+
+
 def test_read_rate_measurements(tmp_path):
     path = tmp_path / "rates.txt"
     path.write_text(

@@ -174,6 +174,21 @@ def test_model_validation():
         KickedModel(h0=herm, kick=herm, strength=math.nan, period=1.0)
 
 
+def test_a_period_whose_kick_frequency_overflows_is_refused():
+    """2 pi / 1e-310 is above the double range, so Omega would be inf."""
+    herm = rand_herm(np.random.default_rng(0), 2)
+    with pytest.raises(ValueError, match=r"period 1e-310 is too small.*overflows"):
+        KickedModel(h0=herm, kick=herm, strength=1.0, period=1e-310)
+
+
+def test_an_overflowing_floquet_frame_is_a_numeric_failure():
+    """delta T = 1e310 leaves the double range, so e^{-i H0 T} has no
+    phase to take: a FloatingPointError, not scipy's ValueError on NaN."""
+    m = KickedModel(h0=0.5e300 * PAULI_Z, kick=PAULI_X, strength=1.0, period=1e10)
+    with pytest.raises(FloatingPointError, match=r"e\^\{i s H\} overflows"):
+        decompose(m)
+
+
 # ------------------------------------------------------------ quasienergies
 
 

@@ -65,6 +65,19 @@ def test_density_from_bloch_rejects_points_outside_the_ball():
         density_from_bloch([0.8, 0.8, 0.8])
 
 
+def test_density_from_bloch_accepts_what_as_density_accepts():
+    """Along axis 3 the lowest eigenvalue is (1 - x3)/2, so both take x3 up
+    to 1 + 2 PSD_ATOL and refuse it beyond."""
+    for x3, accepted in ((1.0 + 1.9e-12, True), (1.0 + 2.1e-12, False)):
+        rho = np.diag([(1.0 + x3) / 2.0, (1.0 - x3) / 2.0])
+        for build in (lambda: density_from_bloch([0.0, 0.0, x3]), lambda: as_density(rho)):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(InvalidStateError):
+                    build()
+
+
 def test_density_from_bloch_needs_three_components():
     with pytest.raises(DimensionError):
         density_from_bloch([0.1, 0.2])
@@ -88,6 +101,13 @@ def test_expm_hermitian_stays_unitary_and_matches_general(seed):
     u = expm_hermitian(h, -2.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(u, expm_general(h, -2.7j), atol=1e-12)
+
+
+def test_expm_hermitian_reports_an_overflowing_phase():
+    """s E = 1e310 is above the double range; the phase is refused, with
+    no numpy warning on the way."""
+    with pytest.raises(FloatingPointError, match="leaves the double range"):
+        expm_hermitian(1e300 * PAULI_Z, 1e10)
 
 
 def test_expm_general_on_a_nilpotent_matrix():
