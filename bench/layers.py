@@ -109,7 +109,8 @@ def _model(dim: int):
         strength=1.0,
         period=1.0,
     )
-    couplings = [c / np.linalg.norm(c) for c in (_hermitian(rng, dim) for _ in range(2))]
+    couplings = [_hermitian(rng, dim) for _ in range(2)]
+    couplings = [c / np.linalg.norm(c) for c in couplings]
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     return model, couplings, np.outer(psi, psi.conj())
