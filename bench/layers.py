@@ -1,13 +1,13 @@
 """Layer bench: each floqlind layer timed on its own, each CLI scenario end to end.
 
-    python bench/layers.py LABEL [--repeats N]
+    python bench/layers.py LABEL
 
 Run from anywhere; the script imports the ``src/`` next to it, so it times
 the checkout it lives in.  It writes ``BENCH_<LABEL>.json`` at the root of
 that checkout.
 
 The process runs pinned to the first CPU it may use, with one BLAS
-thread.  Every entry is timed ``repeats`` times after one
+thread.  Every entry is timed ``REPEATS`` times after one
 untimed warm-up call and reports the best and the median wall time.
 Inputs that a call would cache (a ``HarmonicDecomposition``'s
 coefficients, a generator's Bohr blocks) are built afresh, untimed, for
@@ -80,12 +80,13 @@ DIMS = (2, 4, 8)
 REL_TOLS = (1e-4, 1e-8, 1e-12)
 Q_START = 16
 POINTS = 2000
+REPEATS = 7
 
 
-def _timed(run, setup=tuple, repeats=7):
+def _timed(run, setup=tuple):
     """{"best_s", "median_s"} of ``run(*setup())`` and its last result."""
     samples = []
-    for _ in range(repeats + 1):
+    for _ in range(REPEATS + 1):
         args = setup()
         start = time.perf_counter()
         result = run(*args)
@@ -125,16 +126,15 @@ BATHS = {
 }
 
 
-def _layers(repeats: int) -> list[dict]:
+def _layers() -> list[dict]:
     rows = []
     for dim in DIMS:
         model, couplings, rho0 = _model(dim)
         case = {"d": dim}
-        timing, _ = _timed(decompose, lambda: (model,), repeats)
+        timing, _ = _timed(decompose, lambda: (model,))
         rows.append({"layer": "decompose", **case, **timing})
         timing, _ = _timed(
-            lambda: harmonic_decomposition(model, couplings, Q_START).coefficients,
-            repeats=repeats,
+            lambda: harmonic_decomposition(model, couplings, Q_START).coefficients
         )
         rows.append({"layer": "harmonic_decomposition", **case, **timing})
         for baths, densities in BATHS.items():
@@ -142,7 +142,7 @@ def _layers(repeats: int) -> list[dict]:
                 model, couplings[: len(densities)], Q_START),)
             for rel_tol in REL_TOLS:
                 timing, g = _timed(
-                    lambda h: build_generator(h, densities, rel_tol), fresh, repeats
+                    lambda h: build_generator(h, densities, rel_tol), fresh
                 )
                 rows.append({
                     "layer": "build_generator", **case, "baths": baths,
@@ -151,15 +151,14 @@ def _layers(repeats: int) -> list[dict]:
                 })
         h = harmonic_decomposition(model, couplings[:1], Q_START)
         g = build_generator(h, BATHS["lorentzian"], 1e-8)
-        timing, _ = _timed(semigroup, lambda: (g, 3.7), repeats)
+        timing, _ = _timed(semigroup, lambda: (g, 3.7))
         rows.append({"layer": "semigroup", **case, **timing})
         times = np.linspace(0.0, 50.0 * model.period, POINTS)
         frames = ("interaction", "rotating") + (("lab",) if dim == 2 else ())
         for frame in frames:
             lab = 5.0 if frame == "lab" else None
             timing, _ = _timed(
-                lambda: evolve(model, g, rho0, times, frame=frame, omega_ext=lab),
-                repeats=repeats,
+                lambda: evolve(model, g, rho0, times, frame=frame, omega_ext=lab)
             )
             rows.append({"layer": "evolve", **case, "frame": frame,
                          "points": POINTS, **timing})
@@ -173,8 +172,7 @@ def _layers(repeats: int) -> list[dict]:
     }
     for kind, ensemble in ensembles.items():
         timing, _ = _timed(
-            lambda: echo_signal(ensemble, params, (0.6, 0.8), times),
-            repeats=repeats,
+            lambda: echo_signal(ensemble, params, (0.6, 0.8), times)
         )
         rows.append({"layer": "echo_signal", "ensemble": kind,
                      "points": POINTS, **timing})
@@ -210,7 +208,7 @@ CLI_CONFIGS = {
 }
 
 
-def _cli(repeats: int) -> list[dict]:
+def _cli() -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
@@ -224,7 +222,7 @@ def _cli(repeats: int) -> list[dict]:
                 lines.extend(f"{key} = {value}" for key, value in entries.items())
             config = workdir / f"{scenario}.ini"
             config.write_text("\n".join(lines) + "\n", encoding="ascii")
-            timing, path = _timed(cli.run, lambda: (config,), repeats)
+            timing, path = _timed(cli.run, lambda: (config,))
             rows.append({"scenario": scenario, "bytes": path.stat().st_size, **timing})
     return rows
 
@@ -287,19 +285,16 @@ def _fingerprint(cpu: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", help="the output is BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     start = time.perf_counter()
     record = {
         "label": args.label,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "host": _fingerprint(cpu),
-        "layers": _layers(args.repeats),
-        "cli": _cli(args.repeats),
+        "layers": _layers(),
+        "cli": _cli(),
     }
     record["wall_s"] = time.perf_counter() - start
     out = ROOT / f"BENCH_{args.label}.json"

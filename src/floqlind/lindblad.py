@@ -280,10 +280,13 @@ def build_generator(
             flat = coefficients[alpha].reshape(len(q_values), dim * dim)
             power = np.abs(flat) ** 2
             held[alpha] += float(np.sum(power))
-            # r[q, (k,l)] = gamma(omega(k,l) + q Omega) where C[q, (k,l)] != 0.
-            gamma = density.evaluate(frequencies)[:, cluster]
-            rate = np.where(power != 0.0, gamma, 0.0)
-            pairs += (flat.conj() * rate).T @ flat  # T += C† (r ∘ C)
+            # gamma(omega + q Omega) on the clusters that hold weight.
+            live = np.zeros(len(dec.frequencies), dtype=bool)
+            live[cluster[power.any(axis=0)]] = True
+            rate = np.zeros(frequencies.shape)
+            rate[:, live] = density.evaluate(frequencies[:, live])
+            # T += C† (r ∘ C); r[q, (k,l)] is the rate of (k,l)'s cluster.
+            pairs += (flat.conj() * rate[:, cluster]).T @ flat
             total = h.coupling_weight(alpha)
             leftover = max(total - held[alpha], 0.0)
             if leftover > _PARSEVAL_FLOOR * total:

@@ -1003,6 +1003,22 @@ def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):
     assert "Bloch vector" in err
 
 
+@pytest.mark.parametrize(
+    "x3, code", [("1.000000000001", 0), ("1.0000000000021", 2)],
+    ids=["inside", "outside"],
+)
+def test_main_takes_a_bloch_vector_up_to_the_density_tolerance(
+    tmp_path, capsys, x3, code
+):
+    """|x| up to 1 + 2 PSD_ATOL is a state: its lowest eigenvalue
+    (1 - |x|)/2 is then no lower than -PSD_ATOL, as as_density allows."""
+    body = TRAJECTORY_CONFIG.replace("x3_0 = 1.0", f"x3_0 = {x3}")
+    assert cli.main([str(write_config(tmp_path, body))]) == code
+    assert (tmp_path / "traj.tsv").exists() == (code == 0)
+    if code == 2:
+        assert "initial Bloch vector" in capsys.readouterr().err
+
+
 def test_main_reports_invalid_computed_states_as_numeric(
     tmp_path, capsys, monkeypatch
 ):
