@@ -105,8 +105,11 @@ class Lorentzian(SpectralDensity):
     def evaluate(self, omega):
         # x * x, not x ** 2: a float's ** is libm pow, which can round
         # otherwise than numpy's array square and raises OverflowError.
-        x = self.tau_c * omega
-        return (2.0 / self.t2) / (1.0 + x * x)
+        # Where x or x * x overflows the density is 0.0, as the inf gives
+        # without numpy's warning; a Python float's product never warns.
+        with np.errstate(over="ignore"):
+            x = self.tau_c * omega
+            return (2.0 / self.t2) / (1.0 + x * x)
 
     def tail_supremum(self, threshold: float) -> float:
         # Even and decreasing in |omega|: the tail peaks at its edge.
@@ -197,35 +200,16 @@ class PhononCutoff(SpectralDensity):
             mantissa, exponent = mantissa * z, exponent - n
         return _ldexp(mantissa, exponent)
 
-    def _peak(self) -> float:
-        """Location u > 0 of the maximum of gamma(u).
-
-        Solved for x = u / cutoff, so the root tolerance is relative to the
-        cutoff and the bracket [1e-9, 3] stays clear of subnormals at any
-        cutoff.  With b = beta cutoff the logarithmic slope in x,
-        3/x - 1 - b / (e^{b x} - 1), falls monotonically from +inf at
-        x -> 0 to -b / (e^{3 b} - 1) <= 0 at x = 3, the peak at zero
-        temperature.  When rounding leaves the slope there nonnegative, the
-        peak is 3 cutoff to within rounding.
-        """
-        b = self.beta * self.cutoff
-
-        def slope(x: float) -> float:  # d/dx of the logarithm
-            y = b * x
-            if y > 700.0:
-                return 3.0 / x - 1.0
-            # b / (e^y - 1) = 1 / (x (e^y - 1)/y), finite as b -> 0 too
-            return 3.0 / x - 1.0 - 1.0 / (x * (math.expm1(y) / y if y else 1.0))
-
-        if math.isinf(self.beta) or slope(3.0) >= 0.0:
-            return 3.0 * self.cutoff
-        # Imported here, not with the module: loading scipy.optimize takes
-        # about 0.3 s, and only this search and echo.extract_tau_c need it.
-        import scipy.optimize
-
-        return self.cutoff * scipy.optimize.brentq(slope, 1e-9, 3.0)
-
     def tail_supremum(self, threshold: float) -> float:
-        # gamma rises to its peak and then decays, and the negative branch
-        # gamma(-u) = e^{-beta u} gamma(u) never exceeds it.
-        return self.evaluate(max(threshold, self._peak()))
+        # With b = beta cutoff the slope of log gamma in x = u / cutoff,
+        # 3/x - 1 - b / (e^{b x} - 1), falls in x, is positive at x = 2 and
+        # <= 0 at x = 3: gamma rises to one peak in [2, 3] cutoff and falls
+        # beyond.  On [a, 3 cutoff] u^3 rises while e^{-u/cutoff} and the
+        # thermal occupation fall, so gamma(a) (3 cutoff / a)^3 bounds gamma
+        # there, a = max(threshold, 2 cutoff) covering the rise below.  The
+        # negative branch gamma(-u) = e^{-beta u} gamma(u) never exceeds it.
+        edge = 3.0 * self.cutoff
+        if threshold >= edge:
+            return self.evaluate(threshold)
+        a = max(threshold, 2.0 * self.cutoff)
+        return self.evaluate(a) * (edge / a) ** 3

@@ -266,7 +266,7 @@ def extract_tau_c(
             f"rate ratio {target} below the searchable suppression range; "
             f"tau_c would exceed {_TAU_HI} * t_fast"
         )
-    import scipy.optimize  # loaded on first use, as in PhononCutoff._peak
+    import scipy.optimize  # loaded on first use: about 0.3 s, and only here
 
     log_tau = scipy.optimize.brentq(misfit, lo, hi, xtol=1e-15, rtol=1e-15)
     tau_c = math.exp(log_tau) * t_fast

@@ -9,12 +9,16 @@ tight tolerance is the most expensive setup step.
 
 import cmath
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import floqlind
 from floqlind import bath, cli, floquet, lindblad
 from floqlind.bath import Lorentzian, PhononCutoff, SpectralDensity
 from floqlind.echo import GaussianDetuning, UniformDetuning
@@ -42,6 +46,25 @@ from floqlind.operators import (
     unvec,
     vec,
 )
+
+# The directory that holds the floqlind package, for scripts run in a fresh
+# interpreter.
+SRC = str(Path(floqlind.__file__).resolve().parent.parent)
+
+
+def run_at_both_simd_levels(script, *argv, timeout=120):
+    """The whitespace-split stdout of ``python -c script *argv``, run once
+    with numpy's AVX-512 kernels on and once off (as on an AVX2 host).  On a
+    host without AVX-512 both runs take the same kernels."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    return [
+        subprocess.run([sys.executable, "-c", script, *argv], env=e,
+                       capture_output=True, text=True, check=True,
+                       timeout=timeout).stdout.split()
+        for e in (env, emulated)
+    ]
 
 
 def rand_herm(rng, dim):

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import PERP_CONFIG, write_config
 
-from floqlind import bath, cli
+from floqlind import (
+    PAULI_X, PAULI_Z, KickedModel, bath, build_generator, cli,
+    harmonic_decomposition,
+)
 from floqlind.bath import Lorentzian, PhononCutoff
 
 
@@ -150,6 +153,23 @@ def test_lorentzian_tail_bound_is_finite_at_a_huge_correlation_time():
     assert Lorentzian(t2=2.0, tau_c=1e100).tail_supremum(1e60) == 0.0
 
 
+def test_a_lorentzian_whose_tau_c_omega_squared_overflows_is_silent():
+    """0.0, with no overflow warning (an error in this suite) from a float,
+    an np.float64, an array or the generator built on it."""
+    density = Lorentzian(t2=2.0, tau_c=1e300)
+    omegas = [1.0, -2.0, 1e10, 0.0]
+    floats = [density.evaluate(w) for w in omegas]
+    wrapped = [density.evaluate(np.float64(w)) for w in omegas]
+    batched = density.evaluate(np.array(omegas))
+    assert floats == [0.0, 0.0, 0.0, 1.0]
+    assert np.array(wrapped).tobytes() == np.array(floats).tobytes()
+    assert batched.tobytes() == np.array(floats).tobytes()
+    model = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X, strength=math.pi / 2,
+                        period=1.3)
+    h = harmonic_decomposition(model, (PAULI_Z,), q_max=16)
+    assert np.all(np.isfinite(build_generator(h, (density,)).superop))
+
+
 @pytest.mark.parametrize(
     "density",
     [
@@ -204,18 +224,29 @@ def test_cold_phonon_baths_have_a_tail_bound(cutoff):
     "cutoff", [1e-300, 1e-200, 1e-100, 1e-50, 1e-13, 1e-7, 1e-3, 1.0, 1e3]
 )
 def test_phonon_tail_bound_holds_at_every_cutoff_scale(cutoff):
-    """The peak is found in units of the cutoff, so the bound covers the
-    density at tiny cutoffs too (an absolute root tolerance used to miss
-    the peak below cutoff ~1e-10, and a subnormal bracket raised)."""
-    x = np.geomspace(1e-21, 1e3, 20_001)
+    """The closed-form bound's premise and result from beta cutoff 1e-6 to
+    1e15 and zero temperature: gamma rises on (0, 2 cutoff] and falls on
+    [3 cutoff, inf); from 3 cutoff the bound is gamma at the threshold, bit
+    for bit, and below it the bound covers both branches at and beyond the
+    threshold.  A root search in absolute units used to miss the peak
+    below cutoff ~1e-10, and a subnormal bracket raised."""
+    u = cutoff * np.geomspace(1e-21, 1e3, 20_001)
+    rising, falling = u <= 2.0 * cutoff, u >= 3.0 * cutoff
     for scaled in [*np.geomspace(1e-6, 1e15, 15), math.inf]:
         beta = float(scaled) / cutoff  # beta * cutoff = scaled
         density = PhononCutoff(coupling=0.7, cutoff=cutoff, beta=beta)
-        bound = density.tail_supremum(0.0)
-        assert math.isfinite(bound)
-        u = cutoff * x
-        largest = max(np.max(density.evaluate(u)), np.max(density.evaluate(-u)))
-        assert largest <= bound * (1.0 + 1e-12)
+        gamma = density.evaluate(u)
+        assert np.all(np.diff(gamma[rising]) >= 0.0)
+        assert np.all(np.diff(gamma[falling]) <= 0.0)
+        for w in [3.0 * cutoff, *u[falling][::10].tolist()]:
+            assert density.tail_supremum(w) == density.evaluate(w)
+        # The largest value of either branch at or beyond each grid point.
+        largest = np.maximum(gamma, density.evaluate(-u))
+        beyond = np.maximum.accumulate(largest[::-1])[::-1]
+        assert math.isfinite(density.tail_supremum(0.0))
+        assert density.tail_supremum(0.0) >= beyond[0]
+        for i in np.flatnonzero(~falling)[::50]:
+            assert density.tail_supremum(float(u[i])) >= beyond[i]
     for beta in (1e13, 1.0):
         assert math.isfinite(PhononCutoff(1.0, cutoff, beta=beta).tail_supremum(0.0))
 
@@ -230,10 +261,12 @@ def test_phonon_density_takes_its_classical_limit_where_beta_omega_underflows():
     np.testing.assert_allclose(
         hot.evaluate(np.array([1e-30, -1e-30])), want, rtol=1e-12
     )
-    # The peak sits at u = 2 cutoff, where u^2 itself underflows.
+    # The peak sits at u = 2 cutoff, where u^2 itself underflows; the tail
+    # bound below 3 cutoff is gamma(2 cutoff) (3/2)^3.
     tiny = PhononCutoff(1.0, 1e-300, beta=1e-300)
     peak = 4e-300 * math.exp(-2.0)
-    assert tiny.tail_supremum(0.0) == pytest.approx(peak, rel=1e-12)
+    bound = tiny.tail_supremum(0.0)
+    assert bound == pytest.approx(3.375 * peak, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(tiny.evaluate(np.array([2e-300])), peak, rtol=1e-12)
 
 

@@ -2,12 +2,9 @@
 
 import hashlib
 import math
-import os
 import re
-import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +13,7 @@ from conftest import (
     reference_echo_signal,
     reference_floor_frac,
     reference_write_table,
+    run_at_both_simd_levels,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -523,16 +521,7 @@ def test_the_writer_does_not_depend_on_numpys_simd_level(tmp_path):
             cli._write_table(path, "echo", "abcde", list(table.T), {})
             print(hashlib.sha256(path.read_bytes()).hexdigest())
     """)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    runs = [
-        subprocess.run([sys.executable, "-c", script, str(tmp_path / f"{i}.tsv")],
-                       env=e, capture_output=True, text=True, check=True,
-                       timeout=120).stdout.split()
-        for i, e in enumerate((env, emulated))
-    ]
+    runs = run_at_both_simd_levels(script, str(tmp_path / "table.tsv"))
     assert len(runs[0]) == 2
     assert runs[0] == runs[1]
 
@@ -1240,13 +1229,6 @@ def test_every_table_keeps_its_pinned_bytes_at_both_numpy_simd_levels(tmp_path):
         for config in sys.argv[1:]:
             print(hashlib.sha256(cli.run(Path(config)).read_bytes()).hexdigest())
     """)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    for e in (env, emulated):
-        digests = subprocess.run(
-            [sys.executable, "-c", script, *map(str, configs.values())],
-            env=e, capture_output=True, text=True, check=True, timeout=300,
-        ).stdout.split()
+    paths = map(str, configs.values())
+    for digests in run_at_both_simd_levels(script, *paths, timeout=300):
         assert dict(zip(configs, digests)) == TABLE_DIGESTS

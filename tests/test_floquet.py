@@ -1,14 +1,11 @@
 """Floquet analysis tests: stroboscopic algebra, gauge, harmonics."""
 
 import math
-import os
 import re
-import subprocess
 import sys
 import textwrap
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +24,7 @@ from conftest import (
     reconstruct_heisenberg,
     reference_cluster_frequencies,
     reference_floor_frac,
+    run_at_both_simd_levels,
     zone_edge_h0,
 )
 
@@ -373,15 +371,7 @@ def test_the_floquet_frame_does_not_depend_on_numpys_simd_level():
                       dec.quasienergies, dec.frequencies):
                 print(hashlib.sha256(a.tobytes()).hexdigest())
     """)
-    src = str(Path(floquet.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    runs = [
-        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True,
-                       text=True, check=True, timeout=120).stdout.split()
-        for e in (env, emulated)
-    ]
+    runs = run_at_both_simd_levels(script)
     assert len(runs[0]) == 5 * 90
     assert runs[0] == runs[1]
 

@@ -1,10 +1,9 @@
 """`scipy.optimize` loads only where a root is found.
 
-It takes about 0.3 s to import, and only two calls use it: the peak search
-behind a finite-temperature `PhononCutoff.tail_supremum`, and
-`extract_tau_c`.  Each check runs in a fresh interpreter, so that the
-modules this test session has already imported cannot hide a module-level
-import.
+It takes about 0.3 s to import, and only `extract_tau_c` uses it: every
+tail bound, `PhononCutoff`'s at finite temperature too, is a closed form.
+Each check runs in a fresh interpreter, so that the modules this test
+session has already imported cannot hide a module-level import.
 """
 
 import json
@@ -12,9 +11,8 @@ import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
-import floqlind
+from conftest import SRC
 from test_cli import (
     AUDIT_CONFIG,
     ECHO_CONFIG,
@@ -23,8 +21,6 @@ from test_cli import (
     TRAJECTORY_CONFIG,
     write_config,
 )
-
-SRC = str(Path(floqlind.__file__).resolve().parent.parent)
 
 
 def _run_steps(steps, *argv):
@@ -101,19 +97,39 @@ def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
     assert loaded == dict.fromkeys(["import", *bodies], False)
 
 
-def test_the_two_root_finders_load_scipy_optimize_and_keep_their_floats():
+def test_a_finite_temperature_phonon_build_never_loads_scipy_optimize():
+    """The qudit benchmark's baths: a Lorentzian and a warm phonon bath.  The
+    phonon tail bound is a closed form, gamma(w) itself from w = 3 cutoff
+    and gamma(2 cutoff) (3/2)^3 at w = 0."""
     loaded, out = _run_steps([
         ("import", "import floqlind"),
         ("tail", textwrap.dedent("""
             cold = floqlind.PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0)
             hot = floqlind.PhononCutoff(coupling=0.05, cutoff=1.0, beta=0.3)
-            out = [cold.tail_supremum(0.0), cold.tail_supremum(4.0),
-                   hot.tail_supremum(0.0)]
+            tails = [cold.tail_supremum(0.0), cold.tail_supremum(4.0),
+                     hot.tail_supremum(0.0)]
+        """)),
+        ("build", textwrap.dedent("""
+            import numpy as np
+            rng = np.random.default_rng(8)
+            def herm(d):
+                a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                return (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+            model = floqlind.KickedModel(h0=herm(8), kick=herm(8), strength=1.0,
+                                         period=1.0)
+            harmonics = floqlind.harmonic_decomposition(
+                model, (herm(8), herm(8)), q_max=16)
+            baths = (floqlind.Lorentzian(t2=2.0, tau_c=0.3),
+                     floqlind.PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0))
+            g = floqlind.build_generator(harmonics, baths, rel_tol=1e-6)
+            out = [tails, g.truncation.q_max_used]
         """)),
     ])
-    assert loaded == {"import": False, "tail": True}
-    assert out == [0.06738212461165625, 0.05862971252138497, 0.1223716195178429]
+    assert loaded == dict.fromkeys(("import", "tail", "build"), False)
+    assert out == [[0.1861113812209537, 0.05862971252138497, 0.4049364899124524], 32]
 
+
+def test_extract_tau_c_loads_scipy_optimize_and_keeps_its_floats():
     loaded, out = _run_steps([
         ("import", "import floqlind"),
         ("extract", textwrap.dedent("""

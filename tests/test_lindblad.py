@@ -1,12 +1,9 @@
 """Generator assembly and closed-form rate tests."""
 
 import math
-import os
 import re
-import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +18,7 @@ from conftest import (
     reference_generator,
     reference_rate_parallel_closed,
     reference_rate_perp_closed,
+    run_at_both_simd_levels,
     vectorize,
     zone_edge_h0,
 )
@@ -295,15 +293,7 @@ def test_batched_rates_do_not_depend_on_numpys_simd_level():
         ):
             print(hashlib.sha256(a.tobytes()).hexdigest())
     """)
-    src = str(Path(lindblad.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    runs = [
-        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True,
-                       text=True, check=True, timeout=120).stdout.split()
-        for e in (env, emulated)
-    ]
+    runs = run_at_both_simd_levels(script)
     assert len(runs[0]) == 3
     assert runs[0] == runs[1]
 
