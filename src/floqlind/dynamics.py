@@ -41,7 +41,8 @@ from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, _unitary, floor_frac
 from .lindblad import LindbladGenerator
 from .operators import (
-    as_densities, as_density, bloch_from_density, density_from_bloch, vec,
+    _right_multiply, as_densities, as_density, bloch_from_density,
+    density_from_bloch, vec,
 )
 
 
@@ -143,7 +144,7 @@ def evolve(
     x0 = vec(v.conj().T @ rho0 @ v)[:, None]
     in_basis = g.blocks.propagate(x0, times)[..., 0]
     in_basis = in_basis.reshape(len(times), dec.dim, dec.dim).swapaxes(1, 2)
-    interaction = v @ in_basis @ v.conj().T
+    interaction = _right_multiply(v @ in_basis, v.conj().T)
     if frame == "interaction":
         states = as_densities(interaction)
         left_states = states.copy() if emit_left_limits else None

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, DomainError
-from .operators import expm_hermitian, require_hermitian
+from .operators import _right_multiply, expm_hermitian, require_hermitian
 
 # Absolute fuzz in t/T below an integer that still snaps up to it; keeps
 # kick-time sampling on the right-continuous branch despite float division.
@@ -218,8 +218,9 @@ def _unitary(dec: FloquetDecomposition, n, frac) -> np.ndarray:
     period = dec.model.period
     w, v = dec.free_basis, dec.basis
     n, frac = np.asarray(n)[..., None, None], np.asarray(frac)[..., None, None]
-    free = (w * np.exp(-1j * period * frac * dec.free_energies)) @ w.conj().T
-    return free @ ((v * np.exp(-1j * period * n * dec.quasienergies)) @ v.conj().T)
+    free = w * np.exp(-1j * period * frac * dec.free_energies)
+    kicks = v * np.exp(-1j * period * n * dec.quasienergies)
+    return _right_multiply(free, w.conj().T) @ _right_multiply(kicks, v.conj().T)
 
 
 def _before_kicks(n, frac):

@@ -56,6 +56,14 @@ def as_densities(rhos: np.ndarray) -> np.ndarray:
     property is checked on the whole stack at once; the message names
     the first matrix that fails it.
 
+    Positivity is first decided by one batched Cholesky factorization of
+    ``sym + (PSD_ATOL / 2) I``.  Its success proves every minimum
+    eigenvalue above -PSD_ATOL: the factorization's backward error is of
+    order d^2 eps ||sym||, and unit trace with no eigenvalue below
+    -PSD_ATOL bounds ||sym|| near 1.  Only when it fails does
+    ``eigvalsh`` decide, exactly as the definition above reads, so a
+    state that the shift cannot certify is never rejected for it.
+
     Raises
     ------
     InvalidStateError
@@ -71,12 +79,15 @@ def as_densities(rhos: np.ndarray) -> np.ndarray:
         defect = abs(trace[off][0] - 1.0)
         raise InvalidStateError(f"density matrix has |tr - 1| = {defect:.3e}")
     sym = 0.5 * (mats + adjoint)
-    lowest = np.linalg.eigvalsh(sym)[..., 0]
-    negative = lowest < -PSD_ATOL
-    if np.any(negative):
-        raise InvalidStateError(
-            f"density matrix has negative eigenvalue {lowest[negative][0]:.3e}"
-        )
+    try:
+        np.linalg.cholesky(sym + 0.5 * PSD_ATOL * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(sym)[..., 0]
+        negative = lowest < -PSD_ATOL
+        if np.any(negative):
+            raise InvalidStateError(
+                f"density matrix has negative eigenvalue {lowest[negative][0]:.3e}"
+            ) from None
     return sym
 
 
@@ -84,6 +95,15 @@ def as_density(rho: np.ndarray) -> np.ndarray:
     """Validate and normalize one density matrix: :func:`as_densities`
     on a single (d, d) matrix."""
     return as_densities(_as_square_matrix(rho)[None])[0]
+
+
+def _right_multiply(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``stack @ c`` for a stack (..., n, d) and one (d, m) matrix ``c``, as
+    a single GEMM on the stack's rows, where numpy's ``@`` makes one BLAS
+    call per matrix.  At d = 2 and 3 its bits are those of ``@`` on every
+    OpenBLAS kernel tested; at larger d they match on some kernels only."""
+    out = stack.reshape(-1, stack.shape[-1]) @ c
+    return out.reshape(*stack.shape[:-1], c.shape[-1])
 
 
 def vec(op: np.ndarray) -> np.ndarray:

@@ -52,19 +52,33 @@ from floqlind.operators import (
 SRC = str(Path(floqlind.__file__).resolve().parent.parent)
 
 
+def _fresh_env():
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    return env
+
+
+def _stdout(script, argv, env, timeout):
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=timeout).stdout.split()
+
+
 def run_at_both_simd_levels(script, *argv, timeout=120):
     """The whitespace-split stdout of ``python -c script *argv``, run once
     with numpy's AVX-512 kernels on and once off (as on an AVX2 host).  On a
     host without AVX-512 both runs take the same kernels."""
-    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env = _fresh_env()
     emulated = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    return [
-        subprocess.run([sys.executable, "-c", script, *argv], env=e,
-                       capture_output=True, text=True, check=True,
-                       timeout=timeout).stdout.split()
-        for e in (env, emulated)
-    ]
+    return [_stdout(script, argv, e, timeout) for e in (env, emulated)]
+
+
+def run_with_haswell_blas(script, *argv, timeout=120):
+    """The whitespace-split stdout of ``python -c script *argv`` with
+    OpenBLAS made to take its Haswell (AVX2) kernels, as on an AVX2 host,
+    whatever kernels it would pick here."""
+    env = {**_fresh_env(), "OPENBLAS_CORETYPE": "Haswell"}
+    return _stdout(script, argv, env, timeout)
 
 
 def rand_herm(rng, dim):

@@ -83,7 +83,7 @@ def test_phonon_finite_temperature_is_continuous_at_zero():
     for omega in (1e-6, -1e-6):
         value = density.evaluate(omega)
         quadratic = 2.0 * omega**2 / 1.5
-        assert value == pytest.approx(quadratic, rel=1e-5)
+        assert value == pytest.approx(quadratic, rel=1e-5, abs=0.0)
     assert density.evaluate(0.0) == 0.0
 
 

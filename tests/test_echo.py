@@ -444,7 +444,7 @@ def test_a_fit_whose_search_leaves_the_double_range_scales_with_t_fast(
     factor of 0."""
     reference = extract_tau_c(1.0, ratio, t_fast=1.0)
     result = extract_tau_c(1.0, ratio, t_fast=t_fast)
-    assert result.tau_c == pytest.approx(reference.tau_c * t_fast, rel=1e-14)
+    assert result.tau_c == pytest.approx(reference.tau_c * t_fast, rel=1e-14, abs=0.0)
     assert result.residual == pytest.approx(reference.residual, abs=1e-15)
 
 

@@ -102,7 +102,7 @@ def test_perp_rate_two_algebraic_forms_agree():
         z = math.exp(-x)
         stable = 2.0 * z * (1.0 + z * z) / (1.0 - z * z) ** 2
         direct = (1.0 / math.tanh(x)) / math.sinh(x)
-        assert stable == pytest.approx(direct, rel=1e-12)
+        assert stable == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_perp_rate_matches_direct_harmonic_summation():
@@ -165,7 +165,7 @@ def test_a_nan_rate_is_a_numeric_failure_not_bad_input():
     # coupling * omega^3 overflows and z = e^{-omega/2} underflows, but
     # the rate is a normal double (60-digit mpmath).
     eta = rate_perp_closed(2000.0, 1e300, 1.0).eta
-    assert eta == pytest.approx(2.057208654478268e-126, rel=1e-13)
+    assert eta == pytest.approx(2.057208654478268e-126, rel=1e-13, abs=0.0)
 
 
 def test_a_perp_rate_above_the_double_range_is_inf():

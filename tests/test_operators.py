@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import conjugation_superop, rand_density, rand_herm, vectorize
+from conftest import (
+    conjugation_superop,
+    rand_density,
+    rand_herm,
+    run_with_haswell_blas,
+    vectorize,
+)
 from floqlind.errors import DimensionError, HermiticityError, InvalidStateError
 from floqlind.operators import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PSD_ATOL,
+    _right_multiply,
     as_densities,
     as_density,
     bloch_from_density,
@@ -231,6 +239,83 @@ def test_as_densities_checks_each_matrix_like_as_density():
         as_density(np.stack([good, good]))
     with pytest.raises(ValueError, match="non-finite"):
         as_densities(np.array([good, np.full((2, 2), np.nan)]))
+
+
+def _rotated_spectrum(rng, dim, lowest):
+    """A Hermitian unit-trace matrix whose least eigenvalue is ``lowest``,
+    in a random unitary frame."""
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    spectrum = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    mat = (q * spectrum) @ q.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_as_densities_decides_positivity_exactly_where_eigvalsh_does(dim):
+    """Positivity is decided by a shifted Cholesky factorization, with
+    eigvalsh only as the fallback; it must reject exactly the matrices whose
+    least eigvalsh eigenvalue is below -PSD_ATOL, and name the first."""
+    rng = np.random.default_rng(40 + dim)
+    lowest = [-1.01 * PSD_ATOL, -0.99 * PSD_ATOL, 0.99 * PSD_ATOL, 0.0, -0.3, -1e-6]
+    stack = np.array([_rotated_spectrum(rng, dim, x) for x in lowest * 4])
+    reference = np.linalg.eigvalsh(stack)[:, 0]
+    rejected = reference < -PSD_ATOL
+    assert rejected.any() and not rejected.all()
+    for mat, least, bad in zip(stack, reference, rejected):
+        if bad:
+            message = f"^density matrix has negative eigenvalue {least:.3e}$"
+            with pytest.raises(InvalidStateError, match=message):
+                as_densities(mat[None])
+        else:
+            np.testing.assert_array_equal(as_densities(mat[None])[0], mat)
+    accepted = stack[~rejected]
+    np.testing.assert_array_equal(as_densities(accepted), accepted)
+    # With two failing matrices, the message names the first one.
+    good, bad, least = accepted[:3], stack[rejected], reference[rejected]
+    for first, later in [(0, 4), (4, 0), (5, 0)]:
+        pair = np.concatenate([good, bad[[first]], good, bad[[later]]])
+        with pytest.raises(InvalidStateError,
+                           match=f"negative eigenvalue {least[first]:.3e}$"):
+            as_densities(pair)
+
+
+_RIGHT_MULTIPLY_CHECK = """
+import ctypes, glob, os
+import numpy as np
+from floqlind.operators import _right_multiply
+rng = np.random.default_rng(11)
+same = []
+for dim in (2, 3):
+    for count in (1, 7, 2000):
+        a, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((count, dim, dim), (dim, dim)))
+        for right in (c, c.conj().T):
+            same.append(np.array_equal(_right_multiply(a, right), a @ right))
+        same.append(np.array_equal(_right_multiply(a[0], c), a[0] @ c))
+# The core type the OpenBLAS bundled with numpy picked at load time.
+core = "unknown"
+for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+print(all(same), len(same), core)
+"""
+
+
+def test_right_multiply_has_the_bits_of_matmul_at_d_2_and_3(capsys):
+    """One GEMM over the stacked rows gives the bits of numpy's per-matrix
+    ``@`` at d = 2 and 3, both on the BLAS kernels this host picks and on
+    OpenBLAS's Haswell kernels.  ``dynamics.evolve`` leans on it to keep its
+    states' bits."""
+    exec(_RIGHT_MULTIPLY_CHECK, {})
+    assert capsys.readouterr().out.split()[:2] == ["True", "18"]
+    same, checks, core = run_with_haswell_blas(_RIGHT_MULTIPLY_CHECK)
+    assert (same, checks) == ("True", "18")
+    assert core in ("Haswell", "unknown")  # the variable took effect
 
 
 def test_bloch_from_density_maps_stacks_along_the_last_axis():
