@@ -58,11 +58,12 @@ def as_densities(rhos: np.ndarray) -> np.ndarray:
 
     Positivity is first decided by one batched Cholesky factorization of
     ``sym + (PSD_ATOL / 2) I``.  Its success proves every minimum
-    eigenvalue above -PSD_ATOL: the factorization's backward error is of
-    order d^2 eps ||sym||, and unit trace with no eigenvalue below
-    -PSD_ATOL bounds ||sym|| near 1.  Only when it fails does
-    ``eigvalsh`` decide, exactly as the definition above reads, so a
-    state that the shift cannot certify is never rejected for it.
+    eigenvalue above -PSD_ATOL: the factorization's backward error, of
+    order d^2 eps ||sym||, stays below PSD_ATOL / 2 up to d of about 60,
+    since unit trace with no eigenvalue below -PSD_ATOL keeps ||sym||
+    near 1.  Only when it fails does ``eigvalsh`` decide, exactly as the
+    definition above reads, so a state that the shift cannot certify is
+    never rejected for it.
 
     Raises
     ------
