@@ -29,7 +29,9 @@ CLI scenarios: ``cli.run`` on one config per scenario, with the sizes of
 the benchmark's ``cli-tables`` workload (20 000 rate points, 40 000 echo
 points) and a 2000-point trajectory.
 
-The host fingerprint records numpy's active SIMD targets (what
+The host fingerprint records the commit and ``dirty``, whether the
+checkout has changes ``git status`` reports, so a run on edited code
+says so.  It also records numpy's active SIMD targets (what
 ``NPY_DISABLE_CPU_FEATURES`` leaves on) and the core type OpenBLAS picked
 in numpy's and scipy's builds, since either moves the timings.
 """
@@ -244,6 +246,12 @@ def _openblas(package) -> dict:
     return found or {"corename": "unknown"}
 
 
+def _git(*command: str) -> str:
+    return subprocess.run(
+        ["git", *command], cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def _fingerprint(cpu: int) -> dict:
     import scipy
 
@@ -251,12 +259,10 @@ def _fingerprint(cpu: int) -> dict:
 
     features = umath.__cpu_features__
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-            text=True, check=True,
-        ).stdout.strip()
+        commit = _git("rev-parse", "HEAD")
+        dirty = bool(_git("status", "--porcelain"))  # timed code is not ``commit``
     except (OSError, subprocess.CalledProcessError):
-        commit = "unknown"
+        commit, dirty = "unknown", None
     model = "unknown"
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
@@ -268,6 +274,7 @@ def _fingerprint(cpu: int) -> dict:
         pass
     return {
         "commit": commit,
+        "dirty": dirty,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

@@ -185,14 +185,13 @@ def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
     if spacing == "log":
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("[sweep] log spacing needs positive start and stop")
-        # np.geomspace's power rounds differently at each numpy SIMD
-        # level; the float power per point is libm's, so the grid is the
-        # same on every host.  The endpoints are pinned, as geomspace does.
+        # np.geomspace's power rounds differently at each numpy SIMD level;
+        # libm's float power per interior point is the same on every host.
+        # The endpoints are pinned, as in geomspace: 10**log10(stop) may overflow.
         exponents = np.linspace(math.log10(start), math.log10(stop), points)
-        grid = _math_map(functools.partial(pow, 10.0), exponents)
+        grid = np.full(points, stop)
         grid[0] = start
-        if points > 1:
-            grid[-1] = stop
+        grid[1:-1] = _math_map(functools.partial(pow, 10.0), exponents[1:-1])
         return grid
     raise ConfigError(f"[sweep] spacing must be 'linear' or 'log', got {spacing!r}")
 

@@ -12,12 +12,12 @@ kicked-model unitary.  Three frames are exposed:
 
 ``evolve`` handles all sample times at once.  The semigroup comes from
 the generator's Bohr blocks (``lindblad.BohrBlocks``), exponentiated
-once per block for every time, which keeps the trace and Hermiticity
-exact at any horizon.  One ``floor_frac`` call splits all the times
-into (n, frac), the kicked unitary is built for every split in one
-batch, the lab carrier is a diagonal phase on all of them, and left
-limits are recomputed only at kick times (elsewhere they are copies of
-the state).  Every returned state passes one batched Hermiticity, trace
+in one call per block size for every time, which keeps the trace and
+Hermiticity exact at any horizon.  One ``floor_frac`` call splits all
+the times into (n, frac), the kicked unitary is built for every split
+in one batch, the lab carrier is a diagonal phase on all of them, and
+left limits are recomputed only at kick times (elsewhere they are
+copies of the state).  Every returned state passes one batched Hermiticity, trace
 and positivity check.
 
 The closed forms implement the exactly solvable magic-angle cases: pi

@@ -20,9 +20,9 @@ each doubling of q_max computes and adds only the new harmonics.
 The secular generator keeps the Bohr frequency eps_k - eps_l of each
 Floquet-basis matrix element |k><l| (Breuer and Petruccione, The Theory
 of Open Quantum Systems, sec. 3.3), so in the Floquet basis it is block
-diagonal by frequency cluster.  ``BohrBlocks`` keeps those blocks and
-exponentiates each on its own, with the structure the exact map has
-imposed on it (see ``BohrBlocks``); ``semigroup`` and
+diagonal by frequency cluster.  ``BohrBlocks`` keeps those blocks in
+stacks of one size, each exponentiated in one call, with the structure
+the exact map imposes on it (see ``BohrBlocks``); ``semigroup`` and
 ``dynamics.evolve`` both read them.
 """
 
@@ -72,11 +72,12 @@ class BohrBlocks:
     Indices are column-stacked Floquet-basis matrix elements (k, l), as in
     ``LindbladGenerator.floquet_superop``.
 
-    * ``coherences`` holds (indices, mirror, block) per pair of mirror
-      frequency clusters: ``block`` is the generator on the elements
-      ``indices`` of one cluster.  The same positions of ``mirror`` hold
-      the transposed elements (l, k), whose block is taken as the exact
-      complex conjugate, so e^{tL} keeps Hermitian matrices Hermitian.
+    * ``coherences`` holds (indices, mirror, blocks) per block size m:
+      ``indices[b]`` are the m elements of one cluster of the b-th pair
+      of mirror frequency clusters that size, ``blocks[b]`` the generator
+      on them.  ``mirror`` holds the transposed elements (l, k), whose
+      block is taken as the exact complex conjugate, so e^{tL} keeps
+      Hermitian matrices Hermitian.
     * ``zeros`` are the elements of the zero-frequency cluster: all
       populations, and coherences between (near-)degenerate
       quasienergies.  In real coordinates of the Hermitian part (the
@@ -100,22 +101,17 @@ class BohrBlocks:
 
     def propagate(self, x0: np.ndarray, times) -> np.ndarray:
         """e^{tL} x0 at every time: x0 is (d², k), the result (len(times), d², k)."""
-        times = np.asarray(times, dtype=float)
+        times = np.asarray(times, dtype=float)[:, None, None]
         out = np.empty((len(times),) + x0.shape, dtype=complex)
-        for indices, mirror, block in self.coherences:
-            step = _expm_stack(times, block)
+        for indices, mirror, blocks in self.coherences:
+            step = scipy.linalg.expm(times[..., None] * blocks)
             out[:, indices] = step @ x0[indices]
             out[:, mirror] = step.conj() @ x0[mirror]
         populations = x0[self.zeros]
-        decay = _expm_stack(times, self.rates) @ (self.to_rest @ populations)
+        decay = scipy.linalg.expm(times * self.rates) @ (self.to_rest @ populations)
         stationary = np.outer(self.stationary, self.trace @ populations)
         out[:, self.zeros] = stationary + self.from_rest @ decay
         return out
-
-
-def _expm_stack(times: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """e^{t B} for every t, shape (len(times), m, m)."""
-    return scipy.linalg.expm(times[:, None, None] * block)
 
 
 def _bohr_blocks(floquet_superop: np.ndarray, cluster: np.ndarray) -> BohrBlocks:
@@ -130,12 +126,15 @@ def _bohr_blocks(floquet_superop: np.ndarray, cluster: np.ndarray) -> BohrBlocks
     index = np.arange(dim * dim).reshape(dim, dim, order="F")
     flip = index.T.reshape(-1, order="F")  # position of (l, k)
     zero = cluster[0, 0]
+    # Each cluster's elements, in index order, are a run of ``order``.
+    order = np.argsort(label, kind="stable")
+    values, first, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    kept = (values != zero) & (values < label[flip[order[first]]])
     coherences = []
-    for value in np.unique(label):
-        indices = np.flatnonzero(label == value)
-        if value != zero and value < label[flip[indices[0]]]:
-            block = floquet_superop[np.ix_(indices, indices)]
-            coherences.append((indices, flip[indices], block))
+    for size in np.unique(sizes[kept]):
+        indices = order[first[kept & (sizes == size), None] + np.arange(size)]
+        blocks = floquet_superop[indices[:, :, None], indices[:, None, :]]
+        coherences.append((indices, flip[indices], blocks))
     zeros = np.flatnonzero(label == zero)
     to_real, from_real = _real_coordinates(zeros, dim)
     real = (to_real @ floquet_superop[np.ix_(zeros, zeros)] @ from_real).real

@@ -181,7 +181,8 @@ def expm_hermitian(h: np.ndarray, s: float) -> np.ndarray:
 def expm_general(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{t M} for an arbitrary square matrix."""
     mat = _as_square_matrix(m)
-    out = scipy.linalg.expm(t * mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        out = scipy.linalg.expm(t * mat)
     if not np.all(np.isfinite(out.view(float))):
         raise ArithmeticError("matrix exponential overflowed")
     return out

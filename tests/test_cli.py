@@ -89,6 +89,23 @@ def test_rates_parallel_table(tmp_path):
         assert row == ["%.12e" % value for value in cells]
 
 
+def test_a_log_sweep_reaches_the_largest_double(tmp_path, capsys):
+    """10**log10(stop) overflows at the top double; the pinned endpoint
+    is never powered, so the sweep runs and ends on it."""
+    body = (
+        PARALLEL_CONFIG.replace("start = 0.5", "start = 1.0")
+        .replace("stop = 50.0", f"stop = {sys.float_info.max!r}")
+        .replace("points = 12", "points = 5")
+    )
+    config = write_config(tmp_path, body)
+    assert cli.main([str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_table(tmp_path / "rates.tsv")
+    assert len(rows) == 5
+    assert rows[0][0] == "%.12e" % 1.0
+    assert rows[-1][0] == "%.12e" % sys.float_info.max
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     config = write_config(tmp_path, PARALLEL_CONFIG)
     first = cli.run(config).read_bytes()

@@ -7,6 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import (
     UnboundedDensity,
     conjugation_superop,
@@ -617,6 +618,77 @@ def test_semigroup_long_time_limit_is_maximally_mixed(longitudinal):
     t = 50.0 / longitudinal.eta
     rho_inf = unvec(semigroup(longitudinal.generator, t) @ vec(rho0))
     np.testing.assert_allclose(rho_inf, np.eye(2) / 2.0, atol=1e-10)
+
+
+def _equally_spaced_model(dim, seed):
+    """Kick-free model whose H0 levels are equally spaced, below the zone
+    width: the Bohr cluster of frequency j times the spacing holds the
+    dim - |j| elements (k, k - j), so coherence blocks of every size from
+    1 to dim - 1 occur."""
+    rng = np.random.default_rng(seed)
+    model = KickedModel(
+        h0=np.diag(0.4 * np.arange(dim)).astype(complex),
+        kick=np.diag(rng.standard_normal(dim)).astype(complex),
+        strength=0.0,
+        period=1.0,
+    )
+    coupling = rand_herm(rng, dim)
+    return model, [coupling / np.linalg.norm(coupling)]
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_coherence_blocks_propagate_as_each_cluster_on_its_own(dim):
+    """Bit for bit: the stacks of equal-size blocks give what expm of each
+    cluster's block gives, and its conjugate on the mirror cluster."""
+    model, couplings = _equally_spaced_model(dim, seed=dim)
+    h = harmonic_decomposition(model, couplings, q_max=4)
+    g = build_generator(h, [PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0)])
+    label = g.decomposition.cluster_index.reshape(-1, order="F")
+    flip = np.arange(dim * dim).reshape(dim, dim).reshape(-1, order="F")
+    zero = label[0]
+    sizes = []
+    rng = np.random.default_rng(dim)
+    x0 = np.concatenate(
+        [np.eye(dim * dim), rng.standard_normal((dim * dim, 2))], axis=1
+    ).astype(complex)
+    times = np.array([0.0, 0.3, 1.0, 7.5, 40.0])
+    got = g.blocks.propagate(x0, times)
+    want = np.full_like(got, np.nan)
+    for value in np.unique(label):
+        indices = np.flatnonzero(label == value)
+        mirror = flip[indices]
+        if value == zero or value > label[mirror[0]]:
+            continue
+        block = g.floquet_superop[np.ix_(indices, indices)]
+        step = scipy.linalg.expm(times[:, None, None] * block)
+        want[:, indices] = step @ x0[indices]
+        want[:, mirror] = step.conj() @ x0[mirror]
+        sizes.append(len(indices))
+    assert sorted(sizes) == list(range(1, dim))
+    coherent = label != zero
+    assert np.array_equal(got[:, coherent], want[:, coherent])
+
+
+def test_propagate_calls_expm_once_per_block_size(monkeypatch):
+    """The random d = 8 model (seed 1) has 28 pairs of 1x1 coherence
+    blocks and a 7x7 zero block once its trace is split off: two calls."""
+    model, couplings = _random_model(1, 8)
+    h = harmonic_decomposition(model, couplings, q_max=16)
+    densities = [
+        Lorentzian(t2=2.0, tau_c=0.3),
+        PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0),
+    ]
+    g = build_generator(h, densities, rel_tol=1e-6)
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def counting(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    g.blocks.propagate(np.eye(64, dtype=complex), np.linspace(1.0, 50.0, 50))
+    assert shapes == [(50, 28, 1, 1), (50, 7, 7)]
 
 
 # ----------------------------------------------------------------- CPTP audit

@@ -116,6 +116,16 @@ def test_expm_hermitian_reports_an_overflowing_phase():
         expm_hermitian(1e300 * PAULI_Z, 1e10)
 
 
+@pytest.mark.parametrize(
+    "m", [[[800.0]], [[0.0, 900.0], [900.0, 0.0]]], ids=["exp", "matmul"]
+)
+def test_expm_general_reports_overflow_with_its_own_error(m):
+    """e^800 and cosh 900 leave the double range, in numpy's exp and in a
+    matmul of the squaring; the typed error escapes, no numpy warning."""
+    with pytest.raises(ArithmeticError, match="matrix exponential overflowed"):
+        expm_general(np.array(m))
+
+
 def test_expm_general_on_a_nilpotent_matrix():
     np.testing.assert_allclose(
         expm_general(np.array([[0.0, 1.0], [0.0, 0.0]])),

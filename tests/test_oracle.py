@@ -14,6 +14,7 @@ from floqlind.floquet import (
     floquet_operator,
     harmonic_decomposition,
     propagator,
+    propagator_left_limit,
 )
 from floqlind.lindblad import (
     LindbladGenerator,
@@ -73,6 +74,25 @@ def test_regularized_propagator_error_is_first_order_in_the_width():
         errors.append(
             float(np.max(np.abs(regularized_propagator(m, t, float(eps)) - exact)))
         )
+    slope = np.polyfit(np.log(widths), np.log(errors), 1)[0]
+    assert 0.9 <= slope <= 1.1
+
+
+def test_regularized_propagator_mid_pulse_is_half_a_kick_at_first_order():
+    # t = kT - w/2 ends halfway through the k-th pulse: the state has felt
+    # the free motion up to kT and half of the kick, up to O(w).
+    m = magic_model(delta=0.6, period=1.3)
+    k = 3
+    half_kick = expm_hermitian(m.kick, -m.strength / 2.0)
+    exact = half_kick @ propagator_left_limit(decompose(m), k * m.period)
+    widths = np.array([1e-2, 1e-3, 1e-4]) * m.period
+    errors = [
+        float(np.max(np.abs(
+            regularized_propagator(m, k * m.period - eps / 2.0, float(eps)) - exact
+        )))
+        for eps in widths
+    ]
+    assert errors[-1] < 1e-4
     slope = np.polyfit(np.log(widths), np.log(errors), 1)[0]
     assert 0.9 <= slope <= 1.1
 
