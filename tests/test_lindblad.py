@@ -670,8 +670,9 @@ def test_coherence_blocks_propagate_as_each_cluster_on_its_own(dim):
 
 
 def test_propagate_calls_expm_once_per_block_size(monkeypatch):
-    """The random d = 8 model (seed 1) has 28 pairs of 1x1 coherence
-    blocks and a 7x7 zero block once its trace is split off: two calls."""
+    """The random d = 8 model of seed 1 (the qudit-d8 benchmark model) has
+    28 pairs of 1x1 coherence blocks and a 7x7 zero block once its trace
+    is split off: two calls, one per block size."""
     model, couplings = _random_model(1, 8)
     h = harmonic_decomposition(model, couplings, q_max=16)
     densities = [
