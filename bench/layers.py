@@ -19,8 +19,8 @@ spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
 * ``decompose`` and ``harmonic_decomposition`` (q_max 16);
 * ``build_generator`` at rel_tol 1e-4, 1e-8 and 1e-12, from q_max 16,
   with one Lorentzian coupling and with a Lorentzian plus a
-  finite-temperature ``PhononCutoff`` coupling; ``q_max_used`` is
-  recorded with each;
+  finite-temperature ``PhononCutoff`` coupling; ``q_max_used`` and
+  the number of doubling rounds are recorded with each;
 * ``semigroup`` at one time and ``evolve`` over 2000 times, in every
   frame the model has (lab at d = 2 only), from the 1e-8 generator;
 * ``echo_signal`` over 2000 times for a Gaussian and a discrete ensemble.
@@ -28,6 +28,10 @@ spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
 CLI scenarios: ``cli.run`` on one config per scenario, with the sizes of
 the benchmark's ``cli-tables`` workload (20 000 rate points, 40 000 echo
 points) and a 2000-point trajectory.
+
+``layer_cases`` and ``cli_cases`` build the entries from a floqlind
+package passed in, so ``bench/compare.py`` times the same list on two
+revisions.
 
 The host fingerprint records the commit and ``dirty``, whether the
 checkout has changes ``git status`` reports, so a run on edited code
@@ -47,6 +51,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import ctypes
 import glob
+import importlib
 import json
 import platform
 import statistics
@@ -54,29 +59,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-
-from floqlind import (  # noqa: E402  (needs the path above)
-    DiscreteDetuning,
-    GaussianDetuning,
-    KickedModel,
-    Lorentzian,
-    PhononCutoff,
-    TLSParams,
-    build_generator,
-    cli,
-    decompose,
-    echo_signal,
-    evolve,
-    harmonic_decomposition,
-    rate_parallel_closed,
-    semigroup,
-)
 
 DIMS = (2, 4, 8)
 REL_TOLS = (1e-4, 1e-8, 1e-12)
@@ -85,13 +76,27 @@ POINTS = 2000
 REPEATS = 7
 
 
-def _timed(run, setup=tuple):
-    """{"best_s", "median_s"} of ``run(*setup())`` and its last result."""
+@dataclass(frozen=True)
+class Case:
+    """One timed entry: ``run(*setup())`` is timed, ``setup`` is not.
+
+    ``key`` names the entry in the record, and ``facts(result)`` adds what
+    the record keeps of a call's result.
+    """
+
+    key: dict
+    run: Callable
+    setup: Callable = tuple
+    facts: Callable = field(default=lambda result: {})
+
+
+def _timed(case: Case):
+    """{"best_s", "median_s"} of ``case`` and its last result."""
     samples = []
     for _ in range(REPEATS + 1):
-        args = setup()
+        args = case.setup()
         start = time.perf_counter()
-        result = run(*args)
+        result = case.run(*args)
         samples.append(time.perf_counter() - start)
     samples = samples[1:]  # the first call warms caches and imports
     return {"best_s": min(samples), "median_s": statistics.median(samples)}, result
@@ -102,11 +107,11 @@ def _hermitian(rng, dim: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _model(dim: int):
+def _model(fl, dim: int):
     """A seeded model, its two couplings and the initial state."""
     rng = np.random.default_rng(100 + dim)
     h0, kick = (_hermitian(rng, dim) for _ in range(2))
-    model = KickedModel(
+    model = fl.KickedModel(
         h0=h0 / np.linalg.norm(h0, 2),
         kick=kick / np.linalg.norm(kick, 2),
         strength=1.0,
@@ -119,70 +124,76 @@ def _model(dim: int):
     return model, couplings, np.outer(psi, psi.conj())
 
 
-BATHS = {
-    "lorentzian": (Lorentzian(t2=2.0, tau_c=0.7),),
-    "lorentzian+phonon": (
-        Lorentzian(t2=2.0, tau_c=0.7),
-        PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0),
-    ),
-}
+def _baths(fl) -> dict:
+    return {
+        "lorentzian": (fl.Lorentzian(t2=2.0, tau_c=0.7),),
+        "lorentzian+phonon": (
+            fl.Lorentzian(t2=2.0, tau_c=0.7),
+            fl.PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0),
+        ),
+    }
 
 
-def _layers() -> list[dict]:
-    rows = []
+def _coefficients(fl, model, couplings):
+    return fl.harmonic_decomposition(model, couplings, Q_START).coefficients
+
+
+def _fresh(fl, model, couplings):
+    return (fl.harmonic_decomposition(model, couplings, Q_START),)
+
+
+def _truncation(g) -> dict:
+    return {"q_max_used": g.truncation.q_max_used,
+            "rounds": len(g.truncation.rounds)}
+
+
+def layer_cases(fl) -> list[Case]:
+    """Every layer entry, from the floqlind package ``fl``."""
+    cases = []
     for dim in DIMS:
-        model, couplings, rho0 = _model(dim)
+        model, couplings, rho0 = _model(fl, dim)
         case = {"d": dim}
-        timing, _ = _timed(decompose, lambda: (model,))
-        rows.append({"layer": "decompose", **case, **timing})
-        timing, _ = _timed(
-            lambda: harmonic_decomposition(model, couplings, Q_START).coefficients
-        )
-        rows.append({"layer": "harmonic_decomposition", **case, **timing})
-        for baths, densities in BATHS.items():
-            fresh = lambda: (harmonic_decomposition(  # noqa: E731
-                model, couplings[: len(densities)], Q_START),)
+        cases.append(Case({"layer": "decompose", **case}, partial(fl.decompose, model)))
+        cases.append(Case({"layer": "harmonic_decomposition", **case},
+                          partial(_coefficients, fl, model, couplings)))
+        for baths, densities in _baths(fl).items():
+            fresh = partial(_fresh, fl, model, couplings[: len(densities)])
             for rel_tol in REL_TOLS:
-                timing, g = _timed(
-                    lambda h: build_generator(h, densities, rel_tol), fresh
-                )
-                rows.append({
-                    "layer": "build_generator", **case, "baths": baths,
-                    "rel_tol": rel_tol, "q_max_used": g.truncation.q_max_used,
-                    **timing,
-                })
-        h = harmonic_decomposition(model, couplings[:1], Q_START)
-        g = build_generator(h, BATHS["lorentzian"], 1e-8)
-        timing, _ = _timed(semigroup, lambda: (g, 3.7))
-        rows.append({"layer": "semigroup", **case, **timing})
+                build = partial(fl.build_generator, densities=densities,
+                                rel_tol=rel_tol)
+                cases.append(Case({"layer": "build_generator", **case,
+                                   "baths": baths, "rel_tol": rel_tol},
+                                  build, fresh, _truncation))
+        h = fl.harmonic_decomposition(model, couplings[:1], Q_START)
+        g = fl.build_generator(h, _baths(fl)["lorentzian"], 1e-8)
+        cases.append(Case({"layer": "semigroup", **case},
+                          partial(fl.semigroup, g, 3.7)))
         times = np.linspace(0.0, 50.0 * model.period, POINTS)
         frames = ("interaction", "rotating") + (("lab",) if dim == 2 else ())
         for frame in frames:
             lab = 5.0 if frame == "lab" else None
-            timing, _ = _timed(
-                lambda: evolve(model, g, rho0, times, frame=frame, omega_ext=lab)
-            )
-            rows.append({"layer": "evolve", **case, "frame": frame,
-                         "points": POINTS, **timing})
-    params = TLSParams(omega0=5.0, omega_ext=4.8, period=1.3,
-                       eta=rate_parallel_closed(1.3, 2.0, 3.0).eta)
+            cases.append(Case(
+                {"layer": "evolve", **case, "frame": frame, "points": POINTS},
+                partial(fl.evolve, model, g, rho0, times, frame=frame, omega_ext=lab),
+            ))
+    params = fl.TLSParams(omega0=5.0, omega_ext=4.8, period=1.3,
+                          eta=fl.rate_parallel_closed(1.3, 2.0, 3.0).eta)
     times = np.linspace(0.0, 40.0 * params.period, POINTS)
     ensembles = {
-        "gaussian": GaussianDetuning(sigma=2.3),
-        "discrete": DiscreteDetuning(deltas=np.array([-1.1, 0.4, 2.0]),
-                                     weights=np.array([0.3, 0.45, 0.25])),
+        "gaussian": fl.GaussianDetuning(sigma=2.3),
+        "discrete": fl.DiscreteDetuning(deltas=np.array([-1.1, 0.4, 2.0]),
+                                        weights=np.array([0.3, 0.45, 0.25])),
     }
     for kind, ensemble in ensembles.items():
-        timing, _ = _timed(
-            lambda: echo_signal(ensemble, params, (0.6, 0.8), times)
-        )
-        rows.append({"layer": "echo_signal", "ensemble": kind,
-                     "points": POINTS, **timing})
-    return rows
+        cases.append(Case(
+            {"layer": "echo_signal", "ensemble": kind, "points": POINTS},
+            partial(fl.echo_signal, ensemble, params, (0.6, 0.8), times),
+        ))
+    return cases
 
 
 TLS = {"t2": 2.0, "tau_c": 3.0, "period": 1.3}
-# Each scenario's sections; _cli adds schema_version, scenario and output.
+# Each scenario's sections; cli_cases adds schema_version, scenario and output.
 CLI_CONFIGS = {
     "rates-parallel": {
         "model": {"t2": 2.0, "tau_c": 3.0},
@@ -210,22 +221,30 @@ CLI_CONFIGS = {
 }
 
 
-def _cli() -> list[dict]:
+def cli_cases(fl, workdir: Path) -> list[Case]:
+    """``cli.run`` on one config per scenario, written into ``workdir``."""
+    cli = importlib.import_module(f"{fl.__name__}.cli")
+    cases = []
+    (workdir / "measured.txt").write_text("5000.0 0.5\n0.37 0.3\n")
+    for scenario, sections in CLI_CONFIGS.items():
+        run = {"schema_version": 1, "scenario": scenario, "output": "out.tsv"}
+        sections = {**sections, "run": run | sections.get("run", {})}
+        lines = []
+        for section, entries in sections.items():
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {value}" for key, value in entries.items())
+        config = workdir / f"{scenario}.ini"
+        config.write_text("\n".join(lines) + "\n", encoding="ascii")
+        cases.append(Case({"scenario": scenario}, partial(cli.run, config),
+                          facts=lambda path: {"bytes": path.stat().st_size}))
+    return cases
+
+
+def _rows(cases: list[Case]) -> list[dict]:
     rows = []
-    with tempfile.TemporaryDirectory() as workdir:
-        workdir = Path(workdir)
-        (workdir / "measured.txt").write_text("5000.0 0.5\n0.37 0.3\n")
-        for scenario, sections in CLI_CONFIGS.items():
-            run = {"schema_version": 1, "scenario": scenario, "output": "out.tsv"}
-            sections = {**sections, "run": run | sections.get("run", {})}
-            lines = []
-            for section, entries in sections.items():
-                lines.append(f"[{section}]")
-                lines.extend(f"{key} = {value}" for key, value in entries.items())
-            config = workdir / f"{scenario}.ini"
-            config.write_text("\n".join(lines) + "\n", encoding="ascii")
-            timing, path = _timed(cli.run, lambda: (config,))
-            rows.append({"scenario": scenario, "bytes": path.stat().st_size, **timing})
+    for case in cases:
+        timing, result = _timed(case)
+        rows.append({**case.key, **case.facts(result), **timing})
     return rows
 
 
@@ -296,13 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     start = time.perf_counter()
-    record = {
-        "label": args.label,
-        "repeats": REPEATS,
-        "host": _fingerprint(cpu),
-        "layers": _layers(),
-        "cli": _cli(),
-    }
+    fl = importlib.import_module("floqlind")
+    record = {"label": args.label, "repeats": REPEATS, "host": _fingerprint(cpu)}
+    record["layers"] = _rows(layer_cases(fl))
+    with tempfile.TemporaryDirectory() as workdir:
+        record["cli"] = _rows(cli_cases(fl, Path(workdir)))
     record["wall_s"] = time.perf_counter() - start
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")

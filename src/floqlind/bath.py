@@ -38,6 +38,8 @@ _CUBE_MIN, _CUBE_MAX = 3e-103, 5e102
 # ln 2 = _LN2_HI + _LN2_LO; the high part ends in 21 zero bits, so
 # n * _LN2_HI is exact for |n| < 2^21.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+# ln 2^-1080: an exact value below 2^-1080 rounds to +0.0 with 2^5 to spare.
+_LN_ZERO = -1080.0 * math.log(2.0)
 
 
 def _exp_split(x: float) -> tuple[float, int]:
@@ -132,6 +134,17 @@ class PhononCutoff(SpectralDensity):
     double, the density is rescaled by powers of two (_rescaled);
     elsewhere the formula is evaluated as written.  An array takes the formula
     elementwise and defers every other point to that scalar selection.
+
+    An array first sets to 0.0, in one pass, the points where the density
+    is exactly 0.0 whatever path computes it.  Since 1/(1 - e^{-x}) <=
+    1 + 1/x and the negative branch never exceeds the positive one,
+    gamma(+-u) <= A u^3 e^{-u/cutoff} (1 + 1/(beta u)); where the log of
+    that bound is below -1080 ln 2, gamma is below 2^-1080, 2^5 under the
+    smallest subnormal.  Both the formula and the scalar selection round
+    such a value, through any subnormal intermediate, to +0.0, and the
+    2^5 margin absorbs the rounding of numpy's log, whose bits depend on
+    its SIMD level: a point near the threshold may fall on either side,
+    and both give 0.0.  So the screen moves no bit.
     """
 
     coupling: float
@@ -156,12 +169,17 @@ class PhononCutoff(SpectralDensity):
             u = np.abs(w)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 beta_u, z = self.beta * u, np.exp(-u / self.cutoff)
+                # The log of the bound; NaN (u = 0 or inf) is never screened.
+                log_bound = math.log(self.coupling) + 3.0 * np.log(u)
+                log_bound += np.log1p(1.0 / beta_u) - u / self.cutoff
+                zero = log_bound < _LN_ZERO
                 absorbed = np.where(w < 0.0, np.exp(-beta_u), 1.0)
                 gamma = absorbed * (self.coupling * u**3 * z / -np.expm1(-beta_u))
                 # An overflowing u**3 shows as an inf or NaN gamma.
                 plain = (u > _CUBE_MIN) & (beta_u >= _TINY) & (gamma < math.inf)
                 plain &= (z >= _TINY) & (absorbed >= _TINY)
-            for i in np.flatnonzero(~plain):
+            gamma[zero] = 0.0
+            for i in np.flatnonzero(~(plain | zero)):
                 gamma.flat[i] = self.evaluate(float(w.flat[i]))
             return gamma
         omega = float(omega)  # an np.float64 would warn where A u^3 overflows

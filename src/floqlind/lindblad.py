@@ -61,8 +61,15 @@ _CPTP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TruncationInfo:
+    """Where ``build_generator``'s doubling stopped, and its path there.
+
+    ``rounds`` holds (q_max, tail bound) of each round, from the starting
+    q_max on; the last is (q_max_used, tail_bound).
+    """
+
     q_max_used: int
     tail_bound: float
+    rounds: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,7 @@ def build_generator(
     spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
     q_max, coefficients = h.q_max, h.coefficients
     q_values = np.arange(-q_max, q_max + 1)
+    rounds = []
     while True:
         # The elements of a cluster share its frequencies omega + q Omega.
         frequencies = dec.frequencies + q_values[:, None] * h.model.omega
@@ -295,6 +303,7 @@ def build_generator(
                 "spectral density admits no finite bound over the harmonic "
                 "tail; the generator series cannot be certified to converge"
             )
+        rounds.append((q_max, tail_bound))
         # tr T = sum r |C|^2 is the retained rate weight.
         if tail_bound <= rel_tol * np.trace(pairs).real + 1e-300:
             # Secular: no element is coupled across frequency clusters.
@@ -302,7 +311,7 @@ def build_generator(
             superop_f = np.where(label.T == label, _dissipator(pairs, dim), 0.0)
             return LindbladGenerator(
                 floquet_superop=superop_f,
-                truncation=TruncationInfo(q_max_used=q_max, tail_bound=tail_bound),
+                truncation=TruncationInfo(q_max, tail_bound, tuple(rounds)),
                 decomposition=dec,
                 blocks=_bohr_blocks(superop_f, dec.cluster_index),
             )

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import CountingNumpy, kms_ratio
+from conftest import CountingNumpy, kms_ratio, run_at_both_simd_levels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import PERP_CONFIG, write_config
@@ -345,6 +345,64 @@ def test_array_evaluation_matches_scalar_evaluation(density):
     np.testing.assert_array_max_ulp(values.reshape(-1), expected, maxulp=4)
     # build_generator evaluates an empty array when no component is live.
     assert density.evaluate(np.array([])).shape == (0,)
+
+
+# The array path's screen sets gamma to 0.0 where the log of A u^3
+# e^{-u/cutoff} (1 + 1/(beta u)) is below ln 2^-1080.  The script finds
+# where that log crosses the threshold, by bisection in libm arithmetic,
+# and takes points within 16 ulps of each crossing and a grid where the
+# log is within 30 of it, at both signs of omega.
+SCREEN_SCRIPT = """
+import math
+import numpy as np
+from floqlind.bath import PhononCutoff
+
+LN_ZERO = -1080.0 * math.log(2.0)
+CASES = [(0.05, 1.0, 2.0), (1.0, 1.0, math.inf), (1e-300, 1e-3, 1e-6),
+         (1e300, 1e5, 1e3), (0.8, 1.0, 0.3), (1e-200, 10.0, 1e-200),
+         (2.0, 3.0, 1e6), (1e-30, 1e-8, 50.0)]
+
+
+def excess(density, u):
+    beta_u = density.beta * u
+    thermal = math.log1p(1.0 / beta_u) if beta_u > 1e-300 else math.inf
+    return (math.log(density.coupling) + 3.0 * math.log(u) + thermal
+            - u / density.cutoff - LN_ZERO)
+
+
+def crossing(density, lo, hi):
+    above = excess(density, lo) > 0.0
+    for _ in range(300):
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if (excess(density, mid) > 0.0) == above else (lo, mid)
+    return lo
+
+
+for a, c, beta in CASES:
+    density = PhononCutoff(a, c, beta)
+    near, grid = [], []
+    for lo, hi in ((1e-300, 3.0 * c), (3.0 * c, 1e300)):  # the peak is below 3 c
+        if (excess(density, lo) > 0.0) != (excess(density, hi) > 0.0):
+            edge = crossing(density, lo, hi)
+            near += [edge * (1.0 + k * 2.0**-52) for k in range(-16, 17)]
+            grid += [u for u in (edge * np.geomspace(1e-3, 1e3, 4001)).tolist()
+                     if abs(excess(density, u)) < 30.0]
+    omegas = np.array(near + grid + [-u for u in near + grid])
+    batched = density.evaluate(omegas)
+    scalar = np.array([density.evaluate(w) for w in omegas.tolist()])
+    print(len(near) > 0, batched.tobytes() == scalar.tobytes(),
+          bool(np.all(batched[: len(near)] == 0.0)))
+"""
+
+
+def test_the_phonon_screen_keeps_the_scalar_bits_at_its_threshold():
+    """Where the screen may fall either way the density is 0.0, and the
+    array agrees with the scalar case bit for bit, at both numpy SIMD
+    levels."""
+    for run in run_at_both_simd_levels(SCREEN_SCRIPT):
+        assert run == ["True"] * 24
 
 
 def test_the_rates_perp_gamma_column_makes_no_numpy_call_per_point(

@@ -6,10 +6,11 @@ import sys
 import textwrap
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import (
     CountingNumpy,
@@ -653,24 +654,45 @@ def test_extended_matches_a_fresh_decomposition(dim):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
-    dim=st.integers(2, 5),
+    dim=st.sampled_from([2, 3, 4, 5, 8]),
     seed=st.integers(0, 2**16),
     q_values=st.lists(st.integers(-9000, 9000), max_size=300),
-    cuts=st.lists(st.integers(0, 300), max_size=6),
+    run=st.tuples(st.integers(-9000, 9000), st.integers(0, 2500)),
+    cuts=st.lists(st.integers(0, 2800), max_size=6),
 )
-def test_harmonics_keep_their_bits_for_any_split(dim, seed, q_values, cuts):
-    """However q_values is split into calls, and whether the weights and
-    poles are formed by the call or were cached before it, every harmonic
-    has the same bits."""
+# Runs across several chunks of harmonics: 1024 per chunk at d = 2, whose
+# harmonics are einsum's inner axis, and 4 at d = 8, whose elements are.
+@example(dim=2, seed=1, q_values=[], run=(-1500, 2500), cuts=[700, 1100, 2049])
+@example(dim=8, seed=2, q_values=[5, -3], run=(-4500, 30), cuts=[3, 9, 10, 21])
+def test_harmonics_keep_their_bits_for_any_split(dim, seed, q_values, run, cuts):
+    """However q_values is split into calls, whether the weights and poles
+    are formed by the call or were cached before it, and whichever axis
+    is einsum's inner one, every harmonic has the same bits."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, dim=dim)
     h = harmonic_decomposition(m, [rand_herm(rng, dim), rand_herm(rng, dim)], q_max=1)
-    q = np.array(q_values, dtype=int)
+    q = np.array(q_values + list(range(run[0], run[0] + run[1])), dtype=int)
     uncached = HarmonicDecomposition(h.decomposition, h.couplings, 1)
     whole = uncached.harmonics(q)
     bounds = [0, *sorted(c for c in cuts if c <= len(q)), len(q)]
     pieces = [h.harmonics(q[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+    other = 0 if dim * dim <= floquet._HARMONICS_INNER else dim * dim
+    with mock.patch.object(floquet, "_HARMONICS_INNER", other):  # the other layout
+        assert np.array_equal(h.harmonics(q), whole)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_harmonics_are_c_contiguous_complex_in_coupling_harmonic_element_order(dim):
+    """build_generator sums |C|^2 in memory order, so the layout of the
+    array, not only its values, is part of its bits."""
+    rng = np.random.default_rng(dim)
+    m = random_model(rng, dim=dim)
+    h = harmonic_decomposition(m, [rand_herm(rng, dim) for _ in range(3)], q_max=1)
+    values = h.harmonics(np.arange(-700, 701))
+    assert values.dtype == complex
+    assert values.shape == (3, 1401, dim, dim)
+    assert values.flags.c_contiguous
 
 
 def _exact_harmonics(h, q_values):

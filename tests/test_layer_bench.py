@@ -1,4 +1,5 @@
-"""The layer bench's host fingerprint names the code it timed."""
+"""The layer bench names the code it timed, and compare.py times two
+revisions of it side by side."""
 
 import json
 import os
@@ -47,3 +48,36 @@ def test_the_fingerprint_says_whether_the_checkout_is_edited(tmp_path):
     with open(tmp_path / "bench" / "layers.py", "a", encoding="utf-8") as handle:
         handle.write("# edited\n")
     assert _fingerprint(tmp_path) == [head, True]
+
+
+def test_compare_times_two_revisions_interleaved(tmp_path):
+    """HEAD against HEAD in a fresh repository, on the decompose cases,
+    with two rounds: the record has both commits and, per case, both
+    sides' times, their ratios and the count of rounds B won."""
+    shutil.copytree(ROOT / "bench", tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(Path(SRC) / "floqlind", tmp_path / "src" / "floqlind",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-qm", "tree")
+    head = _git(tmp_path, "rev-parse", "HEAD")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    subprocess.run(
+        [sys.executable, str(tmp_path / "bench" / "compare.py"), "HEAD", "HEAD",
+         "--rounds", "2", "--label", "smoke", "--match", "decompose"],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    record = json.loads((tmp_path / "BENCH_compare_smoke.json").read_text())
+    assert set(record) == {"label", "a", "b", "rounds", "host", "cases", "wall_s"}
+    assert record["a"] == record["b"] == {"rev": "HEAD", "commit": head}
+    assert record["rounds"] == 2 and record["host"]["commit"] == head
+    assert [case["d"] for case in record["cases"]] == [2, 4, 8]
+    for case in record["cases"]:
+        assert case["layer"] == "decompose"
+        assert case["of"] == 2 and 0 <= case["b_faster"] <= 2
+        for side in "ab":
+            assert 0.0 < case[f"{side}_best_s"] <= case[f"{side}_median_s"]
+        assert case["min_ratio"] == case["b_best_s"] / case["a_best_s"]
+        assert case["median_ratio"] == case["b_median_s"] / case["a_median_s"]

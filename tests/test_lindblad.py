@@ -530,13 +530,30 @@ def test_generator_truncation_tightens_with_tolerance(longitudinal):
     assert loose.truncation.tail_bound >= 0.0
 
 
+def test_truncation_records_each_doubling_round(longitudinal):
+    """q_max doubles from the decomposition's own each round, and a build
+    that meets rel_tol at once records that one round."""
+    harmonics, densities = longitudinal.harmonics, (longitudinal.density,)
+    start = harmonics.q_max
+    tight = build_generator(harmonics, densities, rel_tol=1e-12).truncation
+    assert len(tight.rounds) > 2
+    assert [q for q, _ in tight.rounds] == [start << i for i in range(len(tight.rounds))]
+    assert tight.rounds[-1] == (tight.q_max_used, tight.tail_bound)
+    bounds = [bound for _, bound in tight.rounds]
+    assert bounds == sorted(bounds, reverse=True)
+    loose = build_generator(harmonics, densities, rel_tol=1e-2).truncation
+    assert loose == TruncationInfo(start, tight.rounds[0][1], (tight.rounds[0],))
+
+
 def test_generator_zero_coupling_yields_the_zero_map():
     h = harmonic_decomposition(
         magic_model(), [np.zeros((2, 2), dtype=complex)], q_max=4
     )
     g = build_generator(h, [Lorentzian(t2=1.0, tau_c=1.0)])
     assert np.max(np.abs(g.superop)) == 0.0
-    assert g.truncation == TruncationInfo(q_max_used=4, tail_bound=0.0)
+    assert g.truncation == TruncationInfo(
+        q_max_used=4, tail_bound=0.0, rounds=((4, 0.0),)
+    )
 
 
 def test_generator_no_couplings_yields_the_zero_map():
@@ -581,6 +598,78 @@ def test_generator_harmonic_cap(monkeypatch, longitudinal):
         build_generator(
             longitudinal.harmonics, (longitudinal.density,), rel_tol=1e-30
         )
+
+
+# sha256 of floquet_superop and the truncation of the benchmark's
+# tls-certify generator (rel_tol 1e-12, q_max 64 to 4096) and of its
+# qudit-d8 seed-1 generator.  The digests, q_max_used and tail_bound are
+# those of the kernel before the harmonics took the layout their shapes
+# favour.  The qudit digest is numpy's SIMD level's: its phonon density
+# takes numpy's exp on arrays.
+GENERATOR_DIGESTS = {
+    "tls-certify": (
+        "784f1115c08e2eb447419f830a5a10f28fc4623ab4db340e823122f9f8237f0c",
+        "TruncationInfo(q_max_used=4096, tail_bound=1.4020898175961561e-14, "
+        "rounds=((64, 3.59213347544383e-09), (128, 4.542653214632317e-10), "
+        "(256, 5.711545871936519e-11), (512, 7.160335425169636e-12), "
+        "(1024, 8.963526102417435e-13), (2048, 1.1212612683937697e-13), "
+        "(4096, 1.4020898175961561e-14)))",
+    ),
+    "qudit-d8": (
+        {
+            True: "2d4290ccbbf1ef7a5a9b05d00a7573a0bdb6f459f0ecca401f9c6944f5d97d79",
+            False: "72feb65b54a2ab500934687c7802ed7358ca72fc3ca782aeb1fc9d70208b0132",
+        },
+        "TruncationInfo(q_max_used=32, tail_bound=2.7837189313324554e-07, "
+        "rounds=((16, 2.112431490145295e-06), (32, 2.7837189313324554e-07)))",
+    ),
+}
+
+
+def test_benchmark_generators_keep_their_bits_at_both_numpy_simd_levels():
+    """The np.sum of build_generator adds |C|^2 in memory order, so a
+    harmonics array with the right values in another layout moves
+    tail_bound; this pins both."""
+    script = textwrap.dedent("""
+        import hashlib, math
+        import numpy as np
+        from numpy._core._multiarray_umath import __cpu_features__
+        from floqlind import (KickedModel, Lorentzian, PhononCutoff,
+                              build_generator, harmonic_decomposition)
+        from floqlind.operators import PAULI_X, PAULI_Z
+
+        def show(name, h, densities, rel_tol):
+            g = build_generator(h, densities, rel_tol)
+            digest = hashlib.sha256(g.floquet_superop.tobytes()).hexdigest()
+            print(name, digest, repr(g.truncation).replace(" ", ""))
+
+        print(bool(__cpu_features__.get("AVX512_SKX")))
+        tls = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X, strength=math.pi / 2.0,
+                          period=1.3)
+        h = harmonic_decomposition(tls, [PAULI_Z / math.sqrt(2.0)], q_max=64)
+        show("tls-certify", h, [Lorentzian(t2=2.0, tau_c=3.0)], 1e-12)
+        rng = np.random.default_rng(1)
+
+        def hermitian():
+            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            return 0.5 * (a + a.conj().T)
+
+        h0, kick = hermitian(), hermitian()
+        couplings = [s / np.linalg.norm(s) for s in (hermitian(), hermitian())]
+        qudit = KickedModel(h0=h0 / np.linalg.norm(h0, 2),
+                            kick=kick / np.linalg.norm(kick, 2),
+                            strength=1.0, period=1.0)
+        h = harmonic_decomposition(qudit, couplings, q_max=16)
+        show("qudit-d8", h, [Lorentzian(t2=2.0, tau_c=0.3),
+                             PhononCutoff(coupling=0.05, cutoff=1.0, beta=2.0)], 1e-6)
+    """)
+    for avx512, *lines in run_at_both_simd_levels(script):
+        got = {lines[i]: tuple(lines[i + 1 : i + 3]) for i in range(0, len(lines), 3)}
+        assert got.keys() == GENERATOR_DIGESTS.keys()
+        for name, (digest, truncation) in GENERATOR_DIGESTS.items():
+            if isinstance(digest, dict):
+                digest = digest[avx512 == "True"]
+            assert got[name] == (digest, truncation.replace(" ", ""))
 
 
 # ----------------------------------------------------------------- semigroup
