@@ -8,8 +8,12 @@ package name, ``floqlind_a`` and ``floqlind_b``, in this one process.
 The process runs pinned to the first CPU it may use, with one BLAS
 thread.  Every case of ``layers.py`` (``layer_cases`` and ``cli_cases``;
 ``--match`` keeps those whose key mentions TEXT) is called once untimed
-from each tree, then timed as A, B, A, B ... for N rounds, so drift in
-the host's speed falls on both revisions alike.
+from each tree, then timed as A, B, A, B ... for N rounds before the
+next case, so drift in the host's speed falls on both revisions alike
+and each timed call follows a call of the same case.  (Timing the whole
+list round by round instead gave the second call of each pair the
+caches the first had warmed: B came out up to 2x faster than A on
+unchanged code.)
 
 Per case the record holds each side's best and median time, the ratio of
 the minima and of the medians (B over A: below 1 means B is faster) and
@@ -111,14 +115,12 @@ def main(argv: list[str] | None = None) -> int:
         cases_a, cases_b = sides
         if [c.key for c in cases_a] != [c.key for c in cases_b]:
             raise SystemExit("the two revisions build different case lists")
-        for a, b in zip(cases_a, cases_b):  # warm-up: imports, caches
-            _once(a)
+        samples = []
+        for a, b in zip(cases_a, cases_b):
+            _once(a)  # warm-up: imports, caches
             _once(b)
-        samples = [([], []) for _ in cases_a]
-        for _ in range(args.rounds):
-            for (a, b), (times_a, times_b) in zip(zip(cases_a, cases_b), samples):
-                times_a.append(_once(a))
-                times_b.append(_once(b))
+            pairs = [(_once(a), _once(b)) for _ in range(args.rounds)]
+            samples.append(tuple(zip(*pairs)))
     record = {
         "label": label,
         "a": {"rev": args.rev_a, "commit": commits[0]},
