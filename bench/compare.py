@@ -1,14 +1,13 @@
 """Interleaved comparison of two revisions on the layer bench's cases.
 
-    python bench/compare.py REV_A REV_B [--rounds N] [--label LABEL] [--match TEXT]
+    python bench/compare.py REV_A REV_B [--rounds N] [--label LABEL]
 
 Each revision's ``src/floqlind`` is written from the local git objects
 (``git archive``) into a temporary directory and imported under its own
 package name, ``floqlind_a`` and ``floqlind_b``, in this one process.
 The process runs pinned to the first CPU it may use, with one BLAS
-thread.  Every case of ``layers.py`` (``layer_cases`` and ``cli_cases``;
-``--match`` keeps those whose key mentions TEXT) is called once untimed
-from each tree, then timed as A, B, A, B ... for N rounds before the
+thread.  Every case of ``layers.py`` (``layer_cases`` and ``cli_cases``) is
+called once untimed from each tree, then timed as A, B, A, B ... for N rounds before the
 next case, so drift in the host's speed falls on both revisions alike
 and each timed call follows a call of the same case.  (Timing the whole
 list round by round instead gave the second call of each pair the
@@ -63,9 +62,8 @@ def _load(commit: str, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def _cases(package, workdir: Path, match: str | None) -> list[layers.Case]:
-    cases = layers.layer_cases(package) + layers.cli_cases(package, workdir)
-    return [c for c in cases if match is None or match in json.dumps(c.key)]
+def _cases(package, workdir: Path) -> list[layers.Case]:
+    return layers.layer_cases(package) + layers.cli_cases(package, workdir)
 
 
 def _once(case: layers.Case) -> float:
@@ -94,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev_b", help="the revision timed against it")
     parser.add_argument("--rounds", type=int, default=15, help="A, B pairs per case")
     parser.add_argument("--label", help="the output is BENCH_compare_<label>.json")
-    parser.add_argument("--match", help="keep the cases whose key mentions this")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -111,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             workdir = scratch / f"{name}_cli"
             workdir.mkdir()
             package = _load(commit, name, scratch)
-            sides.append(_cases(package, workdir, args.match))
+            sides.append(_cases(package, workdir))
         cases_a, cases_b = sides
         if [c.key for c in cases_a] != [c.key for c in cases_b]:
             raise SystemExit("the two revisions build different case lists")

@@ -59,7 +59,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -87,7 +87,7 @@ class Case:
     key: dict
     run: Callable
     setup: Callable = tuple
-    facts: Callable = field(default=lambda result: {})
+    facts: Callable = lambda result: {}
 
 
 def _timed(case: Case):

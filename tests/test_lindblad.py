@@ -537,7 +537,8 @@ def test_truncation_records_each_doubling_round(longitudinal):
     start = harmonics.q_max
     tight = build_generator(harmonics, densities, rel_tol=1e-12).truncation
     assert len(tight.rounds) > 2
-    assert [q for q, _ in tight.rounds] == [start << i for i in range(len(tight.rounds))]
+    doubled = [start << i for i in range(len(tight.rounds))]
+    assert [q for q, _ in tight.rounds] == doubled
     assert tight.rounds[-1] == (tight.q_max_used, tight.tail_bound)
     bounds = [bound for _, bound in tight.rounds]
     assert bounds == sorted(bounds, reverse=True)
@@ -602,10 +603,10 @@ def test_generator_harmonic_cap(monkeypatch, longitudinal):
 
 # sha256 of floquet_superop and the truncation of the benchmark's
 # tls-certify generator (rel_tol 1e-12, q_max 64 to 4096) and of its
-# qudit-d8 seed-1 generator.  The digests, q_max_used and tail_bound are
-# those of the kernel before the harmonics took the layout their shapes
-# favour.  The qudit digest is numpy's SIMD level's: its phonon density
-# takes numpy's exp on arrays.
+# qudit-d8 seed-1 generator.  The digests, q_max_used and tail_bound were
+# taken with the harmonics contracted over the elements in chunks of 2^12
+# integrals; any layout and chunk keep them.  The qudit digest depends on
+# numpy's SIMD level: its phonon density takes numpy's exp on arrays.
 GENERATOR_DIGESTS = {
     "tls-certify": (
         "784f1115c08e2eb447419f830a5a10f28fc4623ab4db340e823122f9f8237f0c",
@@ -633,7 +634,10 @@ def test_benchmark_generators_keep_their_bits_at_both_numpy_simd_levels():
     script = textwrap.dedent("""
         import hashlib, math
         import numpy as np
-        from numpy._core._multiarray_umath import __cpu_features__
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__
         from floqlind import (KickedModel, Lorentzian, PhononCutoff,
                               build_generator, harmonic_decomposition)
         from floqlind.operators import PAULI_X, PAULI_Z
