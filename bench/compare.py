@@ -1,6 +1,15 @@
-"""Interleaved comparison of two revisions on the layer bench's cases.
+"""The layer bench: two revisions timed side by side on the cases of ``layers.py``.
 
     python bench/compare.py REV_A REV_B [--rounds N] [--label LABEL]
+
+Three uses:
+
+* ``compare.py HEAD HEAD`` is the record of where each layer stands, with
+  its own noise floor: the ratios of a tree against itself;
+* ``compare.py PARENT HEAD`` is the record a speed-up claim cites;
+* ``compare.py HEAD $(git stash create)`` times uncommitted edits to
+  tracked files: the stash commit holds them, and the working tree is
+  left as it is.
 
 Each revision's ``src/floqlind`` is written from the local git objects
 (``git archive``) into a temporary directory and imported under its own
@@ -14,11 +23,13 @@ list round by round instead gave the second call of each pair the
 caches the first had warmed: B came out up to 2x faster than A on
 unchanged code.)
 
-Per case the record holds each side's best and median time, the ratio of
-the minima and of the medians (B over A: below 1 means B is faster) and
-in how many of the N rounds B was faster than A.  It is written to
-``BENCH_compare_<LABEL>.json`` at the root of the checkout this script
-lives in, with the layer bench's host fingerprint and both commits.
+Per case the record holds each side's facts of the untimed call
+(``q_max_used`` and ``rounds`` of a generator build, ``bytes`` of a CLI
+table, prefixed ``a_`` and ``b_``), each side's best and median time, the
+ratio of the minima and of the medians (B over A: below 1 means B is
+faster) and in how many of the N rounds B was faster than A.  It is
+written to ``BENCH_compare_<LABEL>.json`` at the root of the checkout
+this script lives in, with the host fingerprint and both commits.
 """
 
 from __future__ import annotations
@@ -62,17 +73,21 @@ def _load(commit: str, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def _once(case: layers.Case) -> float:
+def _once(case: layers.Case):
+    """Seconds of one call of ``case``, and its result."""
     args = case.setup()
     start = time.perf_counter()
-    case.run(*args)
-    return time.perf_counter() - start
+    result = case.run(*args)
+    return time.perf_counter() - start, result
 
 
-def _summary(key: dict, a: list[float], b: list[float]) -> dict:
+def _summary(key: dict, facts: list[dict], a: list[float], b: list[float]) -> dict:
     median_a, median_b = statistics.median(a), statistics.median(b)
     return {
         **key,
+        **{f"{side}_{name}": value
+           for side, side_facts in zip("ab", facts)
+           for name, value in side_facts.items()},
         "a_best_s": min(a), "b_best_s": min(b),
         "a_median_s": median_a, "b_median_s": median_b,
         "min_ratio": min(b) / min(a),
@@ -109,10 +124,10 @@ def main(argv: list[str] | None = None) -> int:
         cases_a, cases_b = sides
         samples = []
         for a, b in zip(cases_a, cases_b):
-            _once(a)  # warm-up: imports, caches
-            _once(b)
-            pairs = [(_once(a), _once(b)) for _ in range(args.rounds)]
-            samples.append(tuple(zip(*pairs)))
+            # The warm-up call (imports, caches) gives the facts.
+            facts = [case.facts(_once(case)[1]) for case in (a, b)]
+            pairs = [(_once(a)[0], _once(b)[0]) for _ in range(args.rounds)]
+            samples.append((facts, *zip(*pairs)))
     record = {
         "label": label,
         "a": {"rev": args.rev_a, "commit": commits[0]},

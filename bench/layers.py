@@ -1,17 +1,10 @@
-"""Layer bench: each floqlind layer timed on its own, each CLI scenario end to end.
+"""The layer bench's cases: each floqlind layer on its own, each CLI scenario end to end.
 
-    python bench/layers.py LABEL
-
-Run from anywhere; the script imports the ``src/`` next to it, so it times
-the checkout it lives in.  It writes ``BENCH_<LABEL>.json`` at the root of
-that checkout.
-
-The process runs pinned to the first CPU it may use, with one BLAS
-thread.  Every entry is timed ``REPEATS`` times after one
-untimed warm-up call and reports the best and the median wall time.
-Inputs that a call would cache (a ``HarmonicDecomposition``'s
-coefficients, a generator's Bohr blocks) are built afresh, untimed, for
-each repeat of the layer that forms them.
+``layer_cases`` and ``cli_cases`` build the entries from a floqlind
+package passed in, and ``bench/compare.py`` times them on two revisions
+(see its docstring for how to run it).  Inputs that a call would cache
+(a ``HarmonicDecomposition``'s coefficients, a generator's Bohr blocks)
+are built afresh, untimed, in each case's ``setup``.
 
 Layers, at d = 2, 4 and 8, on seeded random models (H0 and the kick of
 spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
@@ -20,24 +13,20 @@ spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
 * ``build_generator`` at rel_tol 1e-4, 1e-8 and 1e-12, from q_max 16,
   with one Lorentzian coupling and with a Lorentzian plus a
   finite-temperature ``PhononCutoff`` coupling; ``q_max_used`` and
-  the number of doubling rounds are recorded with each;
+  the number of doubling rounds are its facts;
 * ``semigroup`` at one time and ``evolve`` over 2000 times, in every
   frame the model has (lab at d = 2 only), from the 1e-8 generator;
 * ``echo_signal`` over 2000 times for a Gaussian and a discrete ensemble.
 
 CLI scenarios: ``cli.run`` on one config per scenario, with the sizes of
 the benchmark's ``cli-tables`` workload (20 000 rate points, 40 000 echo
-points) and a 2000-point trajectory.
-
-``layer_cases`` and ``cli_cases`` build the entries from a floqlind
-package passed in, so ``bench/compare.py`` times the same list on two
-revisions.
+points) and a 2000-point trajectory; the bytes written are its fact.
 
 The host fingerprint records the commit and ``dirty``, whether the
-checkout has changes ``git status`` reports, so a run on edited code
-says so.  It also records numpy's active SIMD targets (what
-``NPY_DISABLE_CPU_FEATURES`` leaves on) and the core type OpenBLAS picked
-in numpy's and scipy's builds, since either moves the timings.
+checkout has changes ``git status`` reports.  It also records numpy's
+active SIMD targets (what ``NPY_DISABLE_CPU_FEATURES`` leaves on) and
+the core type OpenBLAS picked in numpy's and scipy's builds, since
+either moves the timings.
 """
 
 from __future__ import annotations
@@ -48,17 +37,12 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
-import argparse
 import ctypes
 import glob
 import importlib
-import json
 import platform
-import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -73,7 +57,6 @@ DIMS = (2, 4, 8)
 REL_TOLS = (1e-4, 1e-8, 1e-12)
 Q_START = 16
 POINTS = 2000
-REPEATS = 7
 
 
 @dataclass(frozen=True)
@@ -88,18 +71,6 @@ class Case:
     run: Callable
     setup: Callable = tuple
     facts: Callable = lambda result: {}
-
-
-def _timed(case: Case):
-    """{"best_s", "median_s"} of ``case`` and its last result."""
-    samples = []
-    for _ in range(REPEATS + 1):
-        args = case.setup()
-        start = time.perf_counter()
-        result = case.run(*args)
-        samples.append(time.perf_counter() - start)
-    samples = samples[1:]  # the first call warms caches and imports
-    return {"best_s": min(samples), "median_s": statistics.median(samples)}, result
 
 
 def _hermitian(rng, dim: int) -> np.ndarray:
@@ -240,14 +211,6 @@ def cli_cases(fl, workdir: Path) -> list[Case]:
     return cases
 
 
-def _rows(cases: list[Case]) -> list[dict]:
-    rows = []
-    for case in cases:
-        timing, result = _timed(case)
-        rows.append({**case.key, **case.facts(result), **timing})
-    return rows
-
-
 def _openblas(package) -> dict:
     """Core type and configuration of the OpenBLAS a wheel bundles, if any."""
     folder = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
@@ -306,26 +269,3 @@ def _fingerprint(cpu: int) -> dict:
         "numpy_openblas": _openblas(np),
         "scipy_openblas": _openblas(scipy),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", help="the output is BENCH_<label>.json")
-    args = parser.parse_args(argv)
-    cpu = min(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
-    start = time.perf_counter()
-    fl = importlib.import_module("floqlind")
-    record = {"label": args.label, "repeats": REPEATS, "host": _fingerprint(cpu)}
-    record["layers"] = _rows(layer_cases(fl))
-    with tempfile.TemporaryDirectory() as workdir:
-        record["cli"] = _rows(cli_cases(fl, Path(workdir)))
-    record["wall_s"] = time.perf_counter() - start
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
-    print(out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -349,6 +349,12 @@ def _extract_tauc(config: _Reader, seed: int, base: Path):
         raise InconsistentDataError(
             f"need exactly two (period, rate) rows, got {len(measurements)}"
         )
+    for row, (period, _) in enumerate(measurements, 1):
+        if not period > 0.0:  # NaN too; an infinite slow period is the fit's limit
+            raise InconsistentDataError(
+                f"(period, rate) row {row}: the kick period must be > 0, "
+                f"got {period!r}"
+            )
     slow = max(measurements, key=lambda row: row[0])
     fast = min(measurements, key=lambda row: row[0])
     if slow[0] == fast[0]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,8 +285,14 @@ def extract_tau_c(
 
 
 def read_rate_measurements(path) -> list[tuple[float, float]]:
-    """Read (period, rate) rows from a text file; '#' starts a comment."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.size == 0 or data.shape[1] != 2:
+    """Read (period, rate) rows from a text file; '#' starts a comment.
+
+    A file with no data rows gives an empty list.
+    """
+    with warnings.catch_warnings():
+        # numpy warns that such a file holds no data; the caller counts rows.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if len(data) and data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns (period, rate)")
     return [(float(row[0]), float(row[1])) for row in data]

@@ -479,7 +479,7 @@ def verify_cptp(superop: np.ndarray) -> CPTPReport:
     choi = choi_matrix(superop)
     identity_dual = vec(np.eye(math.isqrt(len(choi)), dtype=complex)).conj()
     defect = float(np.max(np.abs(identity_dual @ superop - identity_dual)))
-    lowest = float(scipy.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0])
+    lowest = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0])
     return CPTPReport(
         trace_defect=defect,
         choi_min_eig=lowest,

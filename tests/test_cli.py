@@ -807,6 +807,43 @@ def test_main_reports_numeric_failures(tmp_path, capsys):
     assert list(tmp_path.glob("*.tsv")) == []
 
 
+ZERO_ROWS = "need exactly two (period, rate) rows, got 0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", ZERO_ROWS),
+        ("# period rate\n\n", ZERO_ROWS),
+        ("5000.0 0.5\n0.0 0.3\n",
+         "(period, rate) row 2: the kick period must be > 0, got 0.0"),
+        ("5000.0 0.5\n-0.37 0.3\n",
+         "(period, rate) row 2: the kick period must be > 0, got -0.37"),
+        ("nan 0.5\n0.37 0.3\n",
+         "(period, rate) row 1: the kick period must be > 0, got nan"),
+    ],
+    ids=["empty", "comments-only", "zero-period", "negative-period", "nan-period"],
+)
+def test_main_sorts_every_bad_measurement_row_as_inconsistent_data(
+    tmp_path, capsys, text, message
+):
+    """No rows, and a period that is not > 0, are inconsistent data (exit
+    3) like a wrong row count: no numpy warning, and no config error about
+    a t_fast the file does not hold."""
+    (tmp_path / "measured.txt").write_text(text, encoding="ascii")
+    config = write_config(tmp_path, EXTRACT_CONFIG)
+    assert cli.main([str(config)]) == 3
+    assert capsys.readouterr().err == f"floqlind: numeric failure: {message}\n"
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_an_infinite_slow_period_is_the_limit_the_fit_assumes(tmp_path):
+    rows = [(5000.0, 0.5), (0.37, rate_parallel_closed(0.37, 2.0, 1.0).eta)]
+    finite = cli.run(_extract_config(tmp_path, rows)).read_bytes()
+    rows[0] = (math.inf, 0.5)
+    assert cli.run(_extract_config(tmp_path, rows)).read_bytes() == finite
+
+
 @pytest.mark.parametrize("t_fast", [5e-324, 1e-310])
 def test_main_reports_a_bath_time_below_the_normal_doubles_as_numeric(
     tmp_path, capsys, t_fast

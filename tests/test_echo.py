@@ -456,6 +456,10 @@ def test_read_rate_measurements(tmp_path):
     rows = read_rate_measurements(path)
     assert rows == [(5.0, 0.96), (0.2, 0.0131)]
 
+    for text in ("", "# period  rate\n\n"):  # no rows, and no numpy warning
+        path.write_text(text, encoding="ascii")
+        assert read_rate_measurements(path) == []
+
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0 2.0 3.0\n", encoding="ascii")
     with pytest.raises(ValueError):

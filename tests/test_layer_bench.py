@@ -62,9 +62,10 @@ def test_the_fingerprint_says_whether_the_checkout_is_edited(tmp_path):
 
 
 def test_compare_times_two_revisions_interleaved(tmp_path):
-    """HEAD against HEAD in a fresh repository, one round: the record has
-    both commits and, per case of the layer bench, both sides' times,
-    their ratios and the count of rounds B won."""
+    """HEAD against a ``git stash create`` snapshot of an edited tree, one
+    round: the record names both commits and, per case of the layer bench,
+    both sides' facts and times, their ratios and the count of rounds B
+    won; the working tree keeps its edit."""
     shutil.copytree(ROOT / "bench", tmp_path / "bench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(Path(SRC) / "floqlind", tmp_path / "src" / "floqlind",
@@ -73,24 +74,35 @@ def test_compare_times_two_revisions_interleaved(tmp_path):
     _git(tmp_path, "add", "-A")
     _git(tmp_path, "commit", "-qm", "tree")
     head = _git(tmp_path, "rev-parse", "HEAD")
+    edited = tmp_path / "src" / "floqlind" / "bath.py"
+    text = edited.read_text(encoding="utf-8")
+    assert "# Smallest normal double." in text
+    text = text.replace("# Smallest normal double.", "# The smallest normal double.")
+    edited.write_text(text, encoding="utf-8")
+    snapshot = _git(tmp_path, "stash", "create")
+    assert snapshot and edited.read_text(encoding="utf-8") == text
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     subprocess.run(
-        [sys.executable, str(tmp_path / "bench" / "compare.py"), "HEAD", "HEAD",
+        [sys.executable, str(tmp_path / "bench" / "compare.py"), "HEAD", snapshot,
          "--rounds", "1", "--label", "smoke"],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     record = json.loads((tmp_path / "BENCH_compare_smoke.json").read_text())
     assert set(record) == {"label", "a", "b", "rounds", "host", "cases", "wall_s"}
-    assert record["a"] == record["b"] == {"rev": "HEAD", "commit": head}
-    assert record["rounds"] == 1 and record["host"]["commit"] == head
+    assert record["a"] == {"rev": "HEAD", "commit": head}
+    assert record["b"] == {"rev": snapshot, "commit": snapshot}
+    assert record["rounds"] == 1
+    assert (record["host"]["commit"], record["host"]["dirty"]) == (head, True)
     keys = json.loads(subprocess.run(
         [sys.executable, "-c", CASE_KEYS, str(tmp_path / "bench")], env=env,
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout)
     stats = {"a_best_s", "b_best_s", "a_median_s", "b_median_s", "min_ratio",
              "median_ratio", "b_faster", "of"}
-    assert [{k: v for k, v in case.items() if k not in stats}
+    facts = {"a_q_max_used", "b_q_max_used", "a_rounds", "b_rounds",
+             "a_bytes", "b_bytes"}
+    assert [{k: v for k, v in case.items() if k not in stats | facts}
             for case in record["cases"]] == keys
     for case in record["cases"]:
         assert case["of"] == 1 and case["b_faster"] in (0, 1)
@@ -98,3 +110,9 @@ def test_compare_times_two_revisions_interleaved(tmp_path):
             assert 0.0 < case[f"{side}_best_s"] <= case[f"{side}_median_s"]
         assert case["min_ratio"] == case["b_best_s"] / case["a_best_s"]
         assert case["median_ratio"] == case["b_median_s"] / case["a_median_s"]
+        layer_facts = {"build_generator": ("q_max_used", "rounds")}
+        names = (("bytes",) if "scenario" in case
+                 else layer_facts.get(case["layer"], ()))
+        assert set(case) & facts == {f"{side}_{n}" for side in "ab" for n in names}
+        for name in names:  # a comment edit moves no fact
+            assert case[f"a_{name}"] == case[f"b_{name}"] > 0
