@@ -1,4 +1,4 @@
-"""The layer bench's cases: each floqlind layer on its own, each CLI scenario end to end.
+"""The layer bench's cases: each floqlind layer alone, each CLI scenario end to end.
 
 ``layer_cases`` and ``cli_cases`` build the entries from a floqlind
 package passed in, and ``bench/compare.py`` times them on two revisions

@@ -167,6 +167,14 @@ class _Reader:
             raise ConfigError("keys this scenario does not read: " + ", ".join(unread))
 
 
+def _power_of_ten(exponent: float, cap: float) -> float:
+    """libm's 10**exponent, or ``cap`` where that rounds past the largest double."""
+    try:
+        return pow(10.0, exponent)
+    except OverflowError:
+        return cap
+
+
 def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
     parameter = config.text("sweep", "parameter")
     if parameter != expected:
@@ -191,7 +199,10 @@ def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
         exponents = np.linspace(math.log10(start), math.log10(stop), points)
         grid = np.full(points, stop)
         grid[0] = start
-        grid[1:-1] = _math_map(functools.partial(pow, 10.0), exponents[1:-1])
+        try:
+            grid[1:-1] = _math_map(functools.partial(pow, 10.0), exponents[1:-1])
+        except OverflowError:  # stop is within rounding of the largest double
+            grid[1:-1] = [_power_of_ten(e, stop) for e in exponents[1:-1].tolist()]
         return grid
     raise ConfigError(f"[sweep] spacing must be 'linear' or 'log', got {spacing!r}")
 
@@ -315,12 +326,24 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
             "is undefined; no table written"
         )
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
+    horizon = 5.0 / eta_closed
+    if math.isinf(horizon):
+        raise FloatingPointError(
+            f"generator-audit: the audit times span 5/eta_closed, which "
+            f"overflows at eta_closed = {eta_closed!r}; no table written"
+        )
     rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, 5.0 / eta_closed, size=20)
+    times = rng.uniform(0.0, horizon, size=20)
     trace_defect = 0.0
     choi_min = math.inf
     for t in times:
-        report = verify_cptp(semigroup(generator, t))
+        superop = semigroup(generator, t)
+        if not np.isfinite(superop).all():  # no Choi spectrum to certify
+            raise FloatingPointError(
+                f"generator-audit: e^(tL) at t = {t} has an inf or NaN entry; "
+                "no table written"
+            )
+        report = verify_cptp(superop)
         trace_defect = max(trace_defect, report.trace_defect)
         choi_min = min(choi_min, report.choi_min_eig)
     rows = [

@@ -106,6 +106,21 @@ def test_a_log_sweep_reaches_the_largest_double(tmp_path, capsys):
     assert rows[-1][0] == "%.12e" % sys.float_info.max
 
 
+def test_a_log_sweep_from_the_largest_double_stays_on_it(tmp_path, capsys):
+    """With start = stop = the top double, every interior 10**log10(stop)
+    rounds past it; those points are stop, not an errno-34 failure."""
+    top = sys.float_info.max
+    body = (
+        PARALLEL_CONFIG.replace("start = 0.5", f"start = {top!r}")
+        .replace("stop = 50.0", f"stop = {top!r}")
+        .replace("points = 12", "points = 3")
+    )
+    assert cli.main([str(write_config(tmp_path, body))]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_table(tmp_path / "rates.tsv")
+    assert [row[0] for row in rows] == ["%.12e" % top] * 3
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     config = write_config(tmp_path, PARALLEL_CONFIG)
     first = cli.run(config).read_bytes()
@@ -944,6 +959,37 @@ def test_generator_audit_with_a_zero_closed_rate_is_a_numeric_failure(
     err = capsys.readouterr().err
     assert err.startswith("floqlind: numeric failure: generator-audit: ")
     assert "eta_closed is 0" in err and "rel_residual is undefined" in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_generator_audit_whose_time_window_overflows_is_a_numeric_failure(
+    tmp_path, capsys
+):
+    """eta_closed = 7e-310 is not 0, but 5/eta_closed, the end of the
+    audit times, is inf, which numpy's uniform draw would refuse."""
+    body = AUDIT_CONFIG.replace("tau_c = 3.0", "tau_c = 1e154")
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: generator-audit: ")
+    assert "5/eta_closed, which overflows at eta_closed = 7.04" in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
+def test_generator_audit_whose_semigroup_is_not_finite_is_a_numeric_failure(
+    tmp_path, capsys
+):
+    """Rates near the largest double make e^(tL) inf or NaN at the audit
+    times; that is a numeric failure, not numpy's or scipy's complaint
+    about the Choi matrix sorted as a config error."""
+    body = (
+        AUDIT_CONFIG.replace("t2 = 2.0", "t2 = 2.2250738585072014e-308")
+        .replace("tau_c = 3.0", "tau_c = 1e19")
+        .replace("delta = 0.6", "strength = 5e-324")
+    )
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: generator-audit: e^(tL) at t = ")
+    assert err.endswith(" has an inf or NaN entry; no table written\n")
     assert list(tmp_path.glob("*.tsv")) == []
 
 

@@ -8,8 +8,9 @@ exception behind a nonzero exit must be raised in floqlind's own code, or
 be a ``configparser.Error`` or ``OSError``: never a numpy or scipy error
 passed through, and never an errno tuple such as ``(34, 'Numerical
 result out of range')``.  The ranges are not narrowed for speed; configs
-that double the truncation up to its ``q_max`` ceiling (about 2.5 s each)
-stay in the space, and the example counts are sized for tier-1 instead.
+that double the truncation up to its ``q_max`` ceiling, the slowest
+examples, stay in the space, and the example counts are sized for the
+suite's run time instead.
 """
 
 import configparser

@@ -104,15 +104,15 @@ def test_compare_times_two_revisions_interleaved(tmp_path):
              "a_bytes", "b_bytes"}
     assert [{k: v for k, v in case.items() if k not in stats | facts}
             for case in record["cases"]] == keys
+    # Only generator builds and CLI scenarios (no "layer" key) have facts.
+    fact_names = {"build_generator": ("q_max_used", "rounds"), None: ("bytes",)}
     for case in record["cases"]:
         assert case["of"] == 1 and case["b_faster"] in (0, 1)
         for side in "ab":
             assert 0.0 < case[f"{side}_best_s"] <= case[f"{side}_median_s"]
         assert case["min_ratio"] == case["b_best_s"] / case["a_best_s"]
         assert case["median_ratio"] == case["b_median_s"] / case["a_median_s"]
-        layer_facts = {"build_generator": ("q_max_used", "rounds")}
-        names = (("bytes",) if "scenario" in case
-                 else layer_facts.get(case["layer"], ()))
+        names = fact_names.get(case.get("layer"), ())
         assert set(case) & facts == {f"{side}_{n}" for side in "ab" for n in names}
         for name in names:  # a comment edit moves no fact
             assert case[f"a_{name}"] == case[f"b_{name}"] > 0
