@@ -15,7 +15,9 @@ spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
   finite-temperature ``PhononCutoff`` coupling; ``q_max_used`` and
   the number of doubling rounds are its facts;
 * ``semigroup`` at one time and ``evolve`` over 2000 times, in every
-  frame the model has (lab at d = 2 only), from the 1e-8 generator;
+  frame the model has (lab at d = 2 only), from the 1e-8 generator; at
+  d = 2 also the lab frame with left limits over 2000 times, 40 per
+  period, so every 40th is a kick;
 * ``echo_signal`` over 2000 times for a Gaussian and a discrete ensemble.
 
 CLI scenarios: ``cli.run`` on one config per scenario, with the sizes of
@@ -146,6 +148,14 @@ def layer_cases(fl) -> list[Case]:
             cases.append(Case(
                 {"layer": "evolve", **case, "frame": frame, "points": POINTS},
                 partial(fl.evolve, model, g, rho0, times, frame=frame, omega_ext=lab),
+            ))
+        if dim == 2:
+            kicked = np.arange(POINTS) * (model.period / 40.0)
+            cases.append(Case(
+                {"layer": "evolve", **case, "frame": "lab", "points": POINTS,
+                 "left_limits": True},
+                partial(fl.evolve, model, g, rho0, kicked, frame="lab", omega_ext=5.0,
+                        emit_left_limits=True),
             ))
     params = fl.TLSParams(omega0=5.0, omega_ext=4.8, period=1.3,
                           eta=fl.rate_parallel_closed(1.3, 2.0, 3.0).eta)

@@ -13,12 +13,17 @@ kicked-model unitary.  Three frames are exposed:
 ``evolve`` handles all sample times at once.  The semigroup comes from
 the generator's Bohr blocks (``lindblad.BohrBlocks``), exponentiated
 in one call per block size for every time, which keeps the trace and
-Hermiticity exact at any horizon.  One ``floor_frac`` call splits all
-the times into (n, frac), the kicked unitary is built for every split
-in one batch, the lab carrier is a diagonal phase on all of them, and
-left limits are recomputed only at kick times (elsewhere they are
-copies of the state).  Every returned state passes one batched Hermiticity, trace
-and positivity check.
+Hermiticity exact at any horizon; it gives the Floquet-basis state
+rho_F.  One ``floor_frac`` call splits all the times into (n, frac).
+Every per-time factor of U(t) = W e^{-i E T frac} W† V e^{-i eps T n} V†
+is diagonal in a fixed basis, so the state is dressed by phases: per
+time, elementwise products with outer products of the phase vectors
+e^{-i eps T n}, e^{-i E T frac} and, in the lab frame, the carrier's;
+the constant V, M = W† V and W act on the whole stack at once
+(``operators._conjugate``).  Left limits are recomputed only at kick
+times, from the phases at (n - 1, frac = 1); elsewhere they are copies
+of the state.  Every returned state passes one batched Hermiticity,
+trace and positivity check.
 
 The closed forms implement the exactly solvable magic-angle cases: pi
 kicks about x with either dephasing (sigma_z) coupling to a Lorentzian
@@ -38,10 +43,10 @@ import numpy as np
 
 from .bath import _math_map
 from .errors import UnsupportedFrameError, UnsupportedRegimeError
-from .floquet import KickedModel, _before_kicks, _unitary, floor_frac
+from .floquet import KickedModel, _before_kicks, floor_frac
 from .lindblad import LindbladGenerator
 from .operators import (
-    _right_multiply, as_densities, as_density, bloch_from_density,
+    _conjugate, as_densities, as_density, bloch_from_density,
     density_from_bloch, vec,
 )
 
@@ -121,6 +126,11 @@ def evolve(
     omega_ext : carrier frequency; required for the lab frame.
     emit_left_limits : also record the limit from below at each time
         (differs from the right-continuous value exactly at kick times).
+
+    The interaction frame is V rho_F V†; the rotating frame is
+    W e^{-i E tau} M (e^{-i eps n T} rho_F e^{i eps n T}) M† e^{i E tau} W†
+    with tau = frac T and M = W† V, which is U(t) rho_I U(t)† with no
+    per-time matrix product; the lab frame adds the carrier's phases.
     """
     dec = g.decomposition
     if m is not dec.model:
@@ -139,28 +149,32 @@ def evolve(
     n, frac = floor_frac(times, dec.model.period)
     times = _sample_times(times)
 
-    # e^{tL} rho0 in the Floquet basis, then back to the computational one.
-    v = dec.basis
+    # e^{tL} rho0 in the Floquet basis, one matrix rho_F per time, as the
+    # transposed view of the column-stacked vectors.
+    dim, period = dec.dim, dec.model.period
+    v, w = dec.basis, dec.free_basis
     x0 = vec(v.conj().T @ rho0 @ v)[:, None]
-    in_basis = g.blocks.propagate(x0, times)[..., 0]
-    in_basis = in_basis.reshape(len(times), dec.dim, dec.dim).swapaxes(1, 2)
-    interaction = _right_multiply(v @ in_basis, v.conj().T)
+    floquet_states = g.blocks.propagate(x0, times)[..., 0]
+    floquet_states = floquet_states.reshape(len(times), dim, dim).swapaxes(1, 2)
     if frame == "interaction":
-        states = as_densities(interaction)
+        states = as_densities(_conjugate(floquet_states, v))
         left_states = states.copy() if emit_left_limits else None
         return Trajectory(times=times, states=states, frame=frame,
                           left_states=left_states)
 
-    # The lab carrier e^{-i omega_ext t sigma_z / 2} is a diagonal phase.
-    carrier = np.ones((len(times), 1, 1))
-    if frame == "lab":
-        carrier = np.exp(
-            -0.5j * omega_ext * times[:, None, None] * np.array([[1.0], [-1.0]])
-        )
+    # The dressing of the docstring: per time only the phase vectors change;
+    # M = W† V is constant.
+    mix = w.conj().T @ v
 
     def dressed(n, frac, at):
-        u = carrier[at] * _unitary(dec, n[at], frac[at])
-        return as_densities(u @ interaction[at] @ u.conj().swapaxes(1, 2))
+        kicks = np.exp(-1j * period * n[at, None] * dec.quasienergies)
+        free = np.exp(-1j * period * frac[at, None] * dec.free_energies)
+        state = _phased(floquet_states[at], kicks)
+        state = _conjugate(_phased(_conjugate(state, mix), free), w)
+        if frame == "lab":  # the carrier e^{-i omega_ext t sigma_z / 2}
+            carrier = np.exp(-0.5j * omega_ext * times[at, None] * np.array([1.0, -1.0]))
+            state = _phased(state, carrier)
+        return as_densities(state)
 
     states = dressed(n, frac, slice(None))
     left_states = None
@@ -170,6 +184,12 @@ def evolve(
         left_states[at_kick] = dressed(n_left, frac_left, at_kick)
     return Trajectory(times=times, states=states, frame=frame,
                       left_states=left_states)
+
+
+def _phased(stack: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """diag(p) x diag(p)† for each matrix x of a stack (N, d, d) and the
+    matching row p of phases (N, d), as one elementwise product."""
+    return stack * (phases[:, :, None] * phases[:, None, :].conj())
 
 
 def _echo_offset(period, frac):

@@ -216,7 +216,9 @@ def _unitary(dec: FloquetDecomposition, n, frac) -> np.ndarray:
     """(W e^{-i E T frac} W†)(V e^{-i eps T n} V†): n kicks, then frac of a period.
 
     ``n`` and ``frac`` may be equal-shape arrays; the result then has one
-    (d, d) matrix per entry.
+    (d, d) matrix per entry.  Its callers are ``propagator`` and
+    ``propagator_left_limit``; ``dynamics.evolve`` applies the same
+    factors to states as phases and never forms U.
     """
     period = dec.model.period
     w, v = dec.free_basis, dec.basis

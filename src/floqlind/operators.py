@@ -102,9 +102,21 @@ def _right_multiply(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``stack @ c`` for a stack (..., n, d) and one (d, m) matrix ``c``, as
     a single GEMM on the stack's rows, where numpy's ``@`` makes one BLAS
     call per matrix.  At d = 2 and 3 its bits are those of ``@`` on every
-    OpenBLAS kernel tested; at larger d they match on some kernels only."""
+    OpenBLAS kernel tested; at larger d they match on some kernels only.
+    Its callers are :func:`_conjugate` and ``floquet._unitary``."""
     out = stack.reshape(-1, stack.shape[-1]) @ c
     return out.reshape(*stack.shape[:-1], c.shape[-1])
+
+
+def _conjugate(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``c @ x @ c†`` for every matrix x of a stack (N, d, d) and one (d, d)
+    matrix ``c``.  The left factor is one GEMM on the (d, N·d) view of the
+    stack, whose columns are those of every x in turn (free when the
+    stack is a transposed view of a contiguous array); the right factor is
+    one :func:`_right_multiply`."""
+    columns = stack.swapaxes(1, 2).reshape(-1, c.shape[1]).T
+    left = (c @ columns).T.reshape(stack.shape).swapaxes(1, 2)
+    return _right_multiply(left, c.conj().T)
 
 
 def vec(op: np.ndarray) -> np.ndarray:

@@ -1257,8 +1257,8 @@ TABLE_DIGESTS = {
     "rates-perp": "70f54cd0249b3763242fbb37830aefa841882ce85011812695db616aceb4e238",
     "rates-perp-huge-coupling": "5c7f51b2b1524ff80b4abb7b63a461667a348a60c6eb0a806dcdf2d0081c0701",
     "rates-perp-huge-cutoff": "4ac8ff387934ba13225c312c4ae2e0e7c0df947a929ed26901634a4923cc68d8",
-    "trajectory-lab": "9ea71b1ccf168350b57a8f13d2b3234e4ade19d0824aefa7860f9e6b2d133931",
-    "trajectory-rotating": "1ab3c9237f7956db5ff6d6f953a0bbe7d9750d8fcfbce755b521c97e6f55e6bf",
+    "trajectory-lab": "339081cbae4939c94b4b2e297e09c8458a674d6205f63c46e18ce2b8d849b16d",
+    "trajectory-rotating": "06e6978889ad5d3beffe7984d35d8c1fd54dfaf937e37f64cc42ba739924b65b",
     "trajectory-interaction": "0e43b02d325d3109212fc87df1896151d64f860ca9c7fc1a4ce685abf0daf116",
     "echo": "cfc9fa6614c8af201af23d0376883cc9c9faa3d98c9a896e20db2db46cd94cf4",
     "echo-discrete": "f4249e065a3431efb87a8c8d5d49c7d08d5cde4c384d9ca21ababc6eb96e586b",

@@ -40,7 +40,12 @@ from floqlind.errors import (
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
-from floqlind.floquet import KickedModel, harmonic_decomposition, propagator
+from floqlind.floquet import (
+    KickedModel,
+    harmonic_decomposition,
+    propagator,
+    propagator_left_limit,
+)
 from floqlind.lindblad import (
     BohrBlocks,
     build_generator,
@@ -48,7 +53,7 @@ from floqlind.lindblad import (
     semigroup,
     verify_cptp,
 )
-from floqlind.operators import PAULI_Z, bloch_from_density
+from floqlind.operators import PAULI_Z, as_density, bloch_from_density, unvec, vec
 from floqlind.oracle import integrate_master_equation
 
 
@@ -410,6 +415,86 @@ def test_evolve_matches_the_per_time_expm_reference(longitudinal, transverse):
         _assert_matches_reference(m, g, rand_density(rng, dim), times)
 
 
+def _dressed_reference(dec, interaction, times, omega_ext=None):
+    """(U rho_I U†, U_ rho_I U_†) per time, from ``propagator`` (U) and
+    ``propagator_left_limit`` (U_); with ``omega_ext``, also the lab carrier."""
+    states, left_states = [], []
+    for t, rho in zip(np.asarray(times).tolist(), interaction):
+        carrier = 1.0 if omega_ext is None else np.exp(
+            -0.5j * omega_ext * t * np.array([[1.0], [-1.0]])
+        )
+        for u, out in ((propagator(dec, t), states),
+                       (propagator_left_limit(dec, t), left_states)):
+            u = carrier * u
+            out.append(u @ rho @ u.conj().T)
+    return np.array(states), np.array(left_states)
+
+
+def _assert_dressed(m, g, rho0, times, frame, omega_ext=None):
+    """evolve's states and left limits in ``frame`` are its interaction-frame
+    states dressed by the propagator, within 1e-14."""
+    interaction = evolve(m, g, rho0, times, frame="interaction").states
+    traj = evolve(m, g, rho0, times, frame=frame, omega_ext=omega_ext,
+                  emit_left_limits=True)
+    states, left_states = _dressed_reference(g.decomposition, interaction, times,
+                                             omega_ext)
+    assert np.max(np.abs(traj.states - states)) <= 1e-14
+    assert np.max(np.abs(traj.left_states - left_states)) <= 1e-14
+    return traj
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_evolve_is_the_interaction_frame_dressed_by_the_propagator(dim):
+    """Random models at d = 2 to 8: the rotating frame (and at d = 2 the lab
+    frame) is U rho_I U† and its left limits take U's left limit, at kicks,
+    between them and 10^9 + 1/4 periods out; the interaction frame rho_I is
+    V rho_F V† for the Floquet-basis state rho_F of the Bohr blocks."""
+    rng = np.random.default_rng(70 + dim)
+    m, g = _random_generator(rng, dim, Lorentzian(t2=2.0, tau_c=0.3))
+    rho0 = rand_density(rng, dim)
+    times = np.unique(np.concatenate([
+        m.period * np.arange(6.0), rng.uniform(0.0, 6.0 * m.period, 12),
+        [(1e9 + 0.25) * m.period],
+    ]))
+    v = g.decomposition.basis
+    x0 = vec(v.conj().T @ as_density(rho0) @ v)[:, None]
+    floquet_states = g.blocks.propagate(x0, times)[..., 0]
+    interaction = evolve(m, g, rho0, times, frame="interaction").states
+    expected = np.array([v @ unvec(x) @ v.conj().T for x in floquet_states])
+    assert np.max(np.abs(interaction - expected)) <= 1e-14
+    _assert_dressed(m, g, rho0, times, "rotating")
+    if dim == 2:
+        _assert_dressed(m, g, rho0, times, "lab", omega_ext=4.4)
+
+
+@pytest.mark.parametrize("frame, omega_ext", [("rotating", None), ("lab", 4.4)])
+def test_left_limits_where_no_time_or_every_time_is_a_kick(longitudinal, frame,
+                                                          omega_ext):
+    m, g = longitudinal.model, longitudinal.generator
+    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    between = m.period * (np.arange(1.0, 41.0) + 0.37)
+    traj = evolve(m, g, rho0, between, frame=frame, omega_ext=omega_ext,
+                  emit_left_limits=True)
+    np.testing.assert_array_equal(traj.left_states, traj.states)
+    kicks = m.period * np.arange(1.0, 41.0)
+    traj = _assert_dressed(m, g, rho0, kicks, frame, omega_ext)
+    assert np.all(np.any(traj.left_states != traj.states, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("periods", [0.0, 3.0, 3.4])
+def test_a_single_time_is_dressed_like_many(longitudinal, periods):
+    """One time, at t = 0, at a kick and between kicks, in every frame."""
+    m, g = longitudinal.model, longitudinal.generator
+    rho0 = rand_density(np.random.default_rng(72), 2)
+    t = [periods * m.period]
+    traj = evolve(m, g, rho0, t, frame="interaction", emit_left_limits=True)
+    assert traj.states.shape == (1, 2, 2)
+    np.testing.assert_array_equal(traj.left_states, traj.states)
+    for frame, omega_ext in (("rotating", None), ("lab", 4.4)):
+        traj = _assert_dressed(m, g, rho0, t, frame, omega_ext)
+        assert traj.states.shape == traj.left_states.shape == (1, 2, 2)
+
+
 def test_degenerate_quasienergies_share_the_zero_frequency_block():
     rng = np.random.default_rng(49)
     m = degenerate_model(rng)
@@ -452,8 +537,8 @@ def test_states_stay_valid_over_long_horizons(dim, seed, bath, periods, frac):
 
 def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
     """Counted, not timed: no decompose (the generator carries its own), one
-    state check on rho0, and no matrix exponential or propagator call per
-    sample time."""
+    state check on rho0, and no matrix exponential, propagator or kicked
+    unitary (``floquet._unitary``) at all: the dressing is by phases."""
     counts = Counter()
     watched = {
         "expm_general": operators.expm_general,
@@ -461,6 +546,7 @@ def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
         "decompose": floquet.decompose,
         "propagator": floquet.propagator,
         "propagator_left_limit": floquet.propagator_left_limit,
+        "_unitary": floquet._unitary,
     }
 
     def counted(name, fn):
@@ -487,6 +573,7 @@ def test_evolve_makes_no_per_time_calls(longitudinal, monkeypatch):
     assert len(traj.states) == len(traj.left_states) == 2000
     assert counts["expm_general"] == 0
     assert counts["propagator"] == counts["propagator_left_limit"] == 0
+    assert counts["_unitary"] == 0
     assert counts["decompose"] == 0
     assert counts["as_density"] <= 1
 

@@ -17,6 +17,7 @@ from floqlind.operators import (
     PAULI_Y,
     PAULI_Z,
     PSD_ATOL,
+    _conjugate,
     _right_multiply,
     as_densities,
     as_density,
@@ -326,6 +327,21 @@ def test_right_multiply_has_the_bits_of_matmul_at_d_2_and_3(capsys):
     same, checks, core = run_with_haswell_blas(_RIGHT_MULTIPLY_CHECK)
     assert (same, checks) == ("True", "18")
     assert core in ("Haswell", "unknown")  # the variable took effect
+
+
+@pytest.mark.parametrize("count", [0, 1, 2000])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_conjugate_is_c_x_c_dagger_for_every_matrix_of_a_stack(dim, count):
+    """On a contiguous stack and on a transposed view of one, which the
+    left GEMM reads in place."""
+    rng = np.random.default_rng(13 * dim + count)
+    stack, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((count, dim, dim), (dim, dim)))
+    expected = c @ stack @ c.conj().T
+    for x in (stack, stack.swapaxes(1, 2).copy().swapaxes(1, 2)):
+        out = _conjugate(x, c)
+        assert out.shape == (count, dim, dim)
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
 
 
 def test_bloch_from_density_maps_stacks_along_the_last_axis():
