@@ -162,8 +162,7 @@ def evolve(
         return Trajectory(times=times, states=states, frame=frame,
                           left_states=left_states)
 
-    # The dressing of the docstring: per time only the phase vectors change;
-    # M = W† V is constant.
+    # M = W† V of the docstring; per time, only the phase vectors change.
     mix = w.conj().T @ v
 
     def dressed(n, frac, at):

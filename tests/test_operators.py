@@ -320,8 +320,8 @@ print(all(same), len(same), core)
 def test_right_multiply_has_the_bits_of_matmul_at_d_2_and_3(capsys):
     """One GEMM over the stacked rows gives the bits of numpy's per-matrix
     ``@`` at d = 2 and 3, both on the BLAS kernels this host picks and on
-    OpenBLAS's Haswell kernels.  ``dynamics.evolve`` leans on it to keep its
-    states' bits."""
+    OpenBLAS's Haswell kernels.  ``floquet._unitary`` leans on it to keep
+    the propagator's bits."""
     exec(_RIGHT_MULTIPLY_CHECK, {})
     assert capsys.readouterr().out.split()[:2] == ["True", "18"]
     same, checks, core = run_with_haswell_blas(_RIGHT_MULTIPLY_CHECK)
