@@ -180,7 +180,8 @@ def evolve(
     if emit_left_limits:
         left_states = states.copy()
         n_left, frac_left, at_kick = _before_kicks(n, frac)
-        left_states[at_kick] = dressed(n_left, frac_left, at_kick)
+        if at_kick.any():
+            left_states[at_kick] = dressed(n_left, frac_left, at_kick)
     return Trajectory(times=times, states=states, frame=frame,
                       left_states=left_states)
 

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .bath import _math_map
 from .dynamics import TLSParams, _echo_offset, _kicked_motion
@@ -267,8 +268,8 @@ def extract_tau_c(
             f"rate ratio {target} below the searchable suppression range; "
             f"tau_c would exceed {_TAU_HI} * t_fast"
         )
-    import scipy.optimize  # loaded on first use: about 0.3 s, and only here
-
+    # scipy.optimize loads at this first read, and only here: about 0.4 s,
+    # 0.2 s of it the scipy.linalg it imports.
     log_tau = scipy.optimize.brentq(misfit, lo, hi, xtol=1e-15, rtol=1e-15)
     tau_c = math.exp(log_tau) * t_fast
     if not sys.float_info.min <= tau_c <= sys.float_info.max:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads at its first read, not at import
 
 from .errors import DimensionError, DomainError
 from .operators import _right_multiply, expm_hermitian, require_hermitian

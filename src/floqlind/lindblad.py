@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads at its first read, not at import
 
 from .bath import (
     _CUBE_MAX,
@@ -438,12 +438,22 @@ def _perp_mantissas(
 
 
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
-    """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only."""
+    """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only.
+
+    Raises FloatingPointError when the map has an inf or NaN entry, as
+    e^{tL} of a finite generator can where its rates near the largest double.
+    """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
     change = g.decomposition.change
     floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
-    return change @ floquet_map @ change.conj().T
+    superop = change @ floquet_map @ change.conj().T
+    if not np.isfinite(superop).all():
+        raise FloatingPointError(
+            f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the generator's "
+            f"largest entry is {float(np.max(np.abs(g.floquet_superop)))!r} in magnitude"
+        )
+    return superop
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ all code converting between matrices and vectors must go through
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads at its first read, not at import
 
 from .errors import DimensionError, HermiticityError, InvalidStateError
 

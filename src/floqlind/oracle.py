@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads at its first read, not at import
 
 from .errors import DimensionError, StabilityError, TruncationError
 from .floquet import KickedModel, decompose

@@ -1,9 +1,13 @@
-"""`scipy.optimize` loads only where a root is found.
+"""`scipy.linalg` and `scipy.optimize` load only where they are called.
 
-It takes about 0.3 s to import, and only `extract_tau_c` uses it: every
-tail bound, `PhononCutoff`'s at finite temperature too, is a closed form.
-Each check runs in a fresh interpreter, so that the modules this test
-session has already imported cannot hide a module-level import.
+`import floqlind` and `floqlind.cli` load numpy and the `scipy` package
+alone.  `scipy.linalg` takes about 0.2 s to import and loads at the first
+matrix function: a build, a semigroup, an evolve.  The CLI's rate and
+echo tables call none, so they never pay it.  `scipy.optimize` takes
+about 0.4 s, `scipy.linalg` included, and only `extract_tau_c` uses it:
+every tail bound, `PhononCutoff`'s at finite temperature too, is a closed
+form.  Each check runs in a fresh interpreter, so that the modules this
+test session has already imported cannot hide a module-level import.
 """
 
 import json
@@ -22,14 +26,20 @@ from test_cli import (
     write_config,
 )
 
+DEFERRED = ("scipy.linalg", "scipy.optimize")
+LINALG = ["scipy.linalg"]
+
 
 def _run_steps(steps, *argv):
     """Run each (name, code) step in order in one fresh interpreter; return
-    {name: scipy.optimize was loaded after it} and the last value of ``out``."""
+    {name: the modules of ``DEFERRED`` loaded after it} and the last value
+    of ``out``."""
     lines = ["import json, sys", "out = None", "loaded = {}"]
     for name, code in steps:
         lines.append(code)
-        lines.append(f"loaded[{name!r}] = 'scipy.optimize' in sys.modules")
+        lines.append(
+            f"loaded[{name!r}] = [m for m in {DEFERRED!r} if m in sys.modules]"
+        )
     lines.append("print(json.dumps([loaded, out]))")
     done = subprocess.run(
         [sys.executable, "-c", "\n".join(lines), *argv],
@@ -40,26 +50,30 @@ def _run_steps(steps, *argv):
 
 
 def test_importing_the_package_and_cli_leaves_scipy_optimize_unloaded():
+    """And scipy.linalg too: the import loads neither deferred module."""
     loaded, _ = _run_steps([("import", "import floqlind, floqlind.cli")])
-    assert loaded == {"import": False}
+    assert loaded == {"import": []}
 
 
 def test_a_lorentzian_build_and_its_dynamics_never_load_scipy_optimize():
-    setup = textwrap.dedent("""
-        import math
-        import numpy as np
-        from floqlind import (
-            PAULI_X, PAULI_Z, KickedModel, Lorentzian, build_generator,
-            density_from_bloch, evolve, harmonic_decomposition, semigroup,
-            verify_cptp,
-        )
-        model = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X,
-                            strength=math.pi / 2, period=1.3)
-        harmonics = harmonic_decomposition(
-            model, (PAULI_Z / math.sqrt(2.0),), q_max=64)
-    """)
+    """The first matrix function, in the Floquet decomposition, loads
+    scipy.linalg."""
     loaded, out = _run_steps([
-        ("setup", setup),
+        ("import", textwrap.dedent("""
+            import math
+            import numpy as np
+            from floqlind import (
+                PAULI_X, PAULI_Z, KickedModel, Lorentzian, build_generator,
+                density_from_bloch, evolve, harmonic_decomposition, semigroup,
+                verify_cptp,
+            )
+        """)),
+        ("setup", textwrap.dedent("""
+            model = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X,
+                                strength=math.pi / 2, period=1.3)
+            harmonics = harmonic_decomposition(
+                model, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+        """)),
         ("build", "g = build_generator(harmonics, (Lorentzian(t2=2.0, tau_c=3.0),))"),
         ("semigroup", "s = semigroup(g, 0.7)"),
         ("verify_cptp", "report = verify_cptp(s)"),
@@ -70,13 +84,17 @@ def test_a_lorentzian_build_and_its_dynamics_never_load_scipy_optimize():
             out = states.bloch().shape
         """)),
     ])
-    assert loaded == dict.fromkeys(
-        ("setup", "build", "semigroup", "verify_cptp", "evolve"), False
-    )
+    assert loaded == {
+        "import": [],
+        **dict.fromkeys(("setup", "build", "semigroup", "verify_cptp", "evolve"), LINALG),
+    }
     assert out == [50, 3]
 
 
 def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
+    """The rate and echo tables call no matrix function; the trajectory and
+    the audit build a generator.  No scenario without a root loads
+    scipy.optimize."""
     bodies = {
         "rates-parallel": PARALLEL_CONFIG,
         "rates-perp": PERP_CONFIG,
@@ -94,7 +112,10 @@ def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
         for k, scenario in enumerate(bodies, start=1)
     ]
     loaded, _ = _run_steps(steps, *paths)
-    assert loaded == dict.fromkeys(["import", *bodies], False)
+    assert loaded == {
+        **dict.fromkeys(["import", "rates-parallel", "rates-perp", "echo"], []),
+        **dict.fromkeys(["trajectory", "generator-audit"], LINALG),
+    }
 
 
 def test_a_finite_temperature_phonon_build_never_loads_scipy_optimize():
@@ -125,7 +146,7 @@ def test_a_finite_temperature_phonon_build_never_loads_scipy_optimize():
             out = [tails, g.truncation.q_max_used]
         """)),
     ])
-    assert loaded == dict.fromkeys(("import", "tail", "build"), False)
+    assert loaded == {"import": [], "tail": [], "build": LINALG}
     assert out == [[0.1861113812209537, 0.05862971252138497, 0.4049364899124524], 32]
 
 
@@ -137,5 +158,5 @@ def test_extract_tau_c_loads_scipy_optimize_and_keeps_its_floats():
             out = [r.t2, r.tau_c, r.residual, r.degenerate]
         """)),
     ])
-    assert loaded == {"import": False, "extract": True}
+    assert loaded == {"import": [], "extract": ["scipy.linalg", "scipy.optimize"]}
     assert out == [2.0, 0.20832987774129025, 5.551115123125783e-17, False]

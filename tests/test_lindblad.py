@@ -688,6 +688,20 @@ def test_semigroup_at_time_zero_is_the_identity(longitudinal):
             semigroup(longitudinal.generator, bad)
 
 
+def test_semigroup_of_rates_near_the_largest_double_raises_naming_t():
+    """The generator is finite, its largest entry 9.0e307, but e^(tL) at
+    t = 8.5e-269 has NaN entries: raised, never returned."""
+    m = KickedModel(h0=np.zeros((2, 2)), kick=PAULI_X, strength=5e-324, period=1.0)
+    harmonics = harmonic_decomposition(m, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+    g = build_generator(
+        harmonics, (Lorentzian(t2=2.2250738585072014e-308, tau_c=1e19),),
+        rel_tol=1e-8,
+    )
+    assert np.isfinite(g.superop).all()
+    with pytest.raises(FloatingPointError, match=re.escape("e^(tL) at t = 8.5e-269 ")):
+        semigroup(g, 8.5e-269)
+
+
 def test_semigroup_contracts_floquet_components(longitudinal):
     g = longitudinal.generator
     eta = longitudinal.eta
