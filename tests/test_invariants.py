@@ -57,6 +57,12 @@ def _draw(dim, seed, period, beta):
     return model, couplings, baths, rng
 
 
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
 def _build(model, couplings, baths):
     harmonics = harmonic_decomposition(model, couplings, q_max=16)
     return build_generator(harmonics, baths, rel_tol=1e-10)
@@ -90,8 +96,7 @@ def test_conjugating_the_model_by_a_unitary_conjugates_the_generator(
     dim, seed, period, beta
 ):
     model, couplings, baths, rng = _draw(dim, seed, period, beta)
-    r, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
+    r = _unitary(rng, dim)
 
     def rotated(x):
         return r @ x @ r.conj().T
@@ -109,8 +114,7 @@ def test_conjugating_the_model_by_a_unitary_conjugates_the_generator(
 @given(**MODEL, spectrum=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
 def test_a_2pi_kick_with_integer_spectrum_is_no_kick(dim, seed, period, beta, spectrum):
     model, couplings, baths, rng = _draw(dim, seed, period, beta)
-    r, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
+    r = _unitary(rng, dim)
     kick = (r * np.array(spectrum[:dim], dtype=float)) @ r.conj().T
     kick = 0.5 * (kick + kick.conj().T)
     kicked = KickedModel(h0=model.h0, kick=kick, strength=2.0 * math.pi, period=period)
