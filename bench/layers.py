@@ -3,13 +3,14 @@
 ``layer_cases`` and ``cli_cases`` build the entries from a floqlind
 package passed in, and ``bench/compare.py`` times them on two revisions
 (see its docstring for how to run it).  Inputs that a call would cache
-(a ``HarmonicDecomposition``'s coefficients, a generator's Bohr blocks)
+(a ``HarmonicDecomposition``'s pole form, a generator's Bohr blocks)
 are built afresh, untimed, in each case's ``setup``.
 
 Layers, at d = 2, 4 and 8, on seeded random models (H0 and the kick of
 spectral norm 1, strength 1, period 1, couplings of Frobenius norm 1):
 
-* ``decompose`` and ``harmonic_decomposition`` (q_max 16);
+* ``decompose``, and ``harmonic_decomposition`` with its harmonics
+  |q| <= 16;
 * ``build_generator`` at rel_tol 1e-4, 1e-8 and 1e-12, from q_max 16,
   with one Lorentzian coupling and with a Lorentzian plus a
   finite-temperature ``PhononCutoff`` coupling; ``q_max_used`` and
@@ -107,8 +108,9 @@ def _baths(fl) -> dict:
     }
 
 
-def _coefficients(fl, model, couplings):
-    return fl.harmonic_decomposition(model, couplings, Q_START).coefficients
+def _harmonics(fl, model, couplings):
+    h = fl.harmonic_decomposition(model, couplings, Q_START)
+    return h.harmonics(np.arange(-Q_START, Q_START + 1))
 
 
 def _fresh(fl, model, couplings):
@@ -128,7 +130,7 @@ def layer_cases(fl) -> list[Case]:
         case = {"d": dim}
         cases.append(Case({"layer": "decompose", **case}, partial(fl.decompose, model)))
         cases.append(Case({"layer": "harmonic_decomposition", **case},
-                          partial(_coefficients, fl, model, couplings)))
+                          partial(_harmonics, fl, model, couplings)))
         for baths, densities in _baths(fl).items():
             fresh = partial(_fresh, fl, model, couplings[: len(densities)])
             for rel_tol in REL_TOLS:

@@ -44,7 +44,7 @@ import numpy as np
 from .bath import _math_map
 from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, floor_frac
-from .lindblad import LindbladGenerator
+from .lindblad import LindbladGenerator, _propagate
 from .operators import (
     _conjugate, as_densities, as_density, bloch_from_density,
     density_from_bloch, vec,
@@ -131,6 +131,8 @@ def evolve(
     W e^{-i E tau} M (e^{-i eps n T} rho_F e^{i eps n T}) M† e^{i E tau} W†
     with tau = frac T and M = W† V, which is U(t) rho_I U(t)† with no
     per-time matrix product; the lab frame adds the carrier's phases.
+
+    Raises FloatingPointError naming the first t where e^{tL} rho0 is not finite.
     """
     dec = g.decomposition
     if m is not dec.model:
@@ -154,7 +156,7 @@ def evolve(
     dim, period = dec.dim, dec.model.period
     v, w = dec.basis, dec.free_basis
     x0 = vec(v.conj().T @ rho0 @ v)[:, None]
-    floquet_states = g.blocks.propagate(x0, times)[..., 0]
+    floquet_states = _propagate(g, x0, times)[..., 0]
     floquet_states = floquet_states.reshape(len(times), dim, dim).swapaxes(1, 2)
     if frame == "interaction":
         states = as_densities(_conjugate(floquet_states, v))

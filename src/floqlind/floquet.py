@@ -284,14 +284,14 @@ class HarmonicDecomposition:
         U(t)† S U(t) = sum_{omega, q} S(omega, q) e^{i (omega + q Omega) t}
 
     where omega runs over quasienergy differences and q over harmonics of
-    the kick frequency Omega.  ``coefficients[alpha, q + q_max, k, l]``
-    holds the Floquet-basis matrix elements of the harmonics |q| <= q_max;
-    the (omega, q) component matrices are slices of this tensor masked by
-    the decomposition's ``cluster_index``.  ``harmonics`` gives any q from
-    the weights and poles of ``_poles`` and their phases and sines
-    (``_pole_form``), and ``coefficients`` is its value at |q| <= q_max.
-    Both are formed on first read, not at construction, and kept.
-    Components obey S(omega, q)† = S(-omega, -q) and
+    the kick frequency Omega.  ``harmonics(q_values)[alpha, i, k, l]``
+    holds the Floquet-basis matrix elements of harmonic q_values[i]; the
+    (omega, q) component matrices are its slices masked by the
+    decomposition's ``cluster_index``.  It gives any q from the weights
+    and poles of ``_poles`` and their phases and sines (``_pole_form``),
+    formed on the first call, not at construction, and kept: the one
+    cache.  ``q_max`` sets the harmonics |q| <= q_max of build_generator's
+    first round.  Components obey S(omega, q)† = S(-omega, -q) and
     [Hbar, S(omega, q)] = omega S(omega, q).
     """
 
@@ -311,23 +311,12 @@ class HarmonicDecomposition:
     def n_couplings(self) -> int:
         return len(self.couplings)
 
-    def coupling_weight(self, alpha: int) -> float:
-        """Squared Frobenius norm of the coupling (basis independent)."""
-        return float(np.sum(np.abs(self.couplings[alpha]) ** 2))
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """Read-only ``harmonics`` at q = -q_max .. q_max."""
-        coefficients = self.harmonics(np.arange(-self.q_max, self.q_max + 1))
-        coefficients.flags.writeable = False
-        return coefficients
-
     @cached_property
     def _weighted_poles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _pole_form(*_poles(self.decomposition, list(self.couplings)))
 
     def harmonics(self, q_values: np.ndarray) -> np.ndarray:
-        """Coefficients like ``coefficients``, at the harmonics ``q_values``."""
+        """Coefficients [alpha, i, k, l] at harmonic q_values[i], as a new array."""
         values = _fourier_tensor(*self._weighted_poles, q_values)
         return values.reshape(values.shape[:2] + (self.dim, self.dim))
 
@@ -440,8 +429,8 @@ def harmonic_decomposition(
     m : KickedModel
     couplings : list of Hermitian operators
     q_max : int
-        Harmonics |q| <= q_max are computed; an integer >= 1 (a float
-        raises TypeError, even when integral).
+        Harmonics |q| <= q_max are the first truncation; an integer >= 1
+        (a float raises TypeError, even when integral).
     """
     q_max = operator.index(q_max)
     if q_max < 1:

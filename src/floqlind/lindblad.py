@@ -272,12 +272,14 @@ def build_generator(
     cluster = dec.cluster_index.reshape(-1)
     pairs = np.zeros((dim * dim, dim * dim), dtype=complex)
     held = [0.0] * len(densities)  # Parseval weight retained per coupling
+    totals = [float(np.sum(np.abs(s) ** 2)) for s in h.couplings]  # and in all, ||S||_F^2
     quasi = dec.quasienergies
     spread = float(np.max(quasi) - np.min(quasi)) if len(quasi) else 0.0
-    q_max, coefficients = h.q_max, h.coefficients
+    q_max = h.q_max
     q_values = np.arange(-q_max, q_max + 1)
     rounds = []
     while True:
+        coefficients = h.harmonics(q_values)
         # The elements of a cluster share its frequencies omega + q Omega.
         frequencies = dec.frequencies + q_values[:, None] * h.model.omega
         # Smallest |omega + q Omega| over the discarded harmonics |q| > q_max.
@@ -294,9 +296,8 @@ def build_generator(
             rate[:, live] = density.evaluate(frequencies[:, live])
             # T += C† (r ∘ C); r[q, (k,l)] is the rate of (k,l)'s cluster.
             pairs += (flat.conj() * rate[:, cluster]).T @ flat
-            total = h.coupling_weight(alpha)
-            leftover = max(total - held[alpha], 0.0)
-            if leftover > _PARSEVAL_FLOOR * total:
+            leftover = max(totals[alpha] - held[alpha], 0.0)
+            if leftover > _PARSEVAL_FLOOR * totals[alpha]:
                 tail_bound += leftover * density.tail_supremum(tail_start)
         if math.isinf(tail_bound) or math.isnan(tail_bound):
             raise TruncationError(
@@ -322,7 +323,6 @@ def build_generator(
             )
         new = np.arange(q_max + 1, min(2 * q_max, _Q_CAP) + 1)
         q_values = np.concatenate([-new[::-1], new])
-        coefficients = h.harmonics(q_values)
         q_max = int(new[-1])
 
 
@@ -437,23 +437,30 @@ def _perp_mantissas(
     return coupling, omega**3, shrink, z, exponent + a + 3 * w - 2 * s
 
 
+def _propagate(g: LindbladGenerator, x0: np.ndarray, times) -> np.ndarray:
+    """``g.blocks.propagate``, or FloatingPointError naming the first t where
+    e^{tL} x0 is not finite, as rates near the largest double can make it."""
+    out = g.blocks.propagate(x0, times)
+    finite = np.isfinite(out.view(float)).ravel()  # one time after another
+    if not finite.all():
+        t = times[np.argmin(finite) // (len(finite) // len(out))]
+        raise FloatingPointError(
+            f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the "
+            f"generator's largest entry is {float(np.max(np.abs(g.floquet_superop)))!r}"
+            " in magnitude"
+        )
+    return out
+
+
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only.
 
-    Raises FloatingPointError when the map has an inf or NaN entry, as
-    e^{tL} of a finite generator can where its rates near the largest double.
-    """
+    Raises FloatingPointError where it has an inf or NaN entry."""
     if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
     change = g.decomposition.change
-    floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
-    superop = change @ floquet_map @ change.conj().T
-    if not np.isfinite(superop).all():
-        raise FloatingPointError(
-            f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the generator's "
-            f"largest entry is {float(np.max(np.abs(g.floquet_superop)))!r} in magnitude"
-        )
-    return superop
+    floquet_map = _propagate(g, np.eye(len(change), dtype=complex), [t])[0]
+    return change @ floquet_map @ change.conj().T
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:

@@ -95,7 +95,8 @@ def quadrature_harmonics(
     FFT pass so very fine grids stay cheap; the estimator itself is still
     the unweighted midpoint rule.  Returns the Floquet-basis tensor
     indexed [q + q_max, k, l], laid out like one coupling's slice of
-    ``HarmonicDecomposition.coefficients`` so the two compare entrywise.
+    ``HarmonicDecomposition.harmonics`` over q = -q_max .. q_max, so the
+    two compare entrywise.
     """
     if n_samples < max(1, 8 * q_max):
         raise ValueError("need n_samples >= 8 * q_max for trustworthy sums")

@@ -162,12 +162,17 @@ def frequency_label(h, omega):
     return idx
 
 
+def harmonics_to_q_max(h):
+    """``h.harmonics`` at q = -q_max .. q_max, indexed [alpha, q + q_max, k, l]."""
+    return h.harmonics(np.arange(-h.q_max, h.q_max + 1))
+
+
 def component(h, alpha, omega, q, basis="floquet"):
     """Matrix S_alpha(omega, q) of ``h``, in the Floquet or original basis."""
     if abs(q) > h.q_max:
-        raise KeyError(f"|q| = {abs(q)} exceeds stored q_max = {h.q_max}")
+        raise KeyError(f"|q| = {abs(q)} exceeds q_max = {h.q_max}")
     mask = h.decomposition.cluster_index == frequency_label(h, omega)
-    mat = np.where(mask, h.coefficients[alpha, q + h.q_max], 0.0)
+    mat = np.where(mask, h.harmonics(np.array([q]))[alpha, 0], 0.0)
     if basis == "floquet":
         return mat
     if basis == "original":
@@ -177,8 +182,8 @@ def component(h, alpha, omega, q, basis="floquet"):
 
 
 def parseval_weight(h, alpha):
-    """Squared Frobenius weight held by the stored harmonics of a coupling."""
-    return float(np.sum(np.abs(h.coefficients[alpha]) ** 2))
+    """Squared Frobenius weight a coupling's harmonics |q| <= q_max hold."""
+    return float(np.sum(np.abs(harmonics_to_q_max(h)[alpha]) ** 2))
 
 
 def reference_generator(h, densities, rel_tol):
@@ -193,6 +198,7 @@ def reference_generator(h, densities, rel_tol):
     model, couplings, q_max = h.model, list(h.couplings), h.q_max
     while True:
         current = harmonic_decomposition(model, couplings, q_max)
+        coefficients = harmonics_to_q_max(current)
         terms = []  # (rate, component) of every nonzero component
         scale = tail_bound = 0.0
         quasi = current.decomposition.quasienergies
@@ -201,9 +207,7 @@ def reference_generator(h, densities, rel_tol):
             for idx, omega in enumerate(current.decomposition.frequencies):
                 mask = current.decomposition.cluster_index == idx
                 for q in range(-q_max, q_max + 1):
-                    component = np.where(
-                        mask, current.coefficients[alpha, q + q_max], 0.0
-                    )
+                    component = np.where(mask, coefficients[alpha, q + q_max], 0.0)
                     weight = float(np.sum(np.abs(component) ** 2))
                     if weight == 0.0:
                         continue
@@ -211,7 +215,7 @@ def reference_generator(h, densities, rel_tol):
                     assert rate >= 0.0
                     terms.append((rate, component))
                     scale += rate * weight
-            total = current.coupling_weight(alpha)
+            total = float(np.sum(np.abs(couplings[alpha]) ** 2))
             leftover = max(total - parseval_weight(current, alpha), 0.0)
             if leftover > lindblad._PARSEVAL_FLOOR * total:
                 tail_bound += leftover * density.tail_supremum(tail_start)
@@ -493,7 +497,7 @@ def reconstruct_heisenberg(h, t, alpha=0):
     quasi = h.decomposition.quasienergies
     q_values = np.arange(-h.q_max, h.q_max + 1)
     harmonic_phases = np.exp(1j * h.model.omega * t * q_values)
-    summed = np.tensordot(harmonic_phases, h.coefficients[alpha], axes=(0, 0))
+    summed = np.tensordot(harmonic_phases, h.harmonics(q_values)[alpha], axes=(0, 0))
     pair_phase = np.exp(1j * (quasi[:, None] - quasi[None, :]) * t)
     v = h.decomposition.basis
     return v @ (summed * pair_phase) @ v.conj().T

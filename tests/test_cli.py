@@ -1088,6 +1088,24 @@ def test_main_rejects_a_trajectory_that_starts_before_zero(tmp_path, capsys):
     assert not (tmp_path / "traj.tsv").exists()
 
 
+def test_a_trajectory_whose_states_are_not_finite_is_a_numeric_failure(
+    tmp_path, capsys
+):
+    """Rates near the largest double make e^(tL) rho0 NaN: ``evolve``'s
+    FloatingPointError is a numeric failure, not a config error."""
+    body = (
+        TRAJECTORY_CONFIG.replace("t2 = 2.0", "t2 = 2.2250738585072014e-308")
+        .replace("tau_c = 3.0", "tau_c = 1e19")
+        .replace("period = 1.3", "period = 1.0\n    strength = 5e-324")
+        .replace("omega0 = 5.0", "omega0 = 1.0")
+        .replace("stop = 10.0", "stop = 1e-268")
+    )
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: e^(tL) at t = ")
+    assert not (tmp_path / "traj.tsv").exists()
+
+
 def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):
     outside = TRAJECTORY_CONFIG.replace("x1_0 = 0.0", "x1_0 = 0.8")
     config = write_config(tmp_path, outside)

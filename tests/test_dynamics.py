@@ -53,7 +53,9 @@ from floqlind.lindblad import (
     semigroup,
     verify_cptp,
 )
-from floqlind.operators import PAULI_Z, as_density, bloch_from_density, unvec, vec
+from floqlind.operators import (
+    PAULI_X, PAULI_Z, as_density, bloch_from_density, unvec, vec,
+)
 from floqlind.oracle import integrate_master_equation
 
 
@@ -113,6 +115,24 @@ def test_evolve_argument_errors(longitudinal):
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 evolve(m, g, rho0, [0.0, bad], frame=frame)
+
+
+@pytest.mark.parametrize("frame", ["interaction", "rotating", "lab"])
+def test_evolve_of_rates_near_the_largest_double_raises_naming_t(frame):
+    """The generator is finite, its largest entry 9.0e307, but e^(tL) rho0
+    has NaN entries from t = 2.5e-269 on (finite at 1e-270): a
+    FloatingPointError naming that t, as ``semigroup`` raises, not the
+    ValueError ``as_densities`` raises for a user's non-finite matrix."""
+    m = KickedModel(h0=np.zeros((2, 2)), kick=PAULI_X, strength=5e-324, period=1.0)
+    harmonics = harmonic_decomposition(m, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+    g = build_generator(
+        harmonics, (Lorentzian(t2=2.2250738585072014e-308, tau_c=1e19),),
+        rel_tol=1e-8,
+    )
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = np.array([0.0, 1e-290, 1e-270, 2.5e-269, 1e-268])
+    with pytest.raises(FloatingPointError, match=re.escape("e^(tL) at t = 2.5e-269 ")):
+        evolve(m, g, rho0, times, frame=frame, omega_ext=1.0)
 
 
 def test_evolve_rejects_a_model_other_than_the_generators(longitudinal):
