@@ -316,7 +316,11 @@ class HarmonicDecomposition:
         return _pole_form(*_poles(self.decomposition, list(self.couplings)))
 
     def harmonics(self, q_values: np.ndarray) -> np.ndarray:
-        """Coefficients [alpha, i, k, l] at harmonic q_values[i], as a new array."""
+        """Coefficients [alpha, i, k, l] at harmonic q_values[i], as a new array;
+        q_values of a float dtype raise TypeError, even when integral."""
+        q_values = np.asarray(q_values)
+        if q_values.dtype.kind not in "iu":
+            raise TypeError(f"q_values must be integers, got dtype {q_values.dtype}")
         values = _fourier_tensor(*self._weighted_poles, q_values)
         return values.reshape(values.shape[:2] + (self.dim, self.dim))
 

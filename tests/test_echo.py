@@ -1,14 +1,17 @@
 """Detuning-ensemble averaging and rate-inversion tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import reference_characteristic_function, reference_echo_signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import _extract_config
 
-from floqlind import echo
+from floqlind import cli, echo
 from floqlind.dynamics import TLSParams, closed_form_parallel
 from floqlind.echo import (
     DiscreteDetuning,
@@ -446,6 +449,100 @@ def test_a_fit_whose_search_leaves_the_double_range_scales_with_t_fast(
     result = extract_tau_c(1.0, ratio, t_fast=t_fast)
     assert result.tau_c == pytest.approx(reference.tau_c * t_fast, rel=1e-14, abs=0.0)
     assert result.residual == pytest.approx(reference.residual, abs=1e-15)
+
+
+# --------------------------------------------------------- the root search
+
+PORT = echo._brentq
+CUBE_TANH_TOLERANCES = [(1e-15, 1e-15), (2e-12, 4.0 * 2.0**-52), (1e-3, 1e-6)]
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol):
+    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+
+def _counted(solver, f, *args, **kwargs):
+    """(solver's root or the type of what it raised, f's call count)."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(counting, *args, **kwargs), len(calls)
+    except Exception as exc:
+        return type(exc), len(calls)
+
+
+def _extraction_through(solver, *rates):
+    """extract_tau_c(*rates) as a list, or the type of what it raised, with
+    its root search done by solver; and the misfit's calls in each search."""
+    counts = []
+
+    def search(f, *args, **kwargs):
+        root, count = _counted(solver, f, *args, **kwargs)
+        counts.append(count)
+        if isinstance(root, type):
+            raise root("raised in the root search")
+        return root
+
+    with mock.patch.object(echo, "_brentq", search):
+        try:
+            r = extract_tau_c(*rates)
+        except Exception as exc:
+            return type(exc), counts
+    return [r.t2, r.tau_c, r.residual, r.degenerate], counts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    eta_slow=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    t_fast=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.floats(-20.0, 0.0).map(lambda e: 10.0**e),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+def test_extraction_keeps_the_floats_of_scipy_brentq(eta_slow, t_fast, ratio):
+    """Over the whole double range, the in-house search gives every float,
+    and every exception type, that scipy.optimize.brentq gives on the same
+    misfit, calling the misfit as many times."""
+    rates = (eta_slow, eta_slow * ratio, t_fast)
+    assert _extraction_through(PORT, *rates) == _extraction_through(_scipy_brentq, *rates)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(c=st.floats(-27.0, 27.0), tolerances=st.sampled_from(CUBE_TANH_TOLERANCES))
+def test_brentq_is_scipy_brentq_on_generic_brackets(c, tolerances):
+    """x^3 - c and tanh(x) - c/27, the root at an end of the bracket where
+    |c| = 27: the same root and the same number of calls."""
+    for f, xa, xb in (
+        (lambda x: x**3 - c, -3.0, 3.0),
+        (lambda x: math.tanh(x) - c / 27.0, -20.0, 20.0),
+    ):
+        assert (_counted(PORT, f, xa, xb, *tolerances)
+                == _counted(_scipy_brentq, f, xa, xb, *tolerances))
+
+
+def test_brentq_refuses_a_bracket_without_a_sign_change_as_scipy_does():
+    for f in (lambda x: x * x + 1.0, lambda x: 1e-200):  # 1e-200^2 underflows
+        assert _counted(PORT, f, -1.0, 1.0, 1e-12, 1e-12) == (ValueError, 2)
+        assert _counted(_scipy_brentq, f, -1.0, 1.0, 1e-12, 1e-12) == (ValueError, 2)
+
+
+def test_an_exhausted_root_search_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    """With the iteration cap lowered to 1 the search runs out: a
+    FloatingPointError names the bracket, and the CLI exits 3 without
+    writing a table."""
+    monkeypatch.setattr(echo, "_BRENTQ_MAXITER", 1)
+    with pytest.raises(FloatingPointError, match=r"no root found in \[-3\.0, 3\.0\]"):
+        PORT(lambda x: x**3 - 2.0, -3.0, 3.0, 1e-15, 1e-15)
+    rows = [(5000.0, 0.5), (0.37, rate_parallel_closed(0.37, 2.0, 1.0).eta)]
+    assert cli.main([str(_extract_config(tmp_path, rows))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: no root found in [")
+    assert list(tmp_path.glob("*.tsv")) == []
 
 
 def test_read_rate_measurements(tmp_path):

@@ -631,6 +631,23 @@ def test_harmonics_at_one_q_match_it_in_a_range():
     assert h.harmonics(np.arange(0)).shape == (1, 0, 2, 2)
 
 
+def test_harmonics_take_only_integer_harmonics():
+    """A float q, even an integral one, raises TypeError, as a float q_max
+    does; the quick-start TLS once gave a coefficient at q = 2.5.  Integer
+    arrays of any width keep the bits of the range the build uses."""
+    m = KickedModel(h0=0.3 * PAULI_Z, kick=PAULI_X, strength=math.pi / 2, period=1.3)
+    h = harmonic_decomposition(m, [PAULI_Z / math.sqrt(2.0)], q_max=4)
+    for q_values in (np.array([2.5]), np.array([2.0]), [2.0]):
+        with pytest.raises(TypeError, match="q_values must be integers"):
+            h.harmonics(q_values)
+    with pytest.raises(TypeError):
+        harmonic_decomposition(m, [PAULI_Z / math.sqrt(2.0)], q_max=2.0)
+    in_range = harmonics_to_q_max(h)[:, 6:7]
+    for q_values in (np.array([2]), np.array([2], dtype=np.int32),
+                     np.array([2], dtype=np.uint8), [2]):
+        np.testing.assert_array_equal(h.harmonics(q_values), in_range)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 9])
 def test_extended_matches_a_fresh_decomposition(dim):
     """The harmonics beyond q_max, as build_generator's doubling rounds

@@ -2,14 +2,14 @@
 
 `import floqlind` and `floqlind.cli` load numpy and the `scipy` package
 alone.  `scipy.linalg` takes about 0.2 s to import and loads at the first
-matrix function: a build, a semigroup, an evolve.  The CLI's rate and
-echo tables call none, so they never pay it.  `scipy.optimize` takes
-about 0.4 s, `scipy.linalg` included, and only `extract_tau_c` uses it:
-every tail bound, `PhononCutoff`'s at finite temperature too, is a closed
-form.  Each check runs in a fresh interpreter, so that the modules this
-test session has already imported cannot hide a module-level import.
+matrix function: a build, a semigroup, an evolve.  The CLI's rate, echo
+and extract-tauc tables call none, so they never pay it.  `scipy.optimize`
+takes about 0.4 s, `scipy.linalg` included, and nothing in floqlind uses
+it: `extract_tau_c` runs its own Brent root search, and every tail bound,
+`PhononCutoff`'s at finite temperature too, is a closed form.  Each check
+runs in a fresh interpreter, so that the modules this test session has
+already imported cannot hide a module-level import.
 """
-
 import json
 import os
 import subprocess
@@ -20,6 +20,7 @@ from conftest import SRC
 from test_cli import (
     AUDIT_CONFIG,
     ECHO_CONFIG,
+    EXTRACT_CONFIG,
     PARALLEL_CONFIG,
     PERP_CONFIG,
     TRAJECTORY_CONFIG,
@@ -91,17 +92,19 @@ def test_a_lorentzian_build_and_its_dynamics_never_load_scipy_optimize():
     assert out == [50, 3]
 
 
-def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
-    """The rate and echo tables call no matrix function; the trajectory and
-    the audit build a generator.  No scenario without a root loads
-    scipy.optimize."""
+def test_cli_table_scenarios_load_neither_deferred_module(tmp_path):
+    """The rate, echo and extract-tauc tables call no matrix function and
+    load neither deferred module; the trajectory and the audit build a
+    generator, which loads scipy.linalg.  No scenario loads scipy.optimize."""
     bodies = {
         "rates-parallel": PARALLEL_CONFIG,
         "rates-perp": PERP_CONFIG,
         "echo": ECHO_CONFIG,
+        "extract-tauc": EXTRACT_CONFIG,
         "trajectory": TRAJECTORY_CONFIG,
         "generator-audit": AUDIT_CONFIG,
     }
+    (tmp_path / "measured.txt").write_text("5000.0 0.5\n0.37 0.1\n", encoding="ascii")
     paths = [
         str(write_config(tmp_path, body, name=f"{scenario}.ini"))
         for scenario, body in bodies.items()
@@ -113,7 +116,9 @@ def test_cli_scenarios_without_a_root_never_load_scipy_optimize(tmp_path):
     ]
     loaded, _ = _run_steps(steps, *paths)
     assert loaded == {
-        **dict.fromkeys(["import", "rates-parallel", "rates-perp", "echo"], []),
+        **dict.fromkeys(
+            ["import", "rates-parallel", "rates-perp", "echo", "extract-tauc"], []
+        ),
         **dict.fromkeys(["trajectory", "generator-audit"], LINALG),
     }
 
@@ -150,7 +155,7 @@ def test_a_finite_temperature_phonon_build_never_loads_scipy_optimize():
     assert out == [[0.1861113812209537, 0.05862971252138497, 0.4049364899124524], 32]
 
 
-def test_extract_tau_c_loads_scipy_optimize_and_keeps_its_floats():
+def test_extract_tau_c_loads_neither_deferred_module_and_keeps_its_floats():
     loaded, out = _run_steps([
         ("import", "import floqlind"),
         ("extract", textwrap.dedent("""
@@ -158,5 +163,5 @@ def test_extract_tau_c_loads_scipy_optimize_and_keeps_its_floats():
             out = [r.t2, r.tau_c, r.residual, r.degenerate]
         """)),
     ])
-    assert loaded == {"import": [], "extract": ["scipy.linalg", "scipy.optimize"]}
+    assert loaded == {"import": [], "extract": []}
     assert out == [2.0, 0.20832987774129025, 5.551115123125783e-17, False]
