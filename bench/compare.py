@@ -23,6 +23,12 @@ list round by round instead gave the second call of each pair the
 caches the first had warmed: B came out up to 2x faster than A on
 unchanged code.)
 
+Because both revisions run in one process, what depends on the process
+rather than the call does not show in the ratios: a revision's import
+cost, its resident memory (RSS), and the heap layout one tree's imports
+leave for the other's calls.  perfbench, one process per run, measures
+those.
+
 Per case the record holds each side's facts of the untimed call
 (``q_max_used`` and ``rounds`` of a generator build, ``bytes`` of a CLI
 table, prefixed ``a_`` and ``b_``), each side's best and median time, the

@@ -36,9 +36,10 @@ of rows laid out in one buffer each, and their bytes equal Python's
 Exit codes: 0 success, 2 malformed or incomplete config, or a value
 outside its domain (a nonpositive bath parameter or rel_tol, a sweep
 time before 0), 3 numeric failure (truncation, an invalid computed
-state, inconsistent or out-of-range data, an overflow).  A table never
-holds an inf or NaN cell: such a run exits 3, naming the scenario, the
-column and the first bad row, and writes no table.
+state, inconsistent or out-of-range data, an overflow, such as that of
+a lab-frame carrier's angle or of the dephasing rate eta).  A table
+never holds an inf or NaN cell: such a run exits 3, naming the
+scenario, the column and the first bad row, and writes no table.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def _echo(config: _Reader, seed: int, base: Path):
     )
     ensemble = _ensemble(config)
     eta = rate_parallel_closed(period, t2, tau_c).eta
+    if not math.isfinite(eta):
+        raise FloatingPointError(
+            f"echo: eta is {eta!r}, the rate overflowed; no table written"
+        )
     params = TLSParams(
         omega0=omega0, omega_ext=omega_ext, period=period, eta=eta
     )
@@ -437,10 +442,10 @@ _EXPONENTS = np.array(
 _SCALES = np.array([float(f"1e{12 - k}") for k in range(-_EXP, _EXP + 1)])
 
 
-def _scientific(values, cells=None) -> np.ndarray:
+def _scientific(values, cells) -> np.ndarray:
     """``b"%.12e" % v`` for every float v, NUL-padded: the bytes of
-    ``cells``, uint32 of shape ``values.shape + (_SLOTS,)`` (new if None,
-    else written in place), as an array shaped like ``values``.
+    ``cells``, uint32 of shape ``values.shape + (_SLOTS,)``, written in
+    place, as an array shaped like ``values``.
 
     With e = floor(log10|v|), stepped once where the product leaves
     [1e12, 1e13), the 13 significant digits are the integer nearest
@@ -456,8 +461,6 @@ def _scientific(values, cells=None) -> np.ndarray:
     arbitrary values.
     """
     values = np.asarray(values, dtype=float)
-    if cells is None:
-        cells = np.empty(values.shape + (_SLOTS,), np.uint32)
     magnitude = np.abs(values)
     fast = (magnitude > 1e-280) & (magnitude < 1e280)
     # Zeros and huge magnitudes get a stand-in in range; % prints them.

@@ -44,7 +44,7 @@ import numpy as np
 from .bath import _math_map
 from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, floor_frac
-from .lindblad import LindbladGenerator, _propagate
+from .lindblad import LindbladGenerator
 from .operators import (
     _conjugate, as_densities, as_density, bloch_from_density,
     density_from_bloch, vec,
@@ -132,7 +132,8 @@ def evolve(
     with tau = frac T and M = W† V, which is U(t) rho_I U(t)† with no
     per-time matrix product; the lab frame adds the carrier's phases.
 
-    Raises FloatingPointError naming the first t where e^{tL} rho0 is not finite.
+    Raises FloatingPointError naming the first t where e^{tL} rho0, or a
+    phase of U(t) or of the carrier, is not finite.
     """
     dec = g.decomposition
     if m is not dec.model:
@@ -156,7 +157,7 @@ def evolve(
     dim, period = dec.dim, dec.model.period
     v, w = dec.basis, dec.free_basis
     x0 = vec(v.conj().T @ rho0 @ v)[:, None]
-    floquet_states = _propagate(g, x0, times)[..., 0]
+    floquet_states = g.blocks.propagate(x0, times)[..., 0]
     floquet_states = floquet_states.reshape(len(times), dim, dim).swapaxes(1, 2)
     if frame == "interaction":
         states = as_densities(_conjugate(floquet_states, v))
@@ -168,13 +169,26 @@ def evolve(
     mix = w.conj().T @ v
 
     def dressed(n, frac, at):
-        kicks = np.exp(-1j * period * n[at, None] * dec.quasienergies)
-        free = np.exp(-1j * period * frac[at, None] * dec.free_energies)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            phases = [
+                np.exp(-1j * period * n[at, None] * dec.quasienergies),
+                np.exp(-1j * period * frac[at, None] * dec.free_energies),
+            ]
+            if frame == "lab":  # the carrier e^{-i omega_ext t sigma_z / 2}
+                phases.append(np.exp(
+                    -0.5j * omega_ext * times[at, None] * np.array([1.0, -1.0])
+                ))
+        finite = np.isfinite(np.hstack(phases)).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError(
+                f"the dressing phases at t = {float(times[at][np.argmin(finite)])!r}"
+                " are not finite: an angle overflowed"
+            )
+        kicks, free, *carrier = phases
         state = _phased(floquet_states[at], kicks)
         state = _conjugate(_phased(_conjugate(state, mix), free), w)
-        if frame == "lab":  # the carrier e^{-i omega_ext t sigma_z / 2}
-            carrier = np.exp(-0.5j * omega_ext * times[at, None] * np.array([1.0, -1.0]))
-            state = _phased(state, carrier)
+        if carrier:
+            state = _phased(state, carrier[0])
         return as_densities(state)
 
     states = dressed(n, frac, slice(None))

@@ -180,13 +180,16 @@ def echo_signal(
         <x2> = e^{-2 eta t} <sin phi> x1(0) + (-1)^n e^{-eta t} <cos phi> x2(0)
 
     x0 holds finite (x1, x2) or (x1, x2, x3); x3 is not echoed and is
-    ignored.  Defined for times t >= 0 only: an earlier time, where the
-    decay factors would grow, raises DomainError.
+    ignored.  times is one time or a 1-D array of them; more dimensions
+    raise ValueError.  Defined for times t >= 0 only: an earlier time,
+    where the decay factors would grow, raises DomainError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((2,), (3,)) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be 2 or 3 finite Bloch components, got {x0}")
     times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or 1-D, got shape {times.shape}")
     n, avg_cos, avg_sin = _ensemble_phase(e, p, times)
     x1, x2, _ = _kicked_motion(
         p.eta, times, n, avg_cos, avg_sin, (*x0[:2].tolist(), 0.0)

@@ -22,8 +22,9 @@ Floquet-basis matrix element |k><l| (Breuer and Petruccione, The Theory
 of Open Quantum Systems, sec. 3.3), so in the Floquet basis it is block
 diagonal by frequency cluster.  ``BohrBlocks`` keeps those blocks in
 stacks of one size, each exponentiated in one call, with the structure
-the exact map imposes on it (see ``BohrBlocks``); ``semigroup`` and
-``dynamics.evolve`` both read them.
+the exact map imposes on it (see ``BohrBlocks``).  ``semigroup`` and
+``dynamics.evolve`` both apply them through ``BohrBlocks.propagate``,
+which raises FloatingPointError where e^{tL} is not finite.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class BohrBlocks:
       ``to_rest`` (Q) takes x to the non-trace coordinates less their
       stationary value, and ``from_rest`` (R) maps those back with zero
       trace.
+    * ``largest`` is the generator's largest entry in magnitude, which
+      names the scale when e^{tL} is not finite.
     """
 
     coherences: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -105,9 +108,11 @@ class BohrBlocks:
     to_rest: np.ndarray
     from_rest: np.ndarray
     rates: np.ndarray
+    largest: float
 
     def propagate(self, x0: np.ndarray, times) -> np.ndarray:
-        """e^{tL} x0 at every time: x0 is (d², k), the result (len(times), d², k)."""
+        """e^{tL} x0 at every time: x0 is (d², k), the result (len(times), d², k).
+        Raises FloatingPointError naming the first t where it is not finite."""
         times = np.asarray(times, dtype=float)[:, None, None]
         out = np.empty((len(times),) + x0.shape, dtype=complex)
         for indices, mirror, blocks in self.coherences:
@@ -118,6 +123,13 @@ class BohrBlocks:
         decay = scipy.linalg.expm(times * self.rates) @ (self.to_rest @ populations)
         stationary = np.outer(self.stationary, self.trace @ populations)
         out[:, self.zeros] = stationary + self.from_rest @ decay
+        finite = np.isfinite(out.view(float)).ravel()  # one time after another
+        if not finite.all():
+            t = times.flat[np.argmin(finite) // (len(finite) // len(out))]
+            raise FloatingPointError(
+                f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the "
+                f"generator's largest entry is {self.largest!r} in magnitude"
+            )
         return out
 
 
@@ -157,6 +169,7 @@ def _bohr_blocks(floquet_superop: np.ndarray, cluster: np.ndarray) -> BohrBlocks
         to_rest=to_real[1:] - np.outer(rest, to_real[0]),
         from_rest=from_real[:, 1:],
         rates=rates,
+        largest=float(np.max(np.abs(floquet_superop))),
     )
 
 
@@ -437,21 +450,6 @@ def _perp_mantissas(
     return coupling, omega**3, shrink, z, exponent + a + 3 * w - 2 * s
 
 
-def _propagate(g: LindbladGenerator, x0: np.ndarray, times) -> np.ndarray:
-    """``g.blocks.propagate``, or FloatingPointError naming the first t where
-    e^{tL} x0 is not finite, as rates near the largest double can make it."""
-    out = g.blocks.propagate(x0, times)
-    finite = np.isfinite(out.view(float)).ravel()  # one time after another
-    if not finite.all():
-        t = times[np.argmin(finite) // (len(finite) // len(out))]
-        raise FloatingPointError(
-            f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the "
-            f"generator's largest entry is {float(np.max(np.abs(g.floquet_superop)))!r}"
-            " in magnitude"
-        )
-    return out
-
-
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only.
 
@@ -459,7 +457,7 @@ def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
     change = g.decomposition.change
-    floquet_map = _propagate(g, np.eye(len(change), dtype=complex), [t])[0]
+    floquet_map = g.blocks.propagate(np.eye(len(change), dtype=complex), [t])[0]
     return change @ floquet_map @ change.conj().T
 
 

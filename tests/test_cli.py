@@ -408,15 +408,20 @@ def test_writing_a_mixed_table_makes_no_call_per_cell(tmp_path):
     assert calls(4000) == calls(10) < 50
 
 
+def _cells(values):
+    """A buffer for _scientific's cells of values."""
+    return np.empty(np.shape(values) + (cli._SLOTS,), np.uint32)
+
+
 def _printed(values):
     """_scientific's cells with their NUL padding dropped."""
-    cells = cli._scientific(np.asarray(values, dtype=float))
+    cells = cli._scientific(np.asarray(values, dtype=float), _cells(values))
     return [cell.replace(b"\0", b"") for cell in cells.ravel().tolist()]
 
 
 def _assert_prints_as_percent(values):
     values = np.asarray(values, dtype=float)
-    assert cli._scientific(values).shape == values.shape
+    assert cli._scientific(values, _cells(values)).shape == values.shape
     assert _printed(values) == [b"%.12e" % value for value in values.ravel().tolist()]
 
 
@@ -1104,6 +1109,45 @@ def test_a_trajectory_whose_states_are_not_finite_is_a_numeric_failure(
     err = capsys.readouterr().err
     assert err.startswith("floqlind: numeric failure: e^(tL) at t = ")
     assert not (tmp_path / "traj.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "model, stop",
+    [("omega0 = 5.0", "1e308"), ("omega0 = 1.7976931348623157e308", "10.0"),
+     ("omega0 = 5.0\n    frame = rotating\n    strength = 3.0", "1e308")],
+    ids=["late-carrier", "largest-carrier", "rotating-kicks"],
+)
+def test_a_dressing_phase_that_overflows_is_a_numeric_failure(
+    tmp_path, capsys, model, stop
+):
+    """The carrier's angle omega_ext t / 2, or the kicks' eps n T, overflows
+    before t/T does: a numeric failure naming t, not the config error of a
+    user's matrix."""
+    body = (TRAJECTORY_CONFIG.replace("omega0 = 5.0", model)
+            .replace("stop = 10.0", f"stop = {stop}"))
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: numeric failure: the dressing phases at t = ")
+    assert "non-finite" not in err
+    assert not (tmp_path / "traj.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, output",
+    [(PARALLEL_CONFIG, "rates.tsv"), (TRAJECTORY_CONFIG, "traj.tsv"),
+     (AUDIT_CONFIG, "audit.tsv"), (ECHO_CONFIG, "echo.tsv")],
+    ids=["rates-parallel", "trajectory", "generator-audit", "echo"],
+)
+def test_an_overflowing_dephasing_rate_is_a_numeric_failure_in_every_scenario(
+    tmp_path, capsys, config, output
+):
+    """At t2 = 1e-320 the rate 1/t2 overflows to inf: every scenario that
+    reads this bath exits 3 and writes no table."""
+    body = config.replace("t2 = 2.0", "t2 = 1e-320")
+    assert "t2 = 1e-320" in body and "tau_c = 3.0" in body
+    assert cli.main([str(write_config(tmp_path, body))]) == 3
+    assert capsys.readouterr().err.startswith("floqlind: numeric failure: ")
+    assert not (tmp_path / output).exists()
 
 
 def test_main_rejects_a_bloch_vector_outside_the_ball(tmp_path, capsys):

@@ -6,8 +6,10 @@ the subnormals.  ``cli.main`` must return 0, 2 or 3 and raise nothing;
 pytest's ``filterwarnings = error`` makes any warning a failure.  The
 exception behind a nonzero exit must be raised in floqlind's own code, or
 be a ``configparser.Error`` or ``OSError``: never a numpy or scipy error
-passed through, and never an errno tuple such as ``(34, 'Numerical
-result out of range')``.  The ranges are not narrowed for speed; configs
+passed through, never an errno tuple such as ``(34, 'Numerical
+result out of range')``, and never the "matrix has non-finite entries"
+that ``operators`` reserves for a user's matrix, since no config supplies
+one.  The ranges are not narrowed for speed; configs
 that double the truncation up to its ``q_max`` ceiling, the slowest
 examples, stay in the space, and the example counts are sized for the
 suite's run time instead.
@@ -28,6 +30,7 @@ from floqlind import cli
 
 PACKAGE = Path(cli.__file__).resolve().parent
 ERRNO_TUPLE = re.compile(r"^\(\d+, '")
+NON_FINITE_MATRIX = "matrix has non-finite entries"  # a user's matrix only
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
@@ -163,6 +166,8 @@ def _check_exit_contract(scenario: str, sections: dict) -> None:
     assert bool(failures) == (code != 0)
     for exc in failures:
         assert not ERRNO_TUPLE.match(str(exc)), repr(exc)
+        # No config supplies a matrix: a non-finite one was computed.
+        assert str(exc) != NON_FINITE_MATRIX, repr(exc)
         assert (_raised_in_floqlind(exc)
                 or isinstance(exc, (configparser.Error, OSError))), repr(exc)
 

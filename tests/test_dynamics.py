@@ -135,6 +135,40 @@ def test_evolve_of_rates_near_the_largest_double_raises_naming_t(frame):
         evolve(m, g, rho0, times, frame=frame, omega_ext=1.0)
 
 
+def test_a_lab_frame_carrier_that_overflows_is_a_numeric_failure(longitudinal):
+    """At omega_ext = 5 the carrier's angle omega_ext t / 2 passes the
+    largest double between t = 5e307 and 7.5e307, while t/T stays finite,
+    and at the largest omega_ext between t = 1 and 2.5:
+    FloatingPointError naming that t, with no numpy warning, not the
+    ValueError ``as_densities`` raises for a user's non-finite matrix."""
+    m, g = longitudinal.model, longitudinal.generator
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = np.linspace(0.0, 1e308, 5)
+    for left in (False, True):
+        with pytest.raises(FloatingPointError, match=re.escape("at t = 7.5e+307 ")):
+            evolve(m, g, rho0, times, frame="lab", omega_ext=5.0,
+                   emit_left_limits=left)
+        with pytest.raises(FloatingPointError, match=re.escape("at t = 2.5 ")):
+            evolve(m, g, rho0, [0.0, 1.0, 2.5], frame="lab",
+                   omega_ext=1.7976931348623157e308, emit_left_limits=left)
+    states = evolve(m, g, rho0, times[:3], frame="lab", omega_ext=5.0).states
+    assert np.isfinite(states).all()
+
+
+def test_a_kick_phase_that_overflows_is_a_numeric_failure():
+    """Quasienergies +-3 at T = 1: the kicks' angle eps n T passes the
+    largest double between t = 5e307 and 7.5e307 in the rotating frame."""
+    m = KickedModel(h0=np.zeros((2, 2)), kick=PAULI_X, strength=3.0, period=1.0)
+    harmonics = harmonic_decomposition(m, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+    g = build_generator(harmonics, (Lorentzian(t2=2.0, tau_c=3.0),))
+    assert np.array_equal(np.abs(g.decomposition.quasienergies), [3.0, 3.0])
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = np.linspace(0.0, 1e308, 5)
+    with pytest.raises(FloatingPointError, match=re.escape("at t = 7.5e+307 ")):
+        evolve(m, g, rho0, times, frame="rotating")
+    assert np.isfinite(evolve(m, g, rho0, times, frame="interaction").states).all()
+
+
 def test_evolve_rejects_a_model_other_than_the_generators(longitudinal):
     """Even an equal copy: the state would be dressed with another U(t)."""
     m, g = longitudinal.model, longitudinal.generator

@@ -340,6 +340,27 @@ def test_echo_signal_rejects_a_bad_initial_vector(x0):
         echo_signal(GaussianDetuning(sigma=1.0), _params(), x0, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("times", [[[0.1, 0.2]], [[0.1], [0.2]], np.zeros((2, 2, 1))])
+def test_echo_signal_refuses_times_of_more_than_one_dimension(times):
+    """Refused as ``evolve`` refuses them: a (1, 2) grid would give a (1, 4)
+    ``transverse``, whose rows are no longer times."""
+    with pytest.raises(ValueError, match="times"):
+        echo_signal(GaussianDetuning(sigma=1.0), _params(), (0.6, 0.8), times)
+
+
+def test_echo_signal_keeps_one_time_and_a_1d_array_of_times():
+    e, p = GaussianDetuning(sigma=1.0), _params()
+    times = np.array([0.1, 0.2, 0.65])
+    signal = echo_signal(e, p, (0.6, 0.8), times)
+    assert signal.transverse.shape == (3, 2)
+    for i, t in enumerate(times.tolist()):
+        one = echo_signal(e, p, (0.6, 0.8), t)
+        assert one.avg_cos.shape == () and one.transverse.shape == (1, 2)
+        assert one.avg_cos.tobytes() == signal.avg_cos[i].tobytes()
+        assert one.avg_sin.tobytes() == signal.avg_sin[i].tobytes()
+        assert one.transverse.tobytes() == signal.transverse[i].tobytes()
+
+
 def test_echo_signal_ignores_x3():
     times = np.linspace(0.0, 6.0, 25)
     e = GaussianDetuning(sigma=1.0)

@@ -702,6 +702,28 @@ def test_semigroup_of_rates_near_the_largest_double_raises_naming_t():
         semigroup(g, 8.5e-269)
 
 
+def test_propagate_itself_raises_where_the_semigroup_is_not_finite():
+    """The guard is in ``BohrBlocks.propagate``, so no caller can skip it:
+    on the generator above it raises semigroup's message, naming the first
+    bad time and the generator's largest entry."""
+    m = KickedModel(h0=np.zeros((2, 2)), kick=PAULI_X, strength=5e-324, period=1.0)
+    harmonics = harmonic_decomposition(m, (PAULI_Z / math.sqrt(2.0),), q_max=64)
+    g = build_generator(
+        harmonics, (Lorentzian(t2=2.2250738585072014e-308, tau_c=1e19),),
+        rel_tol=1e-8,
+    )
+    largest = float(np.max(np.abs(g.floquet_superop)))
+    message = (
+        "e^(tL) at t = 8.5e-269 has an inf or NaN entry; the generator's "
+        f"largest entry is {largest!r} in magnitude"
+    )
+    x0 = np.eye(4, dtype=complex)
+    for times in ([8.5e-269], [0.0, 1e-290, 8.5e-269, 1e-268]):
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            g.blocks.propagate(x0, times)
+    assert np.isfinite(g.blocks.propagate(x0, [0.0, 1e-290])).all()
+
+
 def test_semigroup_contracts_floquet_components(longitudinal):
     g = longitudinal.generator
     eta = longitudinal.eta
