@@ -178,8 +178,8 @@ def evolve(
                 phases.append(np.exp(
                     -0.5j * omega_ext * times[at, None] * np.array([1.0, -1.0])
                 ))
-        finite = np.isfinite(np.hstack(phases)).all(axis=1)
-        if not finite.all():
+        if not all(np.isfinite(p.view(float)).all() for p in phases):
+            finite = np.isfinite(np.hstack(phases)).all(axis=1)
             raise FloatingPointError(
                 f"the dressing phases at t = {float(times[at][np.argmin(finite)])!r}"
                 " are not finite: an angle overflowed"
