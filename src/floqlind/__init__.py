@@ -32,7 +32,9 @@ from .errors import (
     DomainError,
     HermiticityError,
     InconsistentDataError,
+    InputError,
     InvalidStateError,
+    NumericFailure,
     OutOfRangeError,
     StabilityError,
     TruncationError,
@@ -93,10 +95,12 @@ __all__ = [
     "HarmonicDecomposition",
     "HermiticityError",
     "InconsistentDataError",
+    "InputError",
     "InvalidStateError",
     "KickedModel",
     "LindbladGenerator",
     "Lorentzian",
+    "NumericFailure",
     "OutOfRangeError",
     "PAULI_X",
     "PAULI_Y",

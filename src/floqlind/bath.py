@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 
 # Smallest normal double.  Below it 1 - e^{-x} = x(1 - x/2 + ...) is x to
 # within rounding, while expm1 on a subnormal x keeps only a few bits.
@@ -102,7 +104,7 @@ class Lorentzian(SpectralDensity):
 
     def __post_init__(self) -> None:
         if not (0.0 < self.t2 < math.inf and 0.0 < self.tau_c < math.inf):
-            raise ValueError("t2 and tau_c must be finite and positive")
+            raise DomainError("t2 and tau_c must be finite and positive")
 
     def evaluate(self, omega):
         # x * x, not x ** 2: a float's ** is libm pow, which can round
@@ -153,9 +155,9 @@ class PhononCutoff(SpectralDensity):
 
     def __post_init__(self) -> None:
         if not (0.0 < self.coupling < math.inf and 0.0 < self.cutoff < math.inf):
-            raise ValueError("coupling and cutoff must be finite and positive")
+            raise DomainError("coupling and cutoff must be finite and positive")
         if not self.beta > 0.0:
-            raise ValueError(
+            raise DomainError(
                 "beta must be positive (use math.inf for zero temperature); "
                 "the beta = 0 density is infinite at every frequency"
             )

@@ -33,13 +33,12 @@ or str as it is.  The floats of a table are printed by numpy, in blocks
 of rows laid out in one buffer each, and their bytes equal Python's
 ``b"%.12e" % value``.
 
-Exit codes: 0 success, 2 malformed or incomplete config, or a value
-outside its domain (a nonpositive bath parameter or rel_tol, a sweep
-time before 0), 3 numeric failure (truncation, an invalid computed
-state, inconsistent or out-of-range data, an overflow, such as that of
-a lab-frame carrier's angle or of the dephasing rate eta).  A table
-never holds an inf or NaN cell: such a run exits 3, naming the
-scenario, the column and the first bad row, and writes no table.
+Exit codes: 0 success; 2 an ``errors.InputError`` (a malformed config or
+data file, a value outside its domain), ``configparser.Error`` or
+``OSError``; 3 an ``errors.NumericFailure`` (truncation, an invalid
+computed state, data no fit admits, an overflow); any other exception is
+a bug.  A table never holds an inf or NaN cell: such a run exits 3,
+naming the scenario, the column and the first bad row; no table is written.
 """
 
 from __future__ import annotations
@@ -64,11 +63,7 @@ from .echo import (
     read_rate_measurements,
 )
 from .errors import (
-    ConfigError,
-    InconsistentDataError,
-    InvalidStateError,
-    OutOfRangeError,
-    TruncationError,
+    ConfigError, InconsistentDataError, InputError, InvalidStateError, NumericFailure,
 )
 from .floquet import KickedModel, harmonic_decomposition
 from .lindblad import (
@@ -187,8 +182,8 @@ def _sweep_grid(config: _Reader, expected: str) -> np.ndarray:
     stop = config.float("sweep", "stop")
     points = config.int("sweep", "points")
     spacing = config.text("sweep", "spacing", "linear")
-    if points < 1:
-        raise ConfigError(f"[sweep] points must be at least 1, got {points}")
+    if not 1 <= points <= sys.maxsize // 8:  # the most float64s an array can hold
+        raise ConfigError(f"[sweep] points must be from 1 to 2^60 - 1, got {points}")
     if spacing == "linear":
         return np.linspace(start, stop, points)
     if spacing == "log":
@@ -310,7 +305,7 @@ def _echo(config: _Reader, seed: int, base: Path):
     ensemble = _ensemble(config)
     eta = rate_parallel_closed(period, t2, tau_c).eta
     if not math.isfinite(eta):
-        raise FloatingPointError(
+        raise NumericFailure(
             f"echo: eta is {eta!r}, the rate overflowed; no table written"
         )
     params = TLSParams(
@@ -326,17 +321,19 @@ def _generator_audit(config: _Reader, seed: int, base: Path):
     eta_closed = rate_parallel_closed(model.period, t2, tau_c).eta
     eta_generator = -generator.floquet_superop[1, 1].real
     if eta_closed == 0.0:
-        raise FloatingPointError(
+        raise NumericFailure(
             "generator-audit: eta_closed is 0 (underflow), so rel_residual "
             "is undefined; no table written"
         )
     rel_residual = abs(eta_generator - eta_closed) / eta_closed
     horizon = 5.0 / eta_closed
     if math.isinf(horizon):
-        raise FloatingPointError(
+        raise NumericFailure(
             f"generator-audit: the audit times span 5/eta_closed, which "
             f"overflows at eta_closed = {eta_closed!r}; no table written"
         )
+    if seed < 0:  # which numpy refuses with a bare ValueError
+        raise ConfigError(f"[run] seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, horizon, size=20)
     trace_defect = 0.0
@@ -388,7 +385,7 @@ def _extract_tauc(config: _Reader, seed: int, base: Path):
 
 
 def _require_finite(scenario: str, names, columns) -> None:
-    """Raise FloatingPointError at the first inf or NaN cell of the float
+    """Raise NumericFailure at the first inf or NaN cell of the float
     columns, so that no table ever prints one."""
     for name, column in zip(names, columns):
         column = np.asarray(column)
@@ -396,7 +393,7 @@ def _require_finite(scenario: str, names, columns) -> None:
             bad = np.flatnonzero(~np.isfinite(column))
             if bad.size:
                 row = int(bad[0])
-                raise FloatingPointError(
+                raise NumericFailure(
                     f"{scenario}: column {name} is {float(column[row])} in row "
                     f"{row + 1} of {len(column)}; no table written"
                 )
@@ -550,8 +547,11 @@ def _write_table(path: Path, scenario: str, names, columns, resolved) -> None:
 def run(config_path: Path) -> Path:
     """Execute the run described by an INI file, return the output path."""
     parser = configparser.ConfigParser()
-    with open(config_path, encoding="utf-8") as handle:
-        parser.read_file(handle)
+    try:
+        with open(config_path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except ValueError as exc:  # bytes that are not UTF-8, a NUL in the path
+        raise ConfigError(str(exc)) from None
     config = _Reader(parser)
     schema = config.raw("run", "schema_version")
     if schema.strip() != str(SCHEMA_VERSION):
@@ -579,6 +579,8 @@ def run(config_path: Path) -> Path:
         columns = scenario_columns(config, seed, base)
     config.reject_unread()
     _require_finite(scenario, names, columns)
+    if "\0" in output:  # which open() refuses with a bare ValueError
+        raise ConfigError("embedded null byte")
     _write_table(out_path, scenario, names, columns, config.resolved)
     return out_path
 
@@ -593,16 +595,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out_path = run(args.config)
-    except (
-        TruncationError,
-        ArithmeticError,
-        InconsistentDataError,
-        InvalidStateError,
-        OutOfRangeError,
-    ) as exc:
+    except NumericFailure as exc:
         print(f"floqlind: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, configparser.Error, ValueError, OSError) as exc:
+    except (InputError, configparser.Error, OSError) as exc:
         print(f"floqlind: config error: {exc}", file=sys.stderr)
         return 2
     print(out_path)

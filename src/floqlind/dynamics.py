@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import _math_map
+from .errors import InputError, NumericFailure
 from .errors import UnsupportedFrameError, UnsupportedRegimeError
 from .floquet import KickedModel, _before_kicks, floor_frac
 from .lindblad import LindbladGenerator
@@ -68,11 +69,11 @@ class TLSParams:
     def __post_init__(self) -> None:
         for name in ("omega0", "omega_ext", "period", "eta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.period > 0.0:
-            raise ValueError(f"period must be positive, got {self.period}")
+            raise InputError(f"period must be positive, got {self.period}")
         if not self.eta >= 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+            raise InputError(f"eta must be nonnegative, got {self.eta}")
 
     @property
     def delta(self) -> float:
@@ -83,7 +84,7 @@ class TLSParams:
 def _sample_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be a strictly increasing 1-D sequence")
+        raise InputError("times must be a strictly increasing 1-D sequence")
     return times
 
 
@@ -132,14 +133,14 @@ def evolve(
     with tau = frac T and M = W† V, which is U(t) rho_I U(t)† with no
     per-time matrix product; the lab frame adds the carrier's phases.
 
-    Raises FloatingPointError naming the first t where e^{tL} rho0, or a
+    Raises NumericFailure naming the first t where e^{tL} rho0, or a
     phase of U(t) or of the carrier, is not finite.
     """
     dec = g.decomposition
     if m is not dec.model:
-        raise ValueError("m is not the model the generator was built from")
+        raise InputError("m is not the model the generator was built from")
     if frame not in _FRAMES:
-        raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
+        raise UnsupportedFrameError(f"frame must be one of {_FRAMES}, got {frame!r}")
     if frame == "lab":
         if dec.dim != 2:
             raise UnsupportedFrameError(
@@ -147,7 +148,7 @@ def evolve(
                 f"and needs a two-level system, got dimension {dec.dim}"
             )
         if omega_ext is None:
-            raise ValueError("lab frame requires omega_ext")
+            raise InputError("lab frame requires omega_ext")
     rho0 = as_density(rho0)
     n, frac = floor_frac(times, dec.model.period)
     times = _sample_times(times)
@@ -180,7 +181,7 @@ def evolve(
                 ))
         if not all(np.isfinite(p.view(float)).all() for p in phases):
             finite = np.isfinite(np.hstack(phases)).all(axis=1)
-            raise FloatingPointError(
+            raise NumericFailure(
                 f"the dressing phases at t = {float(times[at][np.argmin(finite)])!r}"
                 " are not finite: an angle overflowed"
             )
@@ -219,8 +220,9 @@ def _kicked_motion(eta: float, t, n, cos_phi, sin_phi, x0):
     (cos, sin) phi or their ensemble averages: e^{-2 eta t} along,
     (-1)^n e^{-eta t} across and x3."""
     t = np.asarray(t)
-    slow = (1.0 - 2.0 * (np.asarray(n) % 2)) * _math_map(math.exp, -eta * t)
-    fast = _math_map(math.exp, -2.0 * eta * t)
+    with np.errstate(over="ignore"):  # e^-inf = 0, the limit
+        slow = (1.0 - 2.0 * (np.asarray(n) % 2)) * _math_map(math.exp, -eta * t)
+        fast = _math_map(math.exp, -2.0 * eta * t)
     return (
         fast * cos_phi * x0[0] - slow * sin_phi * x0[1],
         fast * sin_phi * x0[0] + slow * cos_phi * x0[1],
@@ -237,9 +239,12 @@ def closed_form_parallel(p: TLSParams, rho0: np.ndarray, t: float) -> np.ndarray
     component follows (-1)^n e^{-eta t}.
     """
     n, frac = floor_frac(t, p.period)
+    t, frac = float(t), float(frac)  # an overflow gives inf, with no warning
     x = bloch_from_density(as_density(rho0))
     phi = p.omega_ext * t + p.delta * _echo_offset(p.period, frac)
     start = p.delta * _echo_offset(p.period, 0.0)  # the echo phase at t = 0
+    if not all(map(math.isfinite, (phi, start, 2.0 * p.eta * t))):
+        raise NumericFailure(f"the echo phase or decay exponent at t = {t!r} overflowed")
     cos_0, sin_0 = math.cos(start), math.sin(start)
     x0 = (cos_0 * x[0] + sin_0 * x[1], cos_0 * x[1] - sin_0 * x[0], x[2])
     motion = _kicked_motion(p.eta, t, n, math.cos(phi), math.sin(phi), x0)

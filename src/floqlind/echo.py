@@ -34,7 +34,9 @@ import numpy as np
 
 from .bath import _math_map
 from .dynamics import TLSParams, _echo_offset, _kicked_motion
-from .errors import InconsistentDataError, OutOfRangeError
+from .errors import (
+    ConfigError, InconsistentDataError, InputError, NumericFailure, OutOfRangeError,
+)
 from .floquet import floor_frac
 from .lindblad import _suppression_factor
 
@@ -51,7 +53,7 @@ class GaussianDetuning:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+            raise InputError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
     def characteristic_function(self, u):
         """e^{-(sigma u)^2 / 2}, with the square a float power and the
@@ -74,7 +76,7 @@ class UniformDetuning:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.halfwidth < math.inf:
-            raise ValueError(
+            raise InputError(
                 f"halfwidth must be nonnegative and finite, got {self.halfwidth}"
             )
 
@@ -95,13 +97,13 @@ class DiscreteDetuning:
         deltas = np.atleast_1d(np.asarray(self.deltas, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if deltas.shape != weights.shape or deltas.ndim != 1:
-            raise ValueError("deltas and weights must be equal-length 1-D")
+            raise InputError("deltas and weights must be equal-length 1-D")
         if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(weights))):
-            raise ValueError("deltas and weights must be finite")
+            raise InputError("deltas and weights must be finite")
         if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
+            raise InputError("weights must be nonnegative")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {np.sum(weights)}, expected 1")
+            raise InputError(f"weights sum to {np.sum(weights)}, expected 1")
         deltas.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
@@ -180,17 +182,21 @@ def echo_signal(
         <x2> = e^{-2 eta t} <sin phi> x1(0) + (-1)^n e^{-eta t} <cos phi> x2(0)
 
     x0 holds finite (x1, x2) or (x1, x2, x3); x3 is not echoed and is
-    ignored.  times is one time or a 1-D array of them; more dimensions
-    raise ValueError.  Defined for times t >= 0 only: an earlier time,
-    where the decay factors would grow, raises DomainError.
+    ignored.  times is one time or a 1-D array of them, none below 0
+    (DomainError: the decay factors would grow); more dimensions raise
+    InputError, and a phase that overflows NumericFailure naming its t.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((2,), (3,)) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be 2 or 3 finite Bloch components, got {x0}")
+        raise InputError(f"x0 must be 2 or 3 finite Bloch components, got {x0}")
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
-        raise ValueError(f"times must be a scalar or 1-D, got shape {times.shape}")
-    n, avg_cos, avg_sin = _ensemble_phase(e, p, times)
+        raise InputError(f"times must be a scalar or 1-D, got shape {times.shape}")
+    with np.errstate(all="ignore"):  # an overflowing phase is NaN, raised below
+        n, avg_cos, avg_sin = _ensemble_phase(e, p, times)
+    bad = np.ravel(times)[~np.isfinite(np.ravel(avg_cos + avg_sin))]
+    if bad.size:
+        raise NumericFailure(f"the echo phase at t = {float(bad[0])!r} overflowed")
     x1, x2, _ = _kicked_motion(
         p.eta, times, n, avg_cos, avg_sin, (*x0[:2].tolist(), 0.0)
     )
@@ -245,12 +251,12 @@ def extract_tau_c(
     benchmark's extract tables, whose gate requires t2 == 1/eta_slow, so
     it waits for a change to that benchmark.
 
-    t_fast must be positive and finite (ValueError).  A tau_c that is
-    not a normal double, as at t_fast = 1e-310, raises OutOfRangeError,
-    and a search that runs out of iterations FloatingPointError.
+    t_fast must be positive and finite (InputError).  Rates with no fit
+    raise InconsistentDataError, a tau_c that is not a normal double (as at
+    t_fast = 1e-310) OutOfRangeError, a stalled search NumericFailure.
     """
     if not 0.0 < t_fast < math.inf:
-        raise ValueError(f"t_fast must be positive and finite, got {t_fast}")
+        raise InputError(f"t_fast must be positive and finite, got {t_fast}")
     if not (eta_slow > 0.0 and eta_fast > 0.0):
         raise InconsistentDataError("measured rates must be positive")
     if eta_fast >= eta_slow:
@@ -294,14 +300,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     method line for line as in SciPy's optimize/Zeros/brentq.c (C. Harris,
     BSD-3-Clause), so each iterate is SciPy's float; a step that C divides
     by 0 to get bisects here too.  f must not return NaN.  Raises
-    FloatingPointError after _BRENTQ_MAXITER iterations."""
+    NumericFailure after _BRENTQ_MAXITER iterations."""
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f({xa!r}) and f({xb!r}) must differ in sign")
+        raise ValueError(f"f({xa!r}) and f({xb!r}) must differ in sign")  # as in SciPy
     for _ in range(_BRENTQ_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -330,7 +336,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise FloatingPointError(
+    raise NumericFailure(
         f"no root found in [{xa!r}, {xb!r}] after {_BRENTQ_MAXITER} iterations"
     )
 
@@ -343,7 +349,10 @@ def read_rate_measurements(path) -> list[tuple[float, float]]:
     with warnings.catch_warnings():
         # numpy warns that such a file holds no data; the caller counts rows.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError as exc:  # a cell that is not a number, a NUL in the path
+            raise ConfigError(str(exc)) from None
     if len(data) and data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (period, rate)")
+        raise ConfigError(f"{path}: expected two columns (period, rate)")
     return [(float(row[0]), float(row[1])) for row in data]

@@ -1,52 +1,59 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, under two roots.
 
-Every error that signals bad user input derives from ValueError so that
-callers who do not care about the fine-grained type can catch the usual
-built-in.  Errors that signal a computation giving up (truncation failing
-to converge, a solver leaving its validity window) derive from
-RuntimeError instead.
+Each class derives from exactly one root, which sets the CLI's exit code:
+``InputError`` (a ValueError: bad arguments, config or data) exits 2,
+``NumericFailure`` (a FloatingPointError: the computation gave up or left
+the double range) exits 3, and keeps any older ValueError/RuntimeError base.
 """
 
 
-class DimensionError(ValueError):
+class InputError(ValueError):
+    """An argument, config or data file lies outside what the call accepts."""
+
+
+class NumericFailure(FloatingPointError):
+    """A computation gave up or left the double range."""
+
+
+class DimensionError(InputError):
     """Operator or state shapes are inconsistent with the model dimension."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """A scalar argument lies outside the function's domain (e.g. t < 0)."""
 
 
-class UnsupportedFrameError(ValueError):
+class UnsupportedFrameError(InputError):
     """The requested reference frame is not defined for this model."""
 
 
-class UnsupportedRegimeError(ValueError):
+class UnsupportedRegimeError(InputError):
     """A closed form was requested outside the regime where it holds."""
 
 
-class InvalidStateError(ValueError):
+class InvalidStateError(NumericFailure, ValueError):
     """A density matrix fails Hermiticity, unit trace, or positivity."""
 
 
-class HermiticityError(ValueError):
+class HermiticityError(InputError):
     """An operator that must be Hermitian is not."""
 
 
-class InconsistentDataError(ValueError):
+class InconsistentDataError(NumericFailure, ValueError):
     """Measured inputs admit no solution within the model."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(NumericFailure, ValueError):
     """A parameter extraction landed outside the searchable bracket."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericFailure, RuntimeError):
     """An adaptive truncation could not reach the requested tolerance."""
 
 
-class StabilityError(RuntimeError):
+class StabilityError(NumericFailure, RuntimeError):
     """A fixed-step integrator was asked to run outside its stable region."""
 
 
-class ConfigError(ValueError):
-    """A run configuration file is malformed or incomplete."""
+class ConfigError(InputError):
+    """A run configuration, or a file it names, is malformed or incomplete."""

@@ -52,7 +52,7 @@ def floor_frac(t, period: float) -> tuple[np.ndarray, np.ndarray]:
     valid time.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):  # an inf ratio raises below; an inf ulp snaps
+    with np.errstate(all="ignore"):  # a non-finite ratio raises below; an inf ulp snaps
         raw = t / period
         fuzz = 2.0 * np.spacing(np.abs(raw))
     # Test t itself, not the ratio: -5e-324 / 2 rounds to -0.0.
@@ -99,14 +99,14 @@ class KickedModel:
                 f"h0 {h0.shape} and kick {kick.shape} must have the same shape"
             )
         if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
+            raise DomainError(f"period must be positive and finite, got {self.period}")
         if math.isinf(self.omega):
-            raise ValueError(
+            raise DomainError(
                 f"period {self.period!r} is too small: the kick frequency "
                 "2 pi / period overflows"
             )
         if not math.isfinite(self.strength):
-            raise ValueError(f"strength must be finite, got {self.strength}")
+            raise DomainError(f"strength must be finite, got {self.strength}")
         h0.flags.writeable = False
         kick.flags.writeable = False
         object.__setattr__(self, "h0", h0)
@@ -438,7 +438,7 @@ def harmonic_decomposition(
     """
     q_max = operator.index(q_max)
     if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+        raise DomainError(f"q_max must be >= 1, got {q_max}")
     validated = [require_hermitian(s) for s in couplings]
     for s in validated:
         if s.shape != m.h0.shape:

@@ -24,7 +24,7 @@ diagonal by frequency cluster.  ``BohrBlocks`` keeps those blocks in
 stacks of one size, each exponentiated in one call, with the structure
 the exact map imposes on it (see ``BohrBlocks``).  ``semigroup`` and
 ``dynamics.evolve`` both apply them through ``BohrBlocks.propagate``,
-which raises FloatingPointError where e^{tL} is not finite.
+which raises NumericFailure where e^{tL} is not finite.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .bath import (
     _ldexp,
     _math_map,
 )
-from .errors import DimensionError, DomainError, TruncationError
+from .errors import DimensionError, DomainError, NumericFailure, TruncationError
 from .floquet import FloquetDecomposition, HarmonicDecomposition
 from .operators import vec
 
@@ -112,7 +112,7 @@ class BohrBlocks:
 
     def propagate(self, x0: np.ndarray, times) -> np.ndarray:
         """e^{tL} x0 at every time: x0 is (d², k), the result (len(times), d², k).
-        Raises FloatingPointError naming the first t where it is not finite."""
+        Raises NumericFailure naming the first t where it is not finite."""
         times = np.asarray(times, dtype=float)[:, None, None]
         out = np.empty((len(times),) + x0.shape, dtype=complex)
         for indices, mirror, blocks in self.coherences:
@@ -126,7 +126,7 @@ class BohrBlocks:
         finite = np.isfinite(out.view(float)).ravel()  # one time after another
         if not finite.all():
             t = times.flat[np.argmin(finite) // (len(finite) // len(out))]
-            raise FloatingPointError(
+            raise NumericFailure(
                 f"e^(tL) at t = {float(t)!r} has an inf or NaN entry; the "
                 f"generator's largest entry is {self.largest!r} in magnitude"
             )
@@ -233,10 +233,8 @@ class RateResult:
         if bad.size:
             value = eta.flat[bad[0]].item()
             if math.isnan(value):
-                raise FloatingPointError(
-                    "decay rate is NaN: an intermediate overflowed"
-                )
-            raise ValueError(f"decay rate must be nonnegative, got {value}")
+                raise NumericFailure("decay rate is NaN: an intermediate overflowed")
+            raise DomainError(f"decay rate must be nonnegative, got {value}")
 
 
 def _dissipator(pairs: np.ndarray, dim: int) -> np.ndarray:
@@ -368,11 +366,11 @@ def rate_parallel_closed(period, t2: float, tau_c: float) -> RateResult:
     ``period`` is a float or an array of periods, and ``eta`` is then a
     float or an array of rates.  Each rate has the bits of its float call
     on every host: tanh is the math module's, and the rest is IEEE
-    arithmetic, in the same order.
+    arithmetic, in the same order.  A rate above the largest double is inf.
     """
     period = np.asarray(period, dtype=float)
     if not (np.all(period > 0.0) and t2 > 0.0 and tau_c > 0.0):
-        raise ValueError("period, t2, tau_c must all be positive")
+        raise DomainError("period, t2, tau_c must all be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as for floats
         eta = _suppression_factor(period / (2.0 * tau_c)) / t2
     return RateResult(eta=eta)
@@ -401,8 +399,9 @@ def rate_perp_closed(omega, coupling: float, cutoff: float) -> RateResult:
     """
     shape = np.shape(omega)
     omega = np.asarray(omega, dtype=float).ravel()
-    if not (np.all(omega > 0.0) and coupling > 0.0 and cutoff > 0.0):
-        raise ValueError("omega, coupling, cutoff must all be positive")
+    if not (np.all(omega > 0.0) and 0.0 < coupling < math.inf
+            and 0.0 < cutoff < math.inf):
+        raise DomainError("need omega > 0 and finite coupling, cutoff > 0")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as for floats
         x = omega / (2.0 * cutoff)
         z = _math_map(math.exp, -x)
@@ -453,7 +452,7 @@ def _perp_mantissas(
 def semigroup(g: LindbladGenerator, t: float) -> np.ndarray:
     """Map e^{tL} as a superoperator matrix; defined for finite t >= 0 only.
 
-    Raises FloatingPointError where it has an inf or NaN entry."""
+    Raises NumericFailure where it has an inf or NaN entry."""
     if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup defined for finite t >= 0, got {t}")
     change = g.decomposition.change

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import scipy  # scipy.linalg loads at its first read, not at import
 
-from .errors import DimensionError, HermiticityError, InvalidStateError
+from .errors import (
+    DimensionError, HermiticityError, InputError, InvalidStateError, NumericFailure,
+)
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -32,7 +34,7 @@ def _as_square_matrix(op: np.ndarray, stack: bool = False) -> np.ndarray:
     if not square or (mat.ndim > 2 and not stack):
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     return mat
 
 
@@ -164,8 +166,9 @@ def density_from_bloch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DimensionError(f"Bloch vector must have 3 components, got shape {x.shape}")
-    norm_sq = float(np.dot(x, x))
-    if norm_sq > (1.0 + 2.0 * PSD_ATOL) ** 2:
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        norm_sq = float(np.dot(x, x))
+    if not norm_sq <= (1.0 + 2.0 * PSD_ATOL) ** 2:  # NaN too
         raise InvalidStateError(f"Bloch vector has norm {np.sqrt(norm_sq):.6f} > 1")
     return 0.5 * (IDENTITY_2 + x[0] * PAULI_X + x[1] * PAULI_Y + x[2] * PAULI_Z)
 
@@ -175,7 +178,7 @@ def expm_hermitian(h: np.ndarray, s: float) -> np.ndarray:
 
     Exact spectral calculus keeps the result unitary to rounding even for
     large |s|, where scaling-and-squaring would accumulate error.  Raises
-    FloatingPointError where some s * eigenvalue overflows.
+    NumericFailure where some s * eigenvalue overflows.
     """
     mat = require_hermitian(h)
     evals, evecs = scipy.linalg.eigh(mat)
@@ -183,7 +186,7 @@ def expm_hermitian(h: np.ndarray, s: float) -> np.ndarray:
         phases = np.exp(1j * s * evals)
     if not np.all(np.isfinite(phases)):
         largest = float(np.max(np.abs(evals)))
-        raise FloatingPointError(
+        raise NumericFailure(
             f"e^{{i s H}} overflows: s = {s!r} times an eigenvalue of H, up to "
             f"{largest!r} in magnitude, leaves the double range"
         )
@@ -196,7 +199,7 @@ def expm_general(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         out = scipy.linalg.expm(t * mat)
     if not np.all(np.isfinite(out.view(float))):
-        raise ArithmeticError("matrix exponential overflowed")
+        raise NumericFailure("matrix exponential overflowed")
     return out
 
 

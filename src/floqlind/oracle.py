@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy  # scipy.linalg loads at its first read, not at import
 
-from .errors import DimensionError, StabilityError, TruncationError
+from .errors import DimensionError, DomainError, StabilityError, TruncationError
 from .floquet import KickedModel, decompose
 from .lindblad import LindbladGenerator
 from .operators import as_density, expm_hermitian, require_hermitian, unvec, vec
@@ -45,11 +45,11 @@ def regularized_propagator(
     width, which must be positive and at most period/100.
     """
     if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+        raise DomainError(f"time must be nonnegative, got {t}")
     if not pulse_width > 0.0:
-        raise ValueError(f"pulse_width must be positive, got {pulse_width}")
+        raise DomainError(f"pulse_width must be positive, got {pulse_width}")
     if pulse_width > m.period / 100.0:
-        raise ValueError(
+        raise DomainError(
             f"pulse width {pulse_width} too coarse; need <= period/100"
         )
     pulse_h = np.asarray(m.h0, dtype=complex) + (
@@ -99,7 +99,7 @@ def quadrature_harmonics(
     two compare entrywise.
     """
     if n_samples < max(1, 8 * q_max):
-        raise ValueError("need n_samples >= 8 * q_max for trustworthy sums")
+        raise DomainError("need n_samples >= 8 * q_max for trustworthy sums")
     coupling = require_hermitian(coupling)
     if coupling.shape != m.h0.shape:
         raise DimensionError(
@@ -135,9 +135,9 @@ def integrate_master_equation(
 ) -> np.ndarray:
     """Fixed-step classical RK4 on the vectorized master equation."""
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise DomainError("dt must be positive")
     if t < 0.0:
-        raise ValueError("time must be nonnegative")
+        raise DomainError("time must be nonnegative")
     norm = scipy.linalg.norm(g.superop, 2)
     if norm > 0.0 and dt > 0.01 / norm:
         raise StabilityError(
@@ -185,7 +185,7 @@ def series_rate_parallel(
     until a rigorous tail bound drops below _SERIES_REL_TOL of the total.
     """
     if not (period > 0.0 and t2 > 0.0 and tau_c > 0.0):
-        raise ValueError("period, t2, tau_c must all be positive")
+        raise DomainError("period, t2, tau_c must all be positive")
     omega = 2.0 * math.pi / period
 
     def partial(q_hi: int) -> float:
@@ -211,7 +211,7 @@ def series_rate_parallel(
 
     if q_max is not None:
         if q_max < 0:
-            raise ValueError("q_max must be nonnegative")
+            raise DomainError("q_max must be nonnegative")
         return SeriesRate(eta=partial(q_max), tail_bound=tail(q_max), q_max_used=q_max)
 
     q_hi = 64

@@ -796,6 +796,56 @@ EXTRACT_CONFIG = """
 """
 
 
+def _latin1_config(tmp_path):
+    config = write_config(tmp_path, PARALLEL_CONFIG)
+    config.write_bytes(config.read_bytes().replace(b"t2 = 2.0", b"t2 = 2.0 \xb0"))
+    return config
+
+
+def _non_numeric_cell(tmp_path):
+    (tmp_path / "measured.txt").write_text("5000.0 0.5\n0.37 abc\n", encoding="ascii")
+    return write_config(tmp_path, EXTRACT_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "make_config, message",
+    [
+        (_latin1_config, "'utf-8' codec can't decode byte 0xb0"),
+        (_non_numeric_cell, "could not convert string 'abc' to float64"),
+        (
+            lambda tmp_path: write_config(
+                tmp_path, PARALLEL_CONFIG.replace("rates.tsv", "rates\0.tsv")
+            ),
+            "embedded null byte",
+        ),
+        (
+            lambda tmp_path: write_config(
+                tmp_path, AUDIT_CONFIG.replace("seed = 3", "seed = -1")
+            ),
+            "[run] seed must be nonnegative, got -1",
+        ),
+        (
+            lambda tmp_path: write_config(
+                tmp_path, PARALLEL_CONFIG.replace("points = 12", "points = 10" + "0" * 20)
+            ),
+            "[sweep] points must be from 1 to 2^60 - 1",
+        ),
+    ],
+    ids=["non-utf8-config", "non-numeric-cell", "nul-in-output", "negative-seed",
+         "points-past-any-array"],
+)
+def test_main_sorts_bad_input_that_numpy_or_the_stdlib_refuses_as_config_errors(
+    tmp_path, capsys, make_config, message
+):
+    """Inputs refused by a bare ValueError of the stdlib or numpy are typed
+    where they are read or written, so they exit 2, not as a traceback."""
+    assert cli.main([str(make_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floqlind: config error:")
+    assert message in err
+    assert list(tmp_path.glob("*.tsv")) == []
+
+
 def _extract_config(tmp_path, rows):
     (tmp_path / "measured.txt").write_text(
         "\n".join(f"{p!r} {r!r}" for p, r in rows) + "\n", encoding="ascii"

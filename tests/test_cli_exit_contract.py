@@ -4,15 +4,16 @@ Every scenario's floats are drawn log-uniform in magnitude from 1e-320 to
 1e308 with either sign, mixed with 0, the infinities, NaN and the ends of
 the subnormals.  ``cli.main`` must return 0, 2 or 3 and raise nothing;
 pytest's ``filterwarnings = error`` makes any warning a failure.  The
-exception behind a nonzero exit must be raised in floqlind's own code, or
-be a ``configparser.Error`` or ``OSError``: never a numpy or scipy error
-passed through, never an errno tuple such as ``(34, 'Numerical
-result out of range')``, and never the "matrix has non-finite entries"
-that ``operators`` reserves for a user's matrix, since no config supplies
-one.  The ranges are not narrowed for speed; configs
-that double the truncation up to its ``q_max`` ceiling, the slowest
-examples, stay in the space, and the example counts are sized for the
-suite's run time instead.
+exception behind exit 3 must be a ``NumericFailure``, and the one behind
+exit 2 an ``InputError``, a ``configparser.Error`` or an ``OSError``.  It
+must be raised in floqlind's own code, or be a ``configparser.Error`` or
+``OSError``: never a numpy or scipy error passed through, never an errno
+tuple such as ``(34, 'Numerical result out of range')``, and never the
+"matrix has non-finite entries" that ``operators`` reserves for a user's
+matrix, since no config supplies one.  The ranges are not narrowed for
+speed; configs that double the truncation up to its ``q_max`` ceiling,
+the slowest examples, stay in the space, and the example counts are
+sized for the suite's run time instead.
 """
 
 import configparser
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqlind import cli
+from floqlind.errors import InputError, NumericFailure
 
 PACKAGE = Path(cli.__file__).resolve().parent
 ERRNO_TUPLE = re.compile(r"^\(\d+, '")
@@ -170,6 +172,9 @@ def _check_exit_contract(scenario: str, sections: dict) -> None:
         assert str(exc) != NON_FINITE_MATRIX, repr(exc)
         assert (_raised_in_floqlind(exc)
                 or isinstance(exc, (configparser.Error, OSError))), repr(exc)
+        expected = NumericFailure if code == 3 else (
+            InputError, configparser.Error, OSError)
+        assert isinstance(exc, expected), repr(exc)
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))

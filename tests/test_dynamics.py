@@ -37,6 +37,7 @@ from floqlind.echo import GaussianDetuning, averaged_phase, echo_signal
 from floqlind.errors import (
     DimensionError,
     DomainError,
+    NumericFailure,
     UnsupportedFrameError,
     UnsupportedRegimeError,
 )
@@ -167,6 +168,28 @@ def test_a_kick_phase_that_overflows_is_a_numeric_failure():
     with pytest.raises(FloatingPointError, match=re.escape("at t = 7.5e+307 ")):
         evolve(m, g, rho0, times, frame="rotating")
     assert np.isfinite(evolve(m, g, rho0, times, frame="interaction").states).all()
+
+
+@pytest.mark.parametrize(
+    "p, t",
+    [
+        (TLSParams(1.3, 1.3, 1.3, 5e-324), 1.7976931348623157e308),
+        (TLSParams(5.0, 5.0, 1.3, 0.1), 1e308),
+        (TLSParams(1.3, 5e-324, 1.3, 0.7), 1.7976931348623157e308),
+    ],
+    ids=["carrier-angle-at-the-largest-time", "carrier-angle-at-1e308",
+         "decay-exponent"],
+)
+def test_a_closed_form_whose_angle_or_decay_overflows_is_a_numeric_failure(p, t):
+    """omega_ext t, or 2 eta t, leaves the double range while t/T stays
+    finite: NumericFailure naming t, as evolve raises, not math.cos's
+    "math domain error" or numpy's overflow warning."""
+    rho0 = np.eye(2) / 2
+    with pytest.raises(NumericFailure, match=re.escape(f"at t = {t!r} overflowed")):
+        closed_form_parallel(p, rho0, t)
+    if p.delta == 0.0:  # the transverse closed form holds on resonance only
+        with pytest.raises(NumericFailure, match=re.escape(f"at t = {t!r} ")):
+            closed_form_perp(p, rho0, t)
 
 
 def test_evolve_rejects_a_model_other_than_the_generators(longitudinal):

@@ -1,6 +1,7 @@
 """Detuning-ensemble averaging and rate-inversion tests."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,9 @@ from floqlind.echo import (
     extract_tau_c,
     read_rate_measurements,
 )
-from floqlind.errors import DomainError, InconsistentDataError, OutOfRangeError
+from floqlind.errors import (
+    DomainError, InconsistentDataError, NumericFailure, OutOfRangeError,
+)
 from floqlind.floquet import floor_frac
 from floqlind.lindblad import rate_parallel_closed
 from floqlind.operators import bloch_from_density, density_from_bloch
@@ -346,6 +349,24 @@ def test_echo_signal_refuses_times_of_more_than_one_dimension(times):
     ``transverse``, whose rows are no longer times."""
     with pytest.raises(ValueError, match="times"):
         echo_signal(GaussianDetuning(sigma=1.0), _params(), (0.6, 0.8), times)
+
+
+@pytest.mark.parametrize("ensemble", THREE_KINDS, ids=["gaussian", "uniform", "discrete"])
+@pytest.mark.parametrize(
+    "params, times, bad",
+    [
+        (_params(omega_ext=5.0), [0.0, 1.3, 1e308], 1e308),  # omega_ext t
+        (_params(omega_ext=1.7976931348623157e308), [0.0, 2.5], 2.5),
+    ],
+    ids=["carrier-at-1e308", "carrier-at-the-largest-omega"],
+)
+def test_echo_signal_whose_phase_overflows_is_a_numeric_failure(
+    ensemble, params, times, bad
+):
+    """A carrier angle omega_ext t that leaves the double range raises
+    NumericFailure naming the first such t, with no numpy warning."""
+    with pytest.raises(NumericFailure, match=re.escape(f"at t = {bad!r} overflowed")):
+        echo_signal(ensemble, params, (1.0, 0.0), times)
 
 
 def test_echo_signal_keeps_one_time_and_a_1d_array_of_times():
